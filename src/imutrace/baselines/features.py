@@ -31,7 +31,7 @@ def _trapezoid(y: np.ndarray, dt: float) -> np.ndarray:
 
 def extract_features(w: TrajectoryWindow) -> np.ndarray:
     """48 features for one window, ordered per FEATURE_NAMES."""
-    data = w.to_array()
+    data = w.data
     stats = np.empty((9, len(_STAT_NAMES)))
     stats[:, 0] = data.mean(axis=0)
     stats[:, 1] = data.std(axis=0)

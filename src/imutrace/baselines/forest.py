@@ -218,24 +218,11 @@ def _forest_votes(trees: Sequence[dict], x: np.ndarray) -> np.ndarray:
     return votes
 
 
-def predict_rf(
-    model: RandomForestModel, x: np.ndarray
-) -> tuple[TrajectoryLabel, np.ndarray]:
-    """Majority vote with fixed-label-order tie-break; returns vote shares."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (model.n_features,):
-        raise DataError(
-            f"feature vector shape {x.shape} does not match trained dimension "
-            f"({model.n_features},)"
-        )
-    votes = _forest_votes(model.trees, x)
-    shares = votes / votes.sum()
-    return LABEL_ORDER[int(np.argmax(votes))], shares
-
-
 def predict_rf_batch(
     model: RandomForestModel, x: np.ndarray
 ) -> tuple[list[TrajectoryLabel], np.ndarray]:
+    """Majority vote per row with fixed-label-order tie-break; returns the
+    labels and the (n, 4) vote shares."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != model.n_features:
         raise DataError(
@@ -245,7 +232,7 @@ def predict_rf_batch(
     labels = []
     shares = np.zeros((x.shape[0], N_CLASSES))
     for i, row in enumerate(x):
-        label, share = predict_rf(model, row)
-        labels.append(label)
-        shares[i] = share
+        votes = _forest_votes(model.trees, row)
+        labels.append(LABEL_ORDER[int(np.argmax(votes))])
+        shares[i] = votes / votes.sum()
     return labels, shares

@@ -401,8 +401,8 @@ def _window_tensor(windows: Sequence[TrajectoryWindow]) -> np.ndarray:
     lengths = {len(w) for w in windows}
     if len(lengths) != 1:
         raise DataError(f"all training windows must share one length, got {sorted(lengths)}")
-    # samples are finite by ImuSample validation, no re-check here
-    return np.stack([w.to_array().T for w in windows])  # (n, 9, T)
+    # window data is finite by TrajectoryWindow validation, no re-check here
+    return np.stack([w.data.T for w in windows])  # (n, 9, T)
 
 
 def _train(kind: str, windows: Sequence[TrajectoryWindow], cfg: NnConfig) -> NnModel:
@@ -474,15 +474,10 @@ def train_lstm(windows: Sequence[TrajectoryWindow], cfg: Optional[LstmConfig] = 
     return _train("lstm", windows, cfg if cfg is not None else LstmConfig())
 
 
-def predict_nn(model: NnModel, w: TrajectoryWindow) -> tuple[TrajectoryLabel, np.ndarray]:
-    """Class probabilities and argmax label (first maximum on ties)."""
-    labels, probs = predict_nn_batch(model, [w])
-    return labels[0], probs[0]
-
-
 def predict_nn_batch(
     model: NnModel, windows: Sequence[TrajectoryWindow]
 ) -> tuple[list[TrajectoryLabel], np.ndarray]:
+    """Class probabilities and argmax labels (first maximum on ties)."""
     for w in windows:
         if len(w) != model.input_length:
             raise DataError(

@@ -356,21 +356,10 @@ def decision_matrix(model: SvmModel, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def predict_svm(model: SvmModel, x: np.ndarray) -> tuple[TrajectoryLabel, np.ndarray]:
-    """argmax of one-vs-rest decisions, first maximum on exact ties."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (model.n_features,):
-        raise DataError(
-            f"feature vector shape {x.shape} does not match trained dimension "
-            f"({model.n_features},)"
-        )
-    decisions = decision_matrix(model, x[None, :])[0]
-    return LABEL_ORDER[int(np.argmax(decisions))], decisions
-
-
 def predict_svm_batch(
     model: SvmModel, x: np.ndarray
 ) -> tuple[list[TrajectoryLabel], np.ndarray]:
+    """argmax of one-vs-rest decisions per row, first maximum on exact ties."""
     decisions = decision_matrix(model, x)
     labels = [LABEL_ORDER[int(np.argmax(row))] for row in decisions]
     return labels, decisions

@@ -1,11 +1,13 @@
-"""Canonical IMU data model: samples, labeled windows, CSV ingestion,
-mean-pooling downsampling, overlapping window slicing, and the
-3:1:1:1 train/validation/seen-test/unseen-test split.
+"""Canonical IMU data model: labeled windows, CSV ingestion, mean-pooling
+downsampling, and the 3:1:1:1 train/validation/seen-test/unseen-test
+split.
 
-All values are plain floats in SI-ish units: accelerometer m/s^2,
-gyroscope rad/s, magnetometer microtesla, time in seconds since the
-start of the window. Everything here is immutable after construction
-and safe to share across threads.
+A window is one read-only (n, 9) float64 array in :data:`AXIS_NAMES`
+order plus its rate, label and provenance. Units are SI-ish:
+accelerometer m/s^2, gyroscope rad/s, magnetometer microtesla. Sample
+``i`` is taken at ``t = i / rate`` seconds from the start of the window;
+timestamps are not stored. Everything here is immutable after
+construction and safe to share across threads.
 
 CSV layout (UTF-8, header required)::
 
@@ -14,9 +16,10 @@ CSV layout (UTF-8, header required)::
 The CSV has no dedicated recording-group column, so ``recording_id``
 is written as ``<recording_group>/<window_id>``; on ingestion the part
 before the first slash is taken as the group (the whole id when there
-is no slash). Floats are rendered with :func:`repr`, the shortest
-string that parses back to the identical value, so a serialize/ingest
-round trip is exact.
+is no slash). The ``t`` column is ``i / rate``; ingestion refuses a
+recording that does not start at 0 or strays from that grid. Floats are
+rendered with :func:`repr`, the shortest string that parses back to the
+identical value, so a serialize/ingest round trip is exact.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import csv
 import hashlib
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -33,8 +36,11 @@ import numpy as np
 
 from .errors import DataError
 
-# Consecutive timestamp deltas must equal 1/rate within this slack (seconds).
+# Ingested timestamps must sit within this slack (seconds) of the i / rate grid.
 TIMESTAMP_TOLERANCE_S = 1e-6
+# Significant digits an ingested rate is snapped to; (n - 1) / t_last carries
+# about 15, so the snap removes the rounding of the written timestamps.
+RATE_SIGNIFICANT_DIGITS = 12
 
 CSV_COLUMNS = (
     "recording_id", "scenario", "label", "t",
@@ -98,77 +104,46 @@ PART_ORDER = (Part.TRAIN, Part.VALIDATION, Part.SEEN_TEST, Part.UNSEEN_TEST)
 SPLIT_WEIGHTS = {Part.TRAIN: 3, Part.VALIDATION: 1, Part.SEEN_TEST: 1, Part.UNSEEN_TEST: 1}
 
 
-@dataclass(frozen=True)
-class ImuSample:
-    """One timestamped 9-axis reading."""
-
-    t: float
-    accel: tuple[float, float, float]
-    gyro: tuple[float, float, float]
-    mag: tuple[float, float, float]
-
-    def __post_init__(self):
-        values = (self.t, *self.accel, *self.gyro, *self.mag)
-        if not all(math.isfinite(v) for v in values):
-            raise DataError("IMU sample contains a non-finite value")
-        if self.t < 0:
-            raise DataError(f"sample timestamp must be >= 0, got {self.t}")
-
-    def as_row(self) -> tuple[float, ...]:
-        return (*self.accel, *self.gyro, *self.mag)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrajectoryWindow:
-    """A fixed-duration labeled sequence of samples; the unit of classification.
+    """A fixed-duration labeled window; the unit of classification.
 
-    ``recording_group`` identifies the scene/session the window came from
-    and drives the seen-vs-unseen partitioning: unseen-test windows belong
-    to groups held out of training entirely.
+    ``data`` is a read-only (n, 9) float64 array in :data:`AXIS_NAMES`
+    order. Sample ``i`` is taken at ``t = i / rate`` seconds, so the
+    timestamps are implicit. ``recording_group`` identifies the
+    scene/session the window came from and drives the seen-vs-unseen
+    partitioning: unseen-test windows belong to groups held out of
+    training entirely. Windows compare by identity (an array field has
+    no usable ``==``).
     """
 
     id: str
     scenario: Scenario
     recording_group: str
     rate: float
-    samples: tuple[ImuSample, ...]
+    data: np.ndarray
     label: Optional[TrajectoryLabel] = None
 
     def __post_init__(self):
-        if len(self.samples) < 2:
+        data = np.array(self.data, dtype=np.float64)
+        if data.ndim != 2 or data.shape[1] != len(AXIS_NAMES):
+            raise DataError(f"window {self.id!r} data must be (n, 9), got {data.shape}")
+        if data.shape[0] < 2:
             raise DataError(f"window {self.id!r} needs at least 2 samples")
-        if self.rate <= 0:
-            raise DataError(f"window {self.id!r} has non-positive rate {self.rate}")
-        expected_dt = 1.0 / self.rate
-        prev = self.samples[0].t
-        for sample in self.samples[1:]:
-            dt = sample.t - prev
-            if dt <= 0:
-                raise DataError(
-                    f"window {self.id!r} has non-increasing timestamps "
-                    f"near t={sample.t}"
-                )
-            if abs(dt - expected_dt) > TIMESTAMP_TOLERANCE_S:
-                raise DataError(
-                    f"window {self.id!r}: timestamp delta {dt:.9f} does not "
-                    f"match 1/rate={expected_dt:.9f}"
-                )
-            prev = sample.t
+        if not (self.rate > 0 and math.isfinite(self.rate)):
+            raise DataError(f"window {self.id!r} needs a positive finite rate, got {self.rate}")
+        if not np.isfinite(data).all():
+            raise DataError(f"window {self.id!r} contains a non-finite value")
+        data.flags.writeable = False
+        object.__setattr__(self, "data", data)
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return self.data.shape[0]
 
     @property
     def duration(self) -> float:
         """Window duration in seconds (sample count over rate)."""
-        return len(self.samples) / self.rate
-
-    def to_array(self) -> np.ndarray:
-        """(n, 9) float64 array in the canonical ax..mz axis order."""
-        return np.array([s.as_row() for s in self.samples], dtype=np.float64)
-
-    def times(self) -> np.ndarray:
-        return np.array([s.t for s in self.samples], dtype=np.float64)
+        return len(self) / self.rate
 
 
 @dataclass(frozen=True)
@@ -238,10 +213,10 @@ def serialize_csv(windows: Iterable[TrajectoryWindow]) -> str:
     for w in windows:
         recording_id = f"{w.recording_group}/{w.id}"
         label = w.label.value if w.label is not None else ""
-        for s in w.samples:
+        for i, row in enumerate(w.data.tolist()):
             writer.writerow(
-                [recording_id, w.scenario.value, label, format_float(s.t)]
-                + [format_float(v) for v in s.as_row()]
+                [recording_id, w.scenario.value, label, format_float(i / w.rate)]
+                + [format_float(v) for v in row]
             )
     return buf.getvalue()
 
@@ -255,9 +230,11 @@ def ingest_csv(stream: Iterable[str]) -> list[TrajectoryWindow]:
     """Parse the canonical CSV layout into windows.
 
     One window is produced per distinct recording id, in order of first
-    appearance. Timestamps within a recording must be strictly
-    increasing as written; the declared rate is inferred from the median
-    timestamp delta.
+    appearance. A recording's timestamps must start at 0 and sit on a
+    uniform grid ``i / rate`` within :data:`TIMESTAMP_TOLERANCE_S`. The
+    rate is inferred from the last timestamp and snapped to
+    :data:`RATE_SIGNIFICANT_DIGITS`, which recovers the exact rate of any
+    file this package writes, so ingest then serialize is byte-exact.
     """
     reader = csv.reader(stream)
     try:
@@ -267,8 +244,7 @@ def ingest_csv(stream: Iterable[str]) -> list[TrajectoryWindow]:
     if tuple(header) != CSV_COLUMNS:
         raise DataError(f"unexpected CSV header: {header!r}")
 
-    order: list[str] = []
-    rows: dict[str, list[tuple[float, ImuSample]]] = {}
+    rows: dict[str, list[list[float]]] = {}
     meta: dict[str, tuple[Scenario, Optional[TrajectoryLabel]]] = {}
     for line_no, row in enumerate(reader, start=2):
         if not row:
@@ -285,7 +261,6 @@ def ingest_csv(stream: Iterable[str]) -> list[TrajectoryWindow]:
         scenario = Scenario.from_string(scenario_text)
         label = TrajectoryLabel.from_string(label_text) if label_text else None
         if recording_id not in rows:
-            order.append(recording_id)
             rows[recording_id] = []
             meta[recording_id] = (scenario, label)
         elif meta[recording_id] != (scenario, label):
@@ -293,28 +268,31 @@ def ingest_csv(stream: Iterable[str]) -> list[TrajectoryWindow]:
                 f"line {line_no}: scenario/label changed within recording "
                 f"{recording_id!r}"
             )
-        t = numbers[0]
-        sample = ImuSample(
-            t=t,
-            accel=(numbers[1], numbers[2], numbers[3]),
-            gyro=(numbers[4], numbers[5], numbers[6]),
-            mag=(numbers[7], numbers[8], numbers[9]),
-        )
-        rows[recording_id].append((t, sample))
+        rows[recording_id].append(numbers)
 
     windows = []
-    for recording_id in order:
+    for recording_id, numbers in rows.items():
         scenario, label = meta[recording_id]
-        pairs = rows[recording_id]
-        times = [t for t, _ in pairs]
-        if len(pairs) < 2:
+        if len(numbers) < 2:
             raise DataError(f"recording {recording_id!r} has fewer than 2 samples")
-        deltas = np.diff(times)
-        if np.any(deltas <= 0):
+        block = np.array(numbers, dtype=np.float64)
+        times = block[:, 0]
+        if times[0] != 0.0:
+            raise DataError(
+                f"recording {recording_id!r} starts at t={times[0]!r}, not at 0"
+            )
+        if np.any(np.diff(times) <= 0):
             raise DataError(
                 f"recording {recording_id!r} has non-monotonic timestamps"
             )
-        rate = 1.0 / float(np.median(deltas))
+        rate = float(f"{(len(times) - 1) / times[-1]:.{RATE_SIGNIFICANT_DIGITS}g}")
+        drift = np.abs(times - np.arange(len(times)) / rate)
+        if drift.max() > TIMESTAMP_TOLERANCE_S:
+            at = int(np.argmax(drift))
+            raise DataError(
+                f"recording {recording_id!r}: timestamp t={times[at]!r} is off "
+                f"the {rate:g} Hz grid by {drift[at]:.3g} s"
+            )
         group, _, window_id = recording_id.partition("/")
         if not window_id:
             group, window_id = recording_id, recording_id
@@ -324,7 +302,7 @@ def ingest_csv(stream: Iterable[str]) -> list[TrajectoryWindow]:
                 scenario=scenario,
                 recording_group=group,
                 rate=rate,
-                samples=tuple(s for _, s in pairs),
+                data=block[:, 1:],
                 label=label,
             )
         )
@@ -336,74 +314,28 @@ def downsample(w: TrajectoryWindow, target_rate: float) -> TrajectoryWindow:
 
     Source samples are grouped into buckets of ``round(rate/target_rate)``
     consecutive samples; each output sample is the per-channel mean of
-    its bucket, re-timestamped on the uniform target grid. A trailing
-    partial bucket is dropped.
+    its bucket, on the uniform target grid. A trailing partial bucket is
+    dropped.
     """
     if target_rate <= 0 or target_rate > w.rate:
         raise DataError(
             f"target rate {target_rate} must be in (0, {w.rate}] for window {w.id!r}"
         )
     bucket = max(1, round(w.rate / target_rate))
-    n_out = len(w.samples) // bucket
+    n_out = len(w) // bucket
     if n_out < 2:
         raise DataError(
             f"window {w.id!r} too short to downsample to {target_rate} Hz"
         )
-    data = w.to_array()[: n_out * bucket]
-    pooled = data.reshape(n_out, bucket, 9).mean(axis=1)
-    samples = tuple(
-        ImuSample(
-            t=i / target_rate,
-            accel=tuple(pooled[i, 0:3]),
-            gyro=tuple(pooled[i, 3:6]),
-            mag=tuple(pooled[i, 6:9]),
-        )
-        for i in range(n_out)
-    )
+    pooled = w.data[: n_out * bucket].reshape(n_out, bucket, 9).mean(axis=1)
     return TrajectoryWindow(
         id=w.id,
         scenario=w.scenario,
         recording_group=w.recording_group,
         rate=float(target_rate),
-        samples=samples,
+        data=pooled,
         label=w.label,
     )
-
-
-def slice_windows(
-    recording: TrajectoryWindow, duration: float, stride: float
-) -> list[TrajectoryWindow]:
-    """Cut a long recording into fixed-length, possibly overlapping windows.
-
-    Each output has exactly ``floor(duration * rate)`` samples with
-    timestamps rebased to zero; the trailing remainder is dropped. A
-    recording shorter than one window yields an empty list.
-    """
-    if duration <= 0 or stride <= 0:
-        raise DataError("duration and stride must be positive")
-    wlen = int(duration * recording.rate)
-    if wlen < 2:
-        raise DataError(f"duration {duration}s is under 2 samples at {recording.rate} Hz")
-    step = max(1, round(stride * recording.rate))
-    n = len(recording.samples)
-    out = []
-    for k, start in enumerate(range(0, n - wlen + 1, step)):
-        chunk = recording.samples[start : start + wlen]
-        samples = tuple(
-            ImuSample(t=j / recording.rate, accel=s.accel, gyro=s.gyro, mag=s.mag)
-            for j, s in enumerate(chunk)
-        )
-        out.append(
-            TrajectoryWindow(
-                id=f"{recording.id}#{k:03d}",
-                scenario=recording.scenario,
-                recording_group=recording.recording_group,
-                rate=recording.rate,
-                samples=samples,
-                label=recording.label,
-            )
-        )
-    return out
 
 
 def largest_remainder(total: int, weights: Sequence[float]) -> list[int]:

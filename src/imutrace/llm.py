@@ -26,7 +26,7 @@ import requests
 
 from importlib import resources
 
-from .core import TrajectoryLabel, TrajectoryWindow
+from .core import AXIS_NAMES, TrajectoryLabel, TrajectoryWindow
 from .errors import (
     AmbiguousLabelError,
     ConfigError,
@@ -210,23 +210,33 @@ def _read_completion(
     )
 
 
-def _parse_embedded_window(question: str) -> tuple[list[list[float]], float]:
-    """Recover (sample rows, sample rate) from a rendered question.
+def _parse_embedded_window(question: str) -> tuple[list[list[float]], int, float]:
+    """Recover (sample rows, gz column, sample rate) from a rendered question.
 
-    Assumes the default serialization layout: one line per sample, nine
-    numbers in the default axis order, and a context sentence quoting
-    the downsampled rate as "downsampled to <rate> Hz".
+    Needs the channel header line that ``serialize_window`` emits (the
+    nine axis names in the prompt's column order), one line per sample
+    with nine numbers, and a context sentence quoting the downsampled
+    rate as "downsampled to <rate> Hz".
     """
+    gz_column: Optional[int] = None
     rows: list[list[float]] = []
     for line in question.splitlines():
         tokens = [t for t in _TOKEN_SPLIT.split(line.strip()) if t]
         if len(tokens) != 9:
+            continue
+        if gz_column is None and sorted(tokens) == sorted(AXIS_NAMES):
+            gz_column = tokens.index("gz")
             continue
         try:
             values = [float(t) for t in tokens]
         except ValueError:
             continue
         rows.append(values)
+    if gz_column is None:
+        raise ProviderError(
+            "mock provider found no channel header line naming the nine axes, "
+            "so it cannot tell which column is gz"
+        )
     if len(rows) < 2:
         raise ProviderError(
             f"mock provider found {len(rows)} serialized sample lines, needs >= 2"
@@ -237,7 +247,7 @@ def _parse_embedded_window(question: str) -> tuple[list[list[float]], float]:
     rate = float(match.group(1))
     if rate <= 0:
         raise ProviderError(f"mock provider parsed a non-positive sample rate {rate}")
-    return rows, rate
+    return rows, gz_column, rate
 
 
 def _classify_heading(dtheta: float) -> TrajectoryLabel:
@@ -252,7 +262,8 @@ def mock_complete(bundle: PromptBundle) -> CompletionResult:
     """Deterministic offline provider.
 
     Re-parses the serialized window embedded in the question, integrates
-    the gyro-z column by the trapezoid rule, and classifies the net
+    the column its channel header names gz by the trapezoid rule, and
+    refuses a prompt without that header. It classifies the net
     heading change: below pi/4 in magnitude is straight, up to 3pi/4 a
     quarter turn (sign picks the side, positive yaw is a left turn),
     beyond that a turn around. Chain-of-thought bundles get a four-phase
@@ -260,8 +271,8 @@ def mock_complete(bundle: PromptBundle) -> CompletionResult:
     bundles get the bare label.
     """
     started = time.perf_counter()
-    rows, rate = _parse_embedded_window(bundle.question)
-    gz = [row[5] for row in rows]
+    rows, gz_column, rate = _parse_embedded_window(bundle.question)
+    gz = [row[gz_column] for row in rows]
     dt = 1.0 / rate
     dtheta = sum((gz[i] + gz[i + 1]) * 0.5 * dt for i in range(len(gz) - 1))
     label = _classify_heading(dtheta)

@@ -106,12 +106,9 @@ def serialize_window(w: TrajectoryWindow, opts: SerializationOptions) -> str:
     if opts.channel_labels:
         rows.append(opts.sample_delimiter.join(opts.axis_order))
     indices = [AXIS_NAMES.index(a) for a in opts.axis_order]
-    for sample in w.samples:
-        values = sample.as_row()
+    for values in w.data[:, indices].tolist():
         rows.append(
-            opts.sample_delimiter.join(
-                f"{values[i]:.{opts.decimals}f}" for i in indices
-            )
+            opts.sample_delimiter.join(f"{v:.{opts.decimals}f}" for v in values)
         )
     return "\n".join(rows)
 
@@ -174,8 +171,6 @@ def build_prompt(
         opts = SerializationOptions()
     if templates is None:
         templates = TemplateSet.load_default()
-    if not w.samples:
-        raise ConfigError("cannot build a prompt from an empty window")
 
     question_template = (
         templates.question_cot if mode is PromptMode.COT else templates.question_do

@@ -31,7 +31,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .core import ImuSample, Scenario, TrajectoryLabel, TrajectoryWindow
+from .core import Scenario, TrajectoryLabel, TrajectoryWindow
 from .errors import DataError
 
 # Smoothstep yaw-rate ramp width at segment boundaries, seconds.
@@ -318,21 +318,12 @@ def simulate(
     if noise.mag_sigma > 0:
         mag += rng.normal(0.0, noise.mag_sigma, (n, 3))
 
-    samples = tuple(
-        ImuSample(
-            t=float(t[i]),
-            accel=(float(accel[i, 0]), float(accel[i, 1]), float(accel[i, 2])),
-            gyro=(float(gyro[i, 0]), float(gyro[i, 1]), float(gyro[i, 2])),
-            mag=(float(mag[i, 0]), float(mag[i, 1]), float(mag[i, 2])),
-        )
-        for i in range(n)
-    )
     return TrajectoryWindow(
         id=window_id,
         scenario=scenario,
         recording_group=recording_group,
         rate=cfg.rate,
-        samples=samples,
+        data=np.column_stack((accel, gyro, mag)),
         label=label,
     )
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from imutrace.core import ImuSample, Scenario, TrajectoryLabel, TrajectoryWindow
+from imutrace.core import Scenario, TrajectoryLabel, TrajectoryWindow
 from imutrace.synth import GeneratorConfig, ZERO_NOISE, generate_dataset, uniform_counts
 
 
@@ -13,24 +13,10 @@ def window_from_array(
     group="g0",
     label=None,
 ):
-    """Build a TrajectoryWindow from an (n, 9) array on a uniform grid."""
-    data = np.asarray(data, dtype=np.float64)
-    samples = tuple(
-        ImuSample(
-            t=i / rate,
-            accel=(float(row[0]), float(row[1]), float(row[2])),
-            gyro=(float(row[3]), float(row[4]), float(row[5])),
-            mag=(float(row[6]), float(row[7]), float(row[8])),
-        )
-        for i, row in enumerate(data)
-    )
+    """Build a TrajectoryWindow from an (n, 9) array."""
     return TrajectoryWindow(
-        id=window_id,
-        scenario=scenario,
-        recording_group=group,
-        rate=rate,
-        samples=samples,
-        label=label,
+        id=window_id, scenario=scenario, recording_group=group, rate=rate,
+        data=data, label=label,
     )
 
 

@@ -1,11 +1,16 @@
+import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import imutrace
 from imutrace.baselines.model_io import load_model
 from imutrace.cli import main
+from imutrace.core import ingest_csv, serialize_csv
 
 RUN_FILES = ("dataset.csv", "split.json", "report.txt", "report.jsonl", "run_manifest.json")
 
@@ -32,6 +37,16 @@ def test_generate_writes_dataset_and_manifest(tmp_path, capsys):
     # same flags, different directory: identical bytes
     out2 = _generate(tmp_path, name="data2")
     assert (out / "dataset.csv").read_bytes() == (out2 / "dataset.csv").read_bytes()
+
+
+def test_ingest_recovers_exact_rate_and_bytes(tmp_path):
+    out = _generate(tmp_path)
+    text = (out / "dataset.csv").read_text(encoding="utf-8")
+    windows = ingest_csv(io.StringIO(text))
+    assert len(windows) == 16
+    # 1 / median(diff(t)) would give 100.00000000000213
+    assert all(w.rate == 100.0 for w in windows)
+    assert serialize_csv(windows) == text
 
 
 def test_generate_empty_warns(tmp_path, capsys):
@@ -183,9 +198,12 @@ def test_missing_required_flag_exits_2(capsys):
 
 
 def test_version_subprocess():
+    # run the same copy of the package this suite imported, installed or not
+    src = str(Path(imutrace.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "imutrace.cli", "--version"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "imutrace 0.1.0"

@@ -8,20 +8,17 @@ from imutrace.core import (
     AXIS_NAMES,
     CSV_COLUMNS,
     LABEL_ORDER,
-    ImuSample,
     Part,
     PART_ORDER,
     Scenario,
     SplitAssignment,
     TrajectoryLabel,
-    TrajectoryWindow,
     dataset_hash,
     downsample,
     format_float,
     ingest_csv,
     largest_remainder,
     serialize_csv,
-    slice_windows,
 )
 from imutrace.errors import DataError
 
@@ -47,32 +44,23 @@ def test_scenario_round_trip():
         Scenario.from_string("underwater")
 
 
-def test_imu_sample_validation():
-    good = ImuSample(t=0.0, accel=(0, 0, 9.8), gyro=(0, 0, 0), mag=(30, 0, 40))
-    assert good.as_row() == (0, 0, 9.8, 0, 0, 0, 30, 0, 40)
-    with pytest.raises(DataError):
-        ImuSample(t=-0.1, accel=(0, 0, 0), gyro=(0, 0, 0), mag=(0, 0, 0))
-    with pytest.raises(DataError):
-        ImuSample(t=0.0, accel=(math.nan, 0, 0), gyro=(0, 0, 0), mag=(0, 0, 0))
-    with pytest.raises(DataError):
-        ImuSample(t=0.0, accel=(0, 0, 0), gyro=(0, math.inf, 0), mag=(0, 0, 0))
-
-
 def test_window_validation():
     with pytest.raises(DataError):
         window_from_array(np.zeros((1, 9)))
     with pytest.raises(DataError):
         window_from_array(np.zeros((5, 9)), rate=-10.0)
-    # timestamps must sit on the 1/rate grid
-    samples = (
-        ImuSample(t=0.0, accel=(0, 0, 0), gyro=(0, 0, 0), mag=(0, 0, 0)),
-        ImuSample(t=0.5, accel=(0, 0, 0), gyro=(0, 0, 0), mag=(0, 0, 0)),
-    )
     with pytest.raises(DataError):
-        TrajectoryWindow(
-            id="bad", scenario=Scenario.INDOOR, recording_group="g",
-            rate=100.0, samples=samples,
-        )
+        window_from_array(np.zeros((5, 9)), rate=math.nan)
+    with pytest.raises(DataError):
+        window_from_array(np.zeros((5, 9)), rate=math.inf)
+    for shape in ((5, 8), (5, 10), (45,), (5, 9, 1)):
+        with pytest.raises(DataError):
+            window_from_array(np.zeros(shape))
+    for bad in (math.nan, math.inf, -math.inf):
+        data = np.zeros((5, 9))
+        data[3, 4] = bad
+        with pytest.raises(DataError):
+            window_from_array(data)
 
 
 def test_window_accessors():
@@ -80,8 +68,13 @@ def test_window_accessors():
     w = window_from_array(data, rate=10.0, label=TrajectoryLabel.STRAIGHT)
     assert len(w) == 5
     assert w.duration == pytest.approx(0.5)
-    assert np.array_equal(w.to_array(), data)
-    assert np.allclose(w.times(), np.arange(5) / 10.0)
+    assert w.data.dtype == np.float64
+    assert np.array_equal(w.data, data)
+    # the window holds its own read-only copy
+    data[0, 0] = -1.0
+    assert w.data[0, 0] == 0.0
+    with pytest.raises(ValueError):
+        w.data[0, 0] = 1.0
 
 
 def test_csv_round_trip_exact():
@@ -107,10 +100,10 @@ def test_csv_round_trip_exact():
         assert b.recording_group == w.recording_group
         assert b.scenario is w.scenario
         assert b.label is w.label
-        assert b.rate == pytest.approx(w.rate)
-        assert np.array_equal(b.to_array(), w.to_array())
-        assert np.array_equal(b.times(), w.times())
-    # the round trip is exact, so the hash is stable too
+        assert b.rate == w.rate
+        assert np.array_equal(b.data, w.data)
+    # the round trip is exact, so the text and the hash are stable too
+    assert serialize_csv(back) == text
     assert dataset_hash(back) == dataset_hash(windows)
 
 
@@ -153,10 +146,23 @@ def test_ingest_rejects_malformed():
     # non-monotonic timestamps
     rows = [
         header,
+        "g/w,indoor,straight,0.0,0,0,0,0,0,0,0,0,0",
         "g/w,indoor,straight,0.02,0,0,0,0,0,0,0,0,0",
         "g/w,indoor,straight,0.01,0,0,0,0,0,0,0,0,0",
     ]
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match="non-monotonic"):
+        ingest_csv(io.StringIO("\n".join(rows) + "\n"))
+    # a recording must start at t = 0
+    rows = [header] + [
+        f"g/w,indoor,straight,{0.5 + i / 10},0,0,0,0,0,0,0,0,0" for i in range(5)
+    ]
+    with pytest.raises(DataError, match="not at 0"):
+        ingest_csv(io.StringIO("\n".join(rows) + "\n"))
+    # one timestamp off the uniform grid
+    times = [i / 10 for i in range(6)]
+    times[2] += 0.003
+    rows = [header] + [f"g/w,indoor,straight,{t},0,0,0,0,0,0,0,0,0" for t in times]
+    with pytest.raises(DataError, match="off the 10 Hz grid"):
         ingest_csv(io.StringIO("\n".join(rows) + "\n"))
 
 
@@ -176,9 +182,8 @@ def test_downsample_mean_pool_oracle():
     d = downsample(w, 2.0)
     assert len(d) == 4
     assert d.rate == 2.0
-    got = d.to_array()[:, 5]
+    got = d.data[:, 5]
     assert np.array_equal(got, np.array([1.0, 4.0, 7.0, 10.0]))
-    assert np.allclose(d.times(), np.arange(4) / 2.0)
     assert d.label is w.label and d.id == w.id
 
 
@@ -205,23 +210,6 @@ def test_downsample_rejections():
         downsample(w, 20.0)
     with pytest.raises(DataError):
         downsample(w, 1.0)  # only one output bucket
-
-
-def test_slice_windows():
-    rec = window_from_array(np.arange(100 * 9, dtype=float).reshape(100, 9), rate=10.0)
-    parts = slice_windows(rec, duration=3.0, stride=2.0)
-    # starts 0, 20, 40, 60 (70 + 30 > 100)
-    assert len(parts) == 4
-    assert [p.id for p in parts] == [f"{rec.id}#{k:03d}" for k in range(4)]
-    for k, p in enumerate(parts):
-        assert len(p) == 30
-        assert p.times()[0] == 0.0
-        assert np.array_equal(p.to_array(), rec.to_array()[k * 20 : k * 20 + 30])
-    assert slice_windows(window_from_array(np.zeros((5, 9)), rate=10.0), 3.0, 1.0) == []
-    with pytest.raises(DataError):
-        slice_windows(rec, 0.0, 1.0)
-    with pytest.raises(DataError):
-        slice_windows(rec, 1.0, -1.0)
 
 
 def test_largest_remainder_properties():

@@ -6,7 +6,6 @@ import pytest
 from imutrace.baselines.forest import (
     RandomForestModel,
     RfConfig,
-    predict_rf,
     predict_rf_batch,
     train_rf,
 )
@@ -88,9 +87,10 @@ def test_tie_break_constant_features():
     x = np.ones((8, 3))
     y = np.array([0, 1, 2, 3, 0, 1, 2, 3])
     model = train_rf(x, y, RfConfig(trees=9, seed=1))
-    label, shares = predict_rf(model, np.ones(3))
-    assert label is TrajectoryLabel.STRAIGHT or shares[label.index] >= shares[0]
-    assert shares.sum() == pytest.approx(1.0)
+    labels, shares = predict_rf_batch(model, np.ones((1, 3)))
+    label, share = labels[0], shares[0]
+    assert label is TrajectoryLabel.STRAIGHT or share[label.index] >= share[0]
+    assert share.sum() == pytest.approx(1.0)
 
 
 def test_oob_and_separable_accuracy():
@@ -113,8 +113,10 @@ def test_save_load_round_trip(tmp_path):
     assert back.config == model.config
     assert back.trees == model.trees
     assert back.manifest == model.manifest
-    probe = np.array([4.9, 5.1])
-    assert predict_rf(back, probe)[0] is predict_rf(model, probe)[0]
+    probe = np.array([[4.9, 5.1], [0.1, -0.2]])
+    labels, shares = predict_rf_batch(back, probe)
+    assert labels == predict_rf_batch(model, probe)[0]
+    assert np.array_equal(shares, predict_rf_batch(model, probe)[1])
 
 
 def test_validation_errors():
@@ -135,7 +137,7 @@ def test_validation_errors():
 def test_predict_shape_mismatch():
     x, y = _blobs(6, n_per_class=5)
     model = train_rf(x, y, RfConfig(trees=5, seed=0))
-    with pytest.raises(DataError):
-        predict_rf(model, np.zeros(3))
+    with pytest.raises(DataError):  # a bare row is not a matrix
+        predict_rf_batch(model, np.zeros(2))
     with pytest.raises(DataError):
         predict_rf_batch(model, np.zeros((2, 3)))

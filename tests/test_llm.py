@@ -6,8 +6,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from imutrace.core import Scenario, TrajectoryLabel, downsample
+from imutrace.core import AXIS_NAMES, Scenario, TrajectoryLabel, downsample
 from imutrace.errors import (
     AmbiguousLabelError,
     ConfigError,
@@ -24,7 +25,12 @@ from imutrace.llm import (
     mock_complete,
     parse_label,
 )
-from imutrace.prompting import PromptBundle, PromptMode, build_prompt
+from imutrace.prompting import (
+    PromptBundle,
+    PromptMode,
+    SerializationOptions,
+    build_prompt,
+)
 from imutrace.synth import GeneratorConfig, ZERO_NOISE, generate_dataset, uniform_counts
 
 from conftest import window_from_array
@@ -64,7 +70,7 @@ def test_mock_matches_independent_heading_oracle():
     windows, _ = generate_dataset(GeneratorConfig(seed=21), uniform_counts(3), None)
     for w in windows:
         d = downsample(w, 3.0)
-        gz = d.to_array()[:, 5]
+        gz = d.data[:, 5]
         dtheta = float(np.sum((gz[1:] + gz[:-1]) * 0.5) / d.rate)
         if abs(dtheta) < math.pi / 4:
             expected = TrajectoryLabel.STRAIGHT
@@ -89,26 +95,60 @@ def test_mock_deterministic_text():
     assert mock_complete(bundle).text == mock_complete(bundle).text
 
 
+HEADER = ", ".join(AXIS_NAMES)
+
+
 def test_mock_needs_rate_sentence():
     bundle = PromptBundle(
         instruction="inst",
-        question="1, 2, 3, 4, 5, 6, 7, 8, 9\n9, 8, 7, 6, 5, 4, 3, 2, 1",
+        question=f"{HEADER}\n1, 2, 3, 4, 5, 6, 7, 8, 9\n9, 8, 7, 6, 5, 4, 3, 2, 1",
         mode=PromptMode.DO,
         window_id="w",
     )
-    with pytest.raises(ProviderError):
+    with pytest.raises(ProviderError, match="rate"):
         mock_complete(bundle)
 
 
 def test_mock_needs_sample_lines():
     bundle = PromptBundle(
         instruction="inst",
-        question="downsampled to 3 Hz\n1, 2, 3, 4, 5, 6, 7, 8, 9",
+        question=f"downsampled to 3 Hz\n{HEADER}\n1, 2, 3, 4, 5, 6, 7, 8, 9",
         mode=PromptMode.DO,
         window_id="w",
     )
-    with pytest.raises(ProviderError):
+    with pytest.raises(ProviderError, match="sample lines"):
         mock_complete(bundle)
+
+
+def test_mock_needs_channel_header():
+    bundle = PromptBundle(
+        instruction="inst",
+        question="downsampled to 3 Hz\n1, 2, 3, 4, 5, 6, 7, 8, 9\n9, 8, 7, 6, 5, 4, 3, 2, 1",
+        mode=PromptMode.DO,
+        window_id="w",
+    )
+    with pytest.raises(ProviderError, match="header"):
+        mock_complete(bundle)
+
+
+_CLEAN_48 = _clean_windows(per_class=6)
+_DEFAULT_LABELS = [
+    p.label for p in classify_windows(_CLEAN_48, PromptMode.DO).predictions
+]
+
+
+@settings(max_examples=25, deadline=None)
+@given(order=st.permutations(AXIS_NAMES), header=st.booleans())
+def test_mock_reads_any_axis_order_from_header(order, header):
+    opts = SerializationOptions(axis_order=tuple(order), channel_labels=header)
+    batch = classify_windows(_CLEAN_48, PromptMode.DO, opts=opts)
+    if header:
+        assert not batch.failures
+        assert [p.label for p in batch.predictions] == _DEFAULT_LABELS
+    else:
+        # a headerless prompt cannot say its column order
+        assert not batch.predictions
+        assert len(batch.failures) == len(_CLEAN_48)
 
 
 def test_completion_result_rejects_empty_text():

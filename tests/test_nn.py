@@ -13,7 +13,6 @@ from imutrace.baselines.nn import (
     init_lstm_params,
     lstm_forward,
     nn_loss_and_grads,
-    predict_nn,
     predict_nn_batch,
     sgd_step,
     softmax,
@@ -108,9 +107,10 @@ def test_zero_params_predict_first_label(clean_windows):
         history=(),
         manifest={},
     )
-    label, probs = predict_nn(zeroed, clean_windows[0])
+    labels, probs = predict_nn_batch(zeroed, clean_windows[:3])
     assert np.allclose(probs, 0.25)
-    assert label is TrajectoryLabel.STRAIGHT  # first maximum on an exact tie
+    # first maximum on an exact tie
+    assert labels == [TrajectoryLabel.STRAIGHT] * 3
 
 
 @pytest.mark.parametrize(
@@ -163,7 +163,7 @@ def test_save_load_round_trip(tmp_path, clean_windows):
     assert back.config == model.config
     assert back.history == model.history
     # float64 params survive JSON, so logits agree bit for bit
-    x = np.stack([w.to_array().T for w in clean_windows[:4]])
+    x = np.stack([w.data.T for w in clean_windows[:4]])
     xs = (x - back.channel_mean[None, :, None]) / back.channel_scale[None, :, None]
     la, _ = lstm_forward(model.config, model.params, xs)
     lb, _ = lstm_forward(back.config, back.params, xs)
@@ -183,7 +183,7 @@ def test_input_validation(clean_windows, make_window):
         make_window(np.full((30, 9), np.nan), label=TrajectoryLabel.STRAIGHT)
     model = train_cnn(clean_windows[:8], SMALL_CNN)
     with pytest.raises(DataError):  # prediction length mismatch
-        predict_nn(model, make_window(np.zeros((12, 9))))
+        predict_nn_batch(model, [clean_windows[0], make_window(np.zeros((12, 9)))])
 
 
 def test_config_validation():

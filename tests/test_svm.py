@@ -10,7 +10,6 @@ from imutrace.baselines.svm import (
     SvmModel,
     decision_matrix,
     kkt_violations,
-    predict_svm,
     predict_svm_batch,
     rbf_kernel,
     train_svm,
@@ -145,8 +144,7 @@ def test_save_load_round_trip(tmp_path):
     assert back.gamma == model.gamma
     # float64 params survive JSON exactly, so decisions match to the bit
     assert np.array_equal(decision_matrix(back, x), decision_matrix(model, x))
-    probe = x[0]
-    assert predict_svm(back, probe)[0] is predict_svm(model, probe)[0]
+    assert predict_svm_batch(back, x)[0] == predict_svm_batch(model, x)[0]
 
 
 def test_validation_errors():
@@ -164,6 +162,8 @@ def test_validation_errors():
         train_svm(np.ones((4, 2)), np.array([0, 1, 0, 1]), SvmConfig(standardize=False))
     model = train_svm(*_blobs(1, n_per_class=4), SvmConfig())
     with pytest.raises(DataError):
-        predict_svm(model, np.zeros(5))
+        predict_svm_batch(model, np.zeros((1, 5)))
+    with pytest.raises(DataError):  # a bare row is not a matrix
+        predict_svm_batch(model, np.zeros(2))
     with pytest.raises(DataError):
         decision_matrix(model, np.zeros((3, 5)))

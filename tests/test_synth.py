@@ -29,7 +29,7 @@ def test_straight_zero_noise_closed_form():
     rng = np.random.default_rng(0)
     profile = MotionProfile((MotionSegment(10.0, 1.0, 0.0),))
     w = simulate(profile, ZERO_NOISE, cfg, rng, label=TrajectoryLabel.STRAIGHT)
-    data = w.to_array()
+    data = w.data
     assert len(w) == 1000
     # no rotation: gyro exactly zero, accel exactly (0, 0, g),
     # magnetometer exactly the unrotated earth field
@@ -53,7 +53,7 @@ def test_turn_window_gyro_integral_recovers_heading():
             rng = np.random.default_rng(trial)
             profile = profile_for(label, rng, cfg.duration)
             w = simulate(profile, ZERO_NOISE, cfg, rng, label=label)
-            gz = w.to_array()[:, 5]
+            gz = w.data[:, 5]
             dtheta = float(np.sum((gz[1:] + gz[:-1]) * 0.5) / cfg.rate)
             assert abs(dtheta - expected) < 1e-3
 
@@ -67,7 +67,7 @@ def test_turn_around_magnitude_pi():
         assert abs(abs(profile.net_heading) - math.pi) < 1e-12
         seen_signs.add(math.copysign(1.0, profile.net_heading))
         w = simulate(profile, ZERO_NOISE, cfg, rng)
-        gz = w.to_array()[:, 5]
+        gz = w.data[:, 5]
         dtheta = float(np.sum((gz[1:] + gz[:-1]) * 0.5) / cfg.rate)
         assert abs(abs(dtheta) - math.pi) < 1e-3
     assert seen_signs == {1.0, -1.0}  # both directions occur
@@ -80,7 +80,7 @@ def test_magnetometer_consistent_with_gyro_heading():
     rng = np.random.default_rng(4)
     profile = profile_for(TrajectoryLabel.TURN_LEFT, rng, cfg.duration)
     w = simulate(profile, ZERO_NOISE, cfg, rng)
-    data = w.to_array()
+    data = w.data
     heading_mag = np.arctan2(-data[:, 7], data[:, 6])
     gz = data[:, 5]
     dt = 1.0 / cfg.rate
@@ -211,8 +211,8 @@ def test_noise_magnitudes_scale_with_profile():
     profile = MotionProfile((MotionSegment(10.0, 1.0, 0.0),))
     quiet = simulate(profile, INDOOR_NOISE, cfg, np.random.default_rng(7))
     loud = simulate(profile, OUTDOOR_NOISE, cfg, np.random.default_rng(7))
-    gz_quiet = np.std(quiet.to_array()[:, 5])
-    gz_loud = np.std(loud.to_array()[:, 5])
+    gz_quiet = np.std(quiet.data[:, 5])
+    gz_loud = np.std(loud.data[:, 5])
     assert gz_quiet < gz_loud
     assert 0.005 < gz_quiet < 0.02   # sigma 0.01 on a zero-rate track
     assert 0.025 < gz_loud < 0.1     # sigma 0.05
