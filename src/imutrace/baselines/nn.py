@@ -229,12 +229,11 @@ def _maxpool_backward(dout: np.ndarray, arg: np.ndarray, pool: int, t_in: int):
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
+    # the two stable forms, picked per element; exp sees only -|x| (a NaN
+    # keeps its sign), so no overflow and the bits of boolean-mask indexing
     pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(np.where(pos, -x, x))
+    return np.where(pos, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 # --------------------------------------------------------------------------

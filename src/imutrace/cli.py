@@ -10,6 +10,8 @@ flags), 3 data problems, 4 transport problems, 5 internal errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import hashlib
 import json
 import sys
 from pathlib import Path
@@ -19,7 +21,6 @@ from .core import (
     Part,
     Scenario,
     SplitAssignment,
-    dataset_hash,
     downsample,
     ingest_csv,
     serialize_csv,
@@ -34,10 +35,13 @@ from .errors import (
 )
 from .evalreport import (
     BASELINE_KINDS,
+    BASELINES,
     DEFAULT_TARGET_RATE_HZ,
+    baseline_inputs,
     parse_report_jsonl,
     render_report,
     run_experiment,
+    train_baseline,
 )
 from .llm import ProviderConfig
 from .prompting import PromptMode, TemplateSet
@@ -47,11 +51,9 @@ from .synth import (
     generate_dataset,
     uniform_counts,
 )
-from .baselines.features import feature_matrix, label_vector
-from .baselines.forest import RfConfig, train_rf
+from .baselines.forest import RfConfig
 from .baselines.model_io import save_model, save_training_log
-from .baselines.nn import CnnConfig, LstmConfig, train_cnn, train_lstm
-from .baselines.svm import SvmConfig, train_svm
+from .baselines.nn import CnnConfig, LstmConfig
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -64,6 +66,14 @@ def _write_json(obj: dict, path: Path) -> None:
     path.write_text(
         json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n", encoding="utf-8"
     )
+
+
+def _write_dataset(windows, path: Path) -> str:
+    """Write the canonical CSV of ``windows``; returns its sha256, which is
+    ``dataset_hash(windows)`` without serializing a second time."""
+    data = serialize_csv(windows).encode("utf-8")
+    path.write_bytes(data)
+    return hashlib.sha256(data).hexdigest()
 
 
 def _load_windows(path: str):
@@ -140,9 +150,8 @@ def cmd_generate(args) -> int:
     out = Path(args.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
-        (out / "dataset.csv").write_text(serialize_csv(windows), encoding="utf-8")
         manifest = dict(manifest)
-        manifest["dataset_sha256"] = dataset_hash(windows)
+        manifest["dataset_sha256"] = _write_dataset(windows, out / "dataset.csv")
         _write_json(manifest, out / "manifest.json")
     except OSError as exc:
         raise ConfigError(f"cannot write to output directory {out}: {exc}")
@@ -178,28 +187,17 @@ def cmd_train(args) -> int:
     if not train_windows:
         raise DataError(f"no training windows for scenario {scenario.value!r}")
 
-    if args.model == "rf":
-        model = train_rf(
-            feature_matrix(train_windows),
-            label_vector(train_windows),
-            RfConfig(seed=args.seed),
-        )
-    elif args.model == "svm":
-        model = train_svm(
-            feature_matrix(train_windows), label_vector(train_windows), SvmConfig()
-        )
-    else:
-        down = [downsample(w, args.target_rate) for w in train_windows]
-        if args.model == "cnn":
-            cfg = CnnConfig(seed=args.seed) if args.epochs is None else CnnConfig(
-                seed=args.seed, epochs=args.epochs
-            )
-            model = train_cnn(down, cfg)
-        else:
-            cfg = LstmConfig(seed=args.seed) if args.epochs is None else LstmConfig(
-                seed=args.seed, epochs=args.epochs
-            )
-            model = train_lstm(down, cfg)
+    spec = BASELINES[args.model]
+    # every config takes the seed except the SVM's; the nets also take --epochs
+    overrides = {"seed": args.seed, "epochs": args.epochs}
+    fields = {f.name for f in dataclasses.fields(spec.config)}
+    cfg = spec.config(
+        **{k: v for k, v in overrides.items() if k in fields and v is not None}
+    )
+    inputs = baseline_inputs(
+        args.model, train_windows, lambda w: downsample(w, args.target_rate)
+    )
+    model = train_baseline(args.model, inputs, cfg)
 
     try:
         save_model(model, args.out)
@@ -282,10 +280,13 @@ def cmd_run(args) -> int:
 
     out = Path(args.out)
     transcript_path = out / "transcript.jsonl" if args.transcript else None
+    dataset_sha256 = None
     try:
         out.mkdir(parents=True, exist_ok=True)
         if transcript_path is not None and transcript_path.exists():
             transcript_path.unlink()
+        if generated is not None:
+            dataset_sha256 = _write_dataset(windows, out / "dataset.csv")
     except OSError as exc:
         raise ConfigError(f"cannot prepare output directory {out}: {exc}")
 
@@ -302,11 +303,10 @@ def cmd_run(args) -> int:
         templates=templates,
         manifest_extra=manifest_extra,
         transcript_path=transcript_path,
+        dataset_sha256=dataset_sha256,
     )
 
     try:
-        if generated is not None:
-            (out / "dataset.csv").write_text(serialize_csv(windows), encoding="utf-8")
         _write_json(
             {"seed": args.split_seed, "assignment": split.to_json_dict()},
             out / "split.json",

@@ -38,9 +38,12 @@ from .errors import DataError
 
 # Ingested timestamps must sit within this slack (seconds) of the i / rate grid.
 TIMESTAMP_TOLERANCE_S = 1e-6
-# Significant digits an ingested rate is snapped to; (n - 1) / t_last carries
-# about 15, so the snap removes the rounding of the written timestamps.
+# Significant digits an ingested rate is first snapped to; (n - 1) / t_last
+# carries about 15, so the snap removes the rounding of the written timestamps.
+# Rates with more digits (100 / 3) are found by trying up to 17, the most a
+# float64 needs.
 RATE_SIGNIFICANT_DIGITS = 12
+MAX_RATE_SIGNIFICANT_DIGITS = 17
 
 CSV_COLUMNS = (
     "recording_id", "scenario", "label", "t",
@@ -205,19 +208,25 @@ def format_float(value: float) -> str:
     return repr(float(value))
 
 
+def _csv_prefix(*fields: str) -> str:
+    """``fields`` as the csv-quoted start of a row, without a trailing comma."""
+    line = io.StringIO()
+    csv.writer(line, lineterminator="\n").writerow(fields)
+    return line.getvalue()[:-1]
+
+
 def serialize_csv(windows: Iterable[TrajectoryWindow]) -> str:
     """Render windows in the canonical CSV layout (see module docstring)."""
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
+    buf.write(",".join(CSV_COLUMNS) + "\n")
     for w in windows:
-        recording_id = f"{w.recording_group}/{w.id}"
         label = w.label.value if w.label is not None else ""
+        prefix = _csv_prefix(f"{w.recording_group}/{w.id}", w.scenario.value, label)
+        rate = float(w.rate)
+        # tolist() yields Python floats, whose repr is format_float's; no
+        # float repr holds a character the csv dialect would quote
         for i, row in enumerate(w.data.tolist()):
-            writer.writerow(
-                [recording_id, w.scenario.value, label, format_float(i / w.rate)]
-                + [format_float(v) for v in row]
-            )
+            buf.write(f"{prefix},{i / rate!r},{','.join(map(repr, row))}\n")
     return buf.getvalue()
 
 
@@ -226,15 +235,32 @@ def dataset_hash(windows: Sequence[TrajectoryWindow]) -> str:
     return hashlib.sha256(serialize_csv(windows).encode("utf-8")).hexdigest()
 
 
+def _infer_rate(times: np.ndarray) -> float:
+    """The rate whose grid ``arange(n) / rate`` the timestamps sit on.
+
+    ``(n - 1) / t_last`` is rounded to 12, 13, ... 17 significant digits,
+    and the first rounding whose grid equals ``times`` exactly wins. When
+    none does (a file this package did not write), the 12-digit rounding
+    is returned and the caller's tolerance check decides.
+    """
+    raw = (len(times) - 1) / times[-1]
+    grid = np.arange(len(times))
+    for digits in range(RATE_SIGNIFICANT_DIGITS, MAX_RATE_SIGNIFICANT_DIGITS + 1):
+        rate = float(f"{raw:.{digits}g}")
+        if np.array_equal(grid / rate, times):
+            return rate
+    return float(f"{raw:.{RATE_SIGNIFICANT_DIGITS}g}")
+
+
 def ingest_csv(stream: Iterable[str]) -> list[TrajectoryWindow]:
     """Parse the canonical CSV layout into windows.
 
     One window is produced per distinct recording id, in order of first
     appearance. A recording's timestamps must start at 0 and sit on a
     uniform grid ``i / rate`` within :data:`TIMESTAMP_TOLERANCE_S`. The
-    rate is inferred from the last timestamp and snapped to
-    :data:`RATE_SIGNIFICANT_DIGITS`, which recovers the exact rate of any
-    file this package writes, so ingest then serialize is byte-exact.
+    rate is inferred from the last timestamp (see :func:`_infer_rate`),
+    which recovers the exact grid of any file this package writes, so
+    ingest then serialize is byte-exact.
     """
     reader = csv.reader(stream)
     try:
@@ -285,7 +311,7 @@ def ingest_csv(stream: Iterable[str]) -> list[TrajectoryWindow]:
             raise DataError(
                 f"recording {recording_id!r} has non-monotonic timestamps"
             )
-        rate = float(f"{(len(times) - 1) / times[-1]:.{RATE_SIGNIFICANT_DIGITS}g}")
+        rate = _infer_rate(times)
         drift = np.abs(times - np.arange(len(times)) / rate)
         if drift.max() > TIMESTAMP_TOLERANCE_S:
             at = int(np.argmax(drift))

@@ -19,7 +19,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from .core import (
     Part,
     Scenario,
     SplitAssignment,
+    TrajectoryLabel,
     TrajectoryWindow,
     dataset_hash,
     downsample,
@@ -36,13 +37,40 @@ from .errors import ConfigError, DataError
 from .llm import MOCK_PROVIDER_ID, Prediction, ProviderConfig, classify_windows
 from .prompting import PromptMode, SerializationOptions, TemplateSet
 from .baselines.features import feature_matrix, label_vector
+# the train and predict functions are called by name through BASELINES
 from .baselines.forest import RfConfig, predict_rf_batch, train_rf
 from .baselines.nn import CnnConfig, LstmConfig, predict_nn_batch, train_cnn, train_lstm
 from .baselines.svm import SvmConfig, predict_svm_batch, train_svm
 
 N_CLASSES = len(LABEL_ORDER)
 
-BASELINE_KINDS = ("rf", "svm", "cnn", "lstm")
+
+class BaselineSpec(NamedTuple):
+    """How one baseline kind is fed, configured, trained and applied.
+
+    ``input`` is ``"features"`` (the statistical features of the
+    full-rate windows, plus their labels) or ``"downsampled"`` (the
+    downsampled windows themselves, the sequences the prompt path sees,
+    which carry their own labels). ``train`` and ``predict_batch`` are
+    names of this module's globals, looked up when called, so whatever
+    a module attribute holds at that moment (a tracing wrapper, a test
+    double) is what runs.
+    """
+
+    input: str
+    config: type
+    train: str
+    predict_batch: str
+
+
+BASELINES = {
+    "rf": BaselineSpec("features", RfConfig, "train_rf", "predict_rf_batch"),
+    "svm": BaselineSpec("features", SvmConfig, "train_svm", "predict_svm_batch"),
+    "cnn": BaselineSpec("downsampled", CnnConfig, "train_cnn", "predict_nn_batch"),
+    "lstm": BaselineSpec("downsampled", LstmConfig, "train_lstm", "predict_nn_batch"),
+}
+
+BASELINE_KINDS = tuple(BASELINES)
 
 DEFAULT_TARGET_RATE_HZ = 3.0
 
@@ -191,42 +219,28 @@ def _display_name(model_id: str) -> str:
     return model_id
 
 
-def _baseline_predictions(
+def baseline_inputs(
     kind: str,
-    train_full: Sequence[TrajectoryWindow],
-    train_down: Sequence[TrajectoryWindow],
-    eval_full: Sequence[TrajectoryWindow],
-    eval_down: Sequence[TrajectoryWindow],
-    configs: dict,
-) -> list[Prediction]:
-    """Train one baseline and predict the evaluation windows.
+    windows: Sequence[TrajectoryWindow],
+    downsampled: Callable[[TrajectoryWindow], TrajectoryWindow],
+) -> tuple:
+    """The positional inputs ``kind`` trains on, or predicts from (first
+    element only): (feature matrix, label vector) of the full-rate
+    ``windows``, or (their downsampled versions,)."""
+    if BASELINES[kind].input == "features":
+        return feature_matrix(windows), label_vector(windows)
+    return ([downsampled(w) for w in windows],)
 
-    RF and SVM consume statistical features of the full-rate windows;
-    CNN and LSTM consume the downsampled raw windows, the same
-    sequences the prompt path sees.
-    """
-    if kind == "rf":
-        model = train_rf(feature_matrix(train_full), label_vector(train_full), configs["rf"])
-        labels, _ = predict_rf_batch(model, feature_matrix(eval_full))
-        ids = [w.id for w in eval_full]
-    elif kind == "svm":
-        model = train_svm(feature_matrix(train_full), label_vector(train_full), configs["svm"])
-        labels, _ = predict_svm_batch(model, feature_matrix(eval_full))
-        ids = [w.id for w in eval_full]
-    elif kind == "cnn":
-        model = train_cnn(train_down, configs["cnn"])
-        labels, _ = predict_nn_batch(model, eval_down)
-        ids = [w.id for w in eval_down]
-    elif kind == "lstm":
-        model = train_lstm(train_down, configs["lstm"])
-        labels, _ = predict_nn_batch(model, eval_down)
-        ids = [w.id for w in eval_down]
-    else:
-        raise ConfigError(f"unknown baseline kind {kind!r}")
-    return [
-        Prediction(window_id=i, label=lb, raw_text="", mode=None, provider=kind)
-        for i, lb in zip(ids, labels)
-    ]
+
+def train_baseline(kind: str, inputs: tuple, cfg):
+    """Train ``kind`` on ``baseline_inputs`` with its config."""
+    return globals()[BASELINES[kind].train](*inputs, cfg)
+
+
+def predict_baseline(kind: str, model, inputs: tuple) -> list[TrajectoryLabel]:
+    """One label per window of ``inputs`` (see ``baseline_inputs``)."""
+    labels, _ = globals()[BASELINES[kind].predict_batch](model, inputs[0])
+    return labels
 
 
 def run_experiment(
@@ -246,25 +260,27 @@ def run_experiment(
     skip_threshold: float = 0.5,
     manifest_extra: Optional[dict] = None,
     transcript_path=None,
+    dataset_sha256: Optional[str] = None,
 ) -> EvalReport:
     """Fill the full (model, scenario, split) grid.
 
-    Baselines train per scenario on that scenario's Train windows and
-    are evaluated on both SeenTest and UnseenTest; prompt modes are
-    evaluated on UnseenTest only. The mock provider runs when no
-    provider config is given.
+    Each baseline trains once per scenario on that scenario's Train
+    windows, and that one model is evaluated on both SeenTest and
+    UnseenTest; prompt modes are evaluated on UnseenTest only. The mock
+    provider runs when no provider config is given. ``dataset_sha256``
+    is ``dataset_hash(windows)`` when the caller already has it (say,
+    from the CSV text it wrote); it is computed when omitted.
     """
     for kind in baselines:
-        if kind not in BASELINE_KINDS:
+        if kind not in BASELINES:
             raise ConfigError(f"unknown baseline kind {kind!r}")
     split.validate(windows)
     if templates is None:
         templates = TemplateSet.load_default()
+    given = {"rf": rf_cfg, "svm": svm_cfg, "cnn": cnn_cfg, "lstm": lstm_cfg}
     configs = {
-        "rf": rf_cfg if rf_cfg is not None else RfConfig(),
-        "svm": svm_cfg if svm_cfg is not None else SvmConfig(),
-        "cnn": cnn_cfg if cnn_cfg is not None else CnnConfig(),
-        "lstm": lstm_cfg if lstm_cfg is not None else LstmConfig(),
+        kind: cfg if cfg is not None else BASELINES[kind].config()
+        for kind, cfg in given.items()
     }
     provider = MOCK_PROVIDER_ID if provider_cfg is None else provider_cfg.model
 
@@ -277,11 +293,21 @@ def run_experiment(
 
     for scenario in Scenario:
         train_full = by_part_scenario.get((Part.TRAIN, scenario), [])
-        train_down = [down[w.id] for w in train_full]
+        # RF and SVM share one feature matrix per part, CNN and LSTM one
+        # list of downsampled windows
+        inputs: dict[tuple[Part, str], tuple] = {}
+
+        def inputs_for(kind: str, part: Part) -> tuple:
+            key = (part, BASELINES[kind].input)
+            if key not in inputs:
+                part_windows = by_part_scenario.get((part, scenario), [])
+                inputs[key] = baseline_inputs(kind, part_windows, lambda w: down[w.id])
+            return inputs[key]
+
         for kind in baselines:
+            model = None
             for part in (Part.SEEN_TEST, Part.UNSEEN_TEST):
                 eval_full = by_part_scenario.get((part, scenario), [])
-                eval_down = [down[w.id] for w in eval_full]
                 key = (kind, scenario, part)
                 if not train_full:
                     cells[key] = CellResult(
@@ -293,9 +319,15 @@ def run_experiment(
                         None, None, skipped_reason="no evaluation windows in scenario"
                     )
                     continue
-                preds = _baseline_predictions(
-                    kind, train_full, train_down, eval_full, eval_down, configs
-                )
+                if model is None:
+                    model = train_baseline(
+                        kind, inputs_for(kind, Part.TRAIN), configs[kind]
+                    )
+                labels = predict_baseline(kind, model, inputs_for(kind, part))
+                preds = [
+                    Prediction(window_id=w.id, label=lb, raw_text="", mode=None, provider=kind)
+                    for w, lb in zip(eval_full, labels)
+                ]
                 cm = confusion(preds, eval_full)
                 cells[key] = CellResult(cm, metrics(cm), n_windows=len(eval_full))
 
@@ -333,7 +365,9 @@ def run_experiment(
             )
 
     manifest = {
-        "dataset_sha256": dataset_hash(windows),
+        "dataset_sha256": (
+            dataset_sha256 if dataset_sha256 is not None else dataset_hash(windows)
+        ),
         "split_sha256": canonical_digest(split.to_json_dict()),
         "template_sha256": templates.digest(),
         "provider": provider,

@@ -51,7 +51,7 @@ STRAIGHT_MAX_RAD = math.pi / 4
 QUARTER_MAX_RAD = 3 * math.pi / 4
 
 _RATE_PATTERN = re.compile(r"downsampled\s+to\s+([0-9]+(?:\.[0-9]+)?)\s*Hz", re.IGNORECASE)
-_TOKEN_SPLIT = re.compile(r"[,\s]+")
+_SORTED_AXES = sorted(AXIS_NAMES)
 
 
 @dataclass(frozen=True)
@@ -210,29 +210,58 @@ def _read_completion(
     )
 
 
+def _read_header(line: str) -> Optional[tuple[str, list[str]]]:
+    """(delimiter, axis names) of a channel header line, None for other lines.
+
+    A header is the nine two-letter axis names joined by one delimiter, so
+    the line's length fixes the delimiter's width. Reading the names at
+    their fixed offsets, not by splitting, stays exact when the delimiter
+    itself contains letters.
+    """
+    n = len(AXIS_NAMES)
+    width, extra = divmod(len(line) - 2 * n, n - 1)
+    if width < 1 or extra:
+        return None
+    step = 2 + width
+    delimiter = line[2:step]
+    names = [line[k * step : k * step + 2] for k in range(n)]
+    if sorted(names) != _SORTED_AXES or any(
+        line[k * step + 2 : (k + 1) * step] != delimiter for k in range(1, n - 1)
+    ):
+        return None
+    return delimiter, names
+
+
 def _parse_embedded_window(question: str) -> tuple[list[list[float]], int, float]:
     """Recover (sample rows, gz column, sample rate) from a rendered question.
 
     Needs the channel header line that ``serialize_window`` emits (the
-    nine axis names in the prompt's column order), one line per sample
-    with nine numbers, and a context sentence quoting the downsampled
-    rate as "downsampled to <rate> Hz".
+    nine axis names in the prompt's column order), then one line per
+    sample with nine numbers joined by the header's delimiter, and a
+    context sentence quoting the downsampled rate as
+    "downsampled to <rate> Hz". The delimiter may be any string
+    ``SerializationOptions`` accepts: it holds no character a number is
+    written with, so splitting a sample line on it is exact.
     """
-    gz_column: Optional[int] = None
+    delimiter: Optional[str] = None
+    gz_column = 0
     rows: list[list[float]] = []
     for line in question.splitlines():
-        tokens = [t for t in _TOKEN_SPLIT.split(line.strip()) if t]
+        line = line.strip()
+        if delimiter is None:
+            header = _read_header(line)
+            if header is not None:
+                delimiter, names = header
+                gz_column = names.index("gz")
+            continue
+        tokens = line.split(delimiter)
         if len(tokens) != 9:
             continue
-        if gz_column is None and sorted(tokens) == sorted(AXIS_NAMES):
-            gz_column = tokens.index("gz")
-            continue
         try:
-            values = [float(t) for t in tokens]
+            rows.append([float(t) for t in tokens])
         except ValueError:
             continue
-        rows.append(values)
-    if gz_column is None:
+    if delimiter is None:
         raise ProviderError(
             "mock provider found no channel header line naming the nine axes, "
             "so it cannot tell which column is gz"

@@ -33,6 +33,8 @@ DEFAULT_MAX_CHARS = 4000
 
 TEMPLATE_FILES = ("instruction.txt", "question_cot.txt", "question_do.txt")
 _PLACEHOLDER = re.compile(r"\{\{(\w+)\}\}")
+# Characters a fixed-point sample value can be written with.
+_NUMBER_CHARS = frozenset("0123456789.+-")
 
 
 class PromptMode(Enum):
@@ -54,6 +56,15 @@ class SerializationOptions:
             raise ConfigError(f"decimals must be in [0, 9], got {self.decimals}")
         if sorted(self.axis_order) != sorted(AXIS_NAMES):
             raise ConfigError(f"axis_order must be a permutation of {AXIS_NAMES}")
+        # a sample line must split back into its nine numbers, one per line
+        if not self.sample_delimiter or any(
+            c in _NUMBER_CHARS or len(f"a{c}a".splitlines()) > 1
+            for c in self.sample_delimiter
+        ):
+            raise ConfigError(
+                "sample_delimiter must be non-empty and hold no digit, '.', '+', "
+                f"'-' or line break, got {self.sample_delimiter!r}"
+            )
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -8,9 +9,12 @@ from pathlib import Path
 import pytest
 
 import imutrace
+import imutrace.cli as cli
+import imutrace.core as core
 from imutrace.baselines.model_io import load_model
 from imutrace.cli import main
-from imutrace.core import ingest_csv, serialize_csv
+from imutrace.core import Scenario, dataset_hash, ingest_csv, serialize_csv
+from imutrace.synth import GeneratorConfig, ZERO_NOISE, generate_dataset, uniform_counts
 
 RUN_FILES = ("dataset.csv", "split.json", "report.txt", "report.jsonl", "run_manifest.json")
 
@@ -207,3 +211,26 @@ def test_version_subprocess():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "imutrace 0.1.0"
+
+
+def test_run_hashes_the_dataset_it_writes_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counting(windows):
+        calls.append(len(windows))
+        return serialize_csv(windows)
+
+    monkeypatch.setattr(core, "serialize_csv", counting)
+    monkeypatch.setattr(cli, "serialize_csv", counting)
+    out = tmp_path / "r"
+    assert _run(out, extra=("--baselines", "none", "--providers", "none")) == 0
+    assert len(calls) == 1
+    monkeypatch.undo()
+
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    data = (out / "dataset.csv").read_bytes()
+    assert manifest["dataset_sha256"] == hashlib.sha256(data).hexdigest()
+    windows, _ = generate_dataset(
+        GeneratorConfig(seed=0), uniform_counts(6), {s: ZERO_NOISE for s in Scenario}
+    )
+    assert manifest["dataset_sha256"] == dataset_hash(windows)

@@ -107,6 +107,18 @@ def test_csv_round_trip_exact():
     assert dataset_hash(back) == dataset_hash(windows)
 
 
+@pytest.mark.parametrize("rate", [30.0, 123.456, 1000.0, 100 / 3, 1000 / 7, 200 / 3])
+def test_csv_round_trip_keeps_the_rate_grid(rate):
+    # 100 / 3 and 200 / 3 need 16-17 significant digits, more than the
+    # first 12-digit snap keeps
+    data = np.random.default_rng(2).standard_normal((int(rate) + 1, 9))
+    w = window_from_array(data, rate=rate, label=TrajectoryLabel.TURN_LEFT)
+    text = serialize_csv([w])
+    back = ingest_csv(io.StringIO(text))
+    assert back[0].rate == rate
+    assert serialize_csv(back) == text
+
+
 def test_csv_unlabeled_and_slashless_ids():
     w = window_from_array(np.zeros((3, 9)), window_id="solo", group="solo")
     text = serialize_csv([w])

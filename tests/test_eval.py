@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 import imutrace.evalreport as evalreport
+from imutrace.baselines.forest import RfConfig
+from imutrace.baselines.nn import CnnConfig, LstmConfig
 from imutrace.core import Part, Scenario, SplitAssignment, TrajectoryLabel, split_dataset
 from imutrace.errors import ConfigError, DataError
 from imutrace.evalreport import (
@@ -316,3 +318,52 @@ def test_partial_failures_below_threshold_still_score(monkeypatch):
 def test_unknown_baseline_rejected():
     with pytest.raises(ConfigError):
         run_experiment([], SplitAssignment(assignment={}), baselines=("xgboost",))
+
+
+def test_each_baseline_trains_once_per_scenario(monkeypatch):
+    cfg = GeneratorConfig(seed=4, windows_per_group=2)
+    noise = {s: ZERO_NOISE for s in Scenario}
+    windows, _ = generate_dataset(cfg, uniform_counts(3), noise=noise)
+    split = split_dataset(windows, seed=1)
+    trains = {kind: 0 for kind in evalreport.BASELINE_KINDS}
+    features = []
+
+    # the runner resolves train functions through module attributes, so
+    # patched ones (as a tracer installs them) are the ones that run
+    def counting(kind):
+        real = getattr(evalreport, evalreport.BASELINES[kind].train)
+
+        def train(*args):
+            trains[kind] += 1
+            return real(*args)
+
+        return train
+
+    for kind in trains:
+        monkeypatch.setattr(evalreport, evalreport.BASELINES[kind].train, counting(kind))
+    real_features = evalreport.feature_matrix
+    monkeypatch.setattr(
+        evalreport, "feature_matrix", lambda ws: features.append(len(ws)) or real_features(ws)
+    )
+    r = run_experiment(
+        windows,
+        split,
+        modes=(),
+        rf_cfg=RfConfig(trees=5),
+        cnn_cfg=CnnConfig(filters1=4, filters2=6, epochs=2),
+        lstm_cfg=LstmConfig(hidden=4, epochs=2),
+    )
+    parts = {(split.assignment[w.id], w.scenario) for w in windows}
+    trained = [s for s in Scenario if (Part.TRAIN, s) in parts]
+    assert len(trained) == 2
+    assert trains == {kind: len(trained) for kind in trains}
+    # RF and SVM share one feature matrix per (scenario, part) that has windows
+    test_parts = (Part.SEEN_TEST, Part.UNSEEN_TEST)
+    assert len(features) == sum(
+        (part, s) in parts for s in trained for part in (Part.TRAIN, *test_parts)
+    )
+    for kind in trains:
+        for scenario in trained:
+            for part in test_parts:
+                cell = r.cells[(kind, scenario, part)]
+                assert cell.skipped == ((part, scenario) not in parts)

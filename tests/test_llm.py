@@ -151,6 +151,29 @@ def test_mock_reads_any_axis_order_from_header(order, header):
         assert len(batch.failures) == len(_CLEAN_48)
 
 
+def _allowed_delimiter(text):
+    try:
+        SerializationOptions(sample_delimiter=text)
+    except ConfigError:
+        return False
+    return True
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    delimiter=st.one_of(
+        st.sampled_from(["; ", " | ", "\t", " ", "gx", "axay", "/"]),
+        st.text(min_size=1, max_size=3).filter(_allowed_delimiter),
+    ),
+    order=st.permutations(AXIS_NAMES),
+)
+def test_mock_reads_any_allowed_delimiter(delimiter, order):
+    opts = SerializationOptions(axis_order=tuple(order), sample_delimiter=delimiter)
+    batch = classify_windows(_CLEAN_48, PromptMode.DO, opts=opts)
+    assert not batch.failures
+    assert [p.label for p in batch.predictions] == _DEFAULT_LABELS
+
+
 def test_completion_result_rejects_empty_text():
     with pytest.raises(ValueError):
         CompletionResult(text="", provider="x", latency_s=0.1)

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from imutrace.baselines.model_io import load_model, save_model
 from imutrace.baselines.nn import (
     CnnConfig,
     LstmConfig,
     NnModel,
+    _sigmoid,
     cnn_forward,
     cross_entropy,
     gradient_check,
@@ -65,6 +68,35 @@ def test_gradients_match_central_differences(kind):
         samples_per_tensor=5, rng=np.random.default_rng(2),
     )
     assert err_after < 1e-4
+
+
+def _masked_sigmoid(x):
+    # the boolean-mask formulation _sigmoid replaced, kept as the reference
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+EDGE_VALUES = [0.0, -0.0, 700.0, -700.0, 1e308, -1e308, np.inf, -np.inf, np.nan, -np.nan]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    x=arrays(
+        np.float64,
+        st.integers(1, 64),
+        elements=st.one_of(st.floats(), st.sampled_from(EDGE_VALUES)),
+    )
+)
+def test_sigmoid_matches_masked_formula_bit_for_bit(x):
+    x = np.concatenate([x, EDGE_VALUES])
+    with np.errstate(under="ignore"):
+        want = _masked_sigmoid(x)
+        got = _sigmoid(x)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_softmax_properties():

@@ -67,6 +67,14 @@ def test_serialization_options_validation():
         SerializationOptions(axis_order=("ax",) * 9)
 
 
+def test_sample_delimiter_must_split_back():
+    for bad in ("", "0", "; 1", ".", "+", " - ", "\n", "a\rb", "\u2028"):
+        with pytest.raises(ConfigError, match="sample_delimiter"):
+            SerializationOptions(sample_delimiter=bad)
+    for good in (", ", "; ", " | ", "\t", " ", "gx"):
+        assert SerializationOptions(sample_delimiter=good).sample_delimiter == good
+
+
 def test_build_prompt_substitutes_everything(make_window):
     w = make_window(np.zeros((30, 9)), rate=3.0, window_id="probe")
     bundle = build_prompt(w, PromptMode.COT)
