@@ -2,10 +2,11 @@
 
 Trees are nested dicts (internal: feature, threshold, left, right;
 leaf: label), so a trained forest serializes to JSON unchanged. Split
-search sorts each candidate feature once and sweeps cut points with
-cumulative class counts. Each tree draws its bootstrap sample and
-feature subsets from its own generator seeded by (seed, tree_index),
-so forests are reproducible and trees are independent.
+search scores all candidate features of a node in one pass: it sorts
+each column once and sweeps cut points with cumulative class counts.
+Each tree draws its bootstrap sample and feature subsets from its own
+generator seeded by (seed, tree_index), so forests are reproducible and
+trees are independent.
 """
 
 from __future__ import annotations
@@ -75,31 +76,34 @@ class RandomForestModel:
         )
 
 
-def _gini_sweep(values: np.ndarray, labels: np.ndarray) -> tuple[float, float]:
-    """Best (cost, threshold) over all cut points of one feature.
+def _best_split(values: np.ndarray, labels: np.ndarray) -> tuple[int, float]:
+    """Best (column, threshold) of a node's (n, m) candidate columns.
 
-    Returns (inf, nan) when the feature is constant on this node.
+    Every cut point of every column is scored at once: each column is
+    sorted (stably), class counts are swept with one cumulative sum, and
+    cuts between equal values cost inf. The first minimum wins, over cuts
+    and then over columns. Returns (-1, nan) when every column is
+    constant on this node.
     """
-    order = np.argsort(values, kind="stable")
-    v = values[order]
-    n = v.size
-    one_hot = np.zeros((n, N_CLASSES))
-    one_hot[np.arange(n), labels[order]] = 1.0
-    prefix = one_hot.cumsum(axis=0)
-    cuts = np.nonzero(v[:-1] < v[1:])[0]
-    if cuts.size == 0:
-        return np.inf, np.nan
-    left = prefix[cuts]
-    total = prefix[-1]
-    right = total - left
-    n_left = (cuts + 1).astype(float)
+    n, m = values.shape
+    order = np.argsort(values, axis=0, kind="stable")
+    v = np.take_along_axis(values, order, axis=0)
+    prefix = np.eye(N_CLASSES)[labels[order]].cumsum(axis=0)
+    left = prefix[:-1]  # (n-1, m, classes): counts left of the cut after row i
+    right = prefix[-1] - left
+    n_left = np.arange(1.0, n)[:, None]
     n_right = n - n_left
-    gini_left = 1.0 - np.sum((left / n_left[:, None]) ** 2, axis=1)
-    gini_right = 1.0 - np.sum((right / n_right[:, None]) ** 2, axis=1)
+    gini_left = 1.0 - np.sum((left / n_left[..., None]) ** 2, axis=2)
+    gini_right = 1.0 - np.sum((right / n_right[..., None]) ** 2, axis=2)
     cost = (n_left * gini_left + n_right * gini_right) / n
-    best = int(np.argmin(cost))
-    threshold = 0.5 * (v[cuts[best]] + v[cuts[best] + 1])
-    return float(cost[best]), float(threshold)
+    cost[v[:-1] >= v[1:]] = np.inf
+    cut = np.argmin(cost, axis=0)
+    best_cost = cost[cut, np.arange(m)]
+    column = int(np.argmin(best_cost))
+    if best_cost[column] == np.inf:
+        return -1, np.nan
+    i = cut[column]
+    return column, float(0.5 * (v[i, column] + v[i + 1, column]))
 
 
 def _leaf(labels: np.ndarray) -> dict:
@@ -125,23 +129,16 @@ def _grow(
     ):
         return _leaf(labels_here)
     features = rng.choice(x.shape[1], size=m_features, replace=False)
-    best_cost = np.inf
-    best_feature = -1
-    best_threshold = np.nan
-    for f in features:
-        cost, threshold = _gini_sweep(x[idx, f], labels_here)
-        if cost < best_cost:
-            best_cost = cost
-            best_feature = int(f)
-            best_threshold = threshold
-    if best_feature < 0:
+    column, threshold = _best_split(x[np.ix_(idx, features)], labels_here)
+    if column < 0:
         return _leaf(labels_here)
-    goes_left = x[idx, best_feature] < best_threshold
+    feature = int(features[column])
+    goes_left = x[idx, feature] < threshold
     left_idx = idx[goes_left]
     right_idx = idx[~goes_left]
     return {
-        "feature": best_feature,
-        "threshold": best_threshold,
+        "feature": feature,
+        "threshold": threshold,
         "left": _grow(x, y, left_idx, depth + 1, cfg, m_features, rng),
         "right": _grow(x, y, right_idx, depth + 1, cfg, m_features, rng),
     }

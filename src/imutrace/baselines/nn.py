@@ -8,6 +8,13 @@ average pool -> dense(4); the LSTM feeds the final hidden state (size
 mean cross-entropy, with seeded init and seeded epoch shuffles, so a
 (data, config, seed) triple always yields the same model.
 
+The convolutions are GEMMs on the unfolded input, one per sample, and
+the LSTM projects the input of every step in one call, so only its
+recurrence runs step by step. Every GEMM stays per-sample or per-step
+sized: that is small enough for single-threaded BLAS, while one GEMM
+over a whole batch gets split across threads and, on a small machine,
+costs more CPU time than it saves in wall time.
+
 Input tensors are (batch, 9 channels, time). Channels are z-scored by
 training-set statistics by default; raw accelerometer, gyro, and
 magnetometer units differ by two orders of magnitude, which a fixed
@@ -193,20 +200,27 @@ def cross_entropy(logits: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]
 
 
 def _conv1d(x: np.ndarray, w: np.ndarray, b: np.ndarray):
-    # x (B,C,T), w (F,C,K), valid padding -> (B,F,T-K+1)
-    k = w.shape[2]
+    # x (B,C,T), w (F,C,K), valid padding -> (B,F,T-K+1); one (F, C*K) GEMM
+    # per sample on the unfolded input
+    filters, channels, k = w.shape
+    batch = x.shape[0]
     t_out = x.shape[2] - k + 1
     cols = np.stack([x[:, :, j:j + t_out] for j in range(k)], axis=2)  # (B,C,K,t)
-    out = np.einsum("fck,bckt->bft", w, cols) + b[None, :, None]
+    out = np.matmul(w.reshape(filters, channels * k), cols.reshape(batch, channels * k, t_out))
+    out += b[None, :, None]
     return out, cols
 
+
 def _conv1d_backward(dout: np.ndarray, cols: np.ndarray, w: np.ndarray):
-    dw = np.einsum("bft,bckt->fck", dout, cols)
-    db = dout.sum(axis=(0, 2))
     batch, channels, k, t_out = cols.shape
+    filters = w.shape[0]
+    unfolded = cols.reshape(batch, channels * k, t_out)
+    dw = np.matmul(dout, unfolded.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
+    db = dout.sum(axis=(0, 2))
+    dcols = np.matmul(w.reshape(filters, channels * k).T, dout).reshape(cols.shape)
     dx = np.zeros((batch, channels, t_out + k - 1))
     for j in range(k):
-        dx[:, :, j:j + t_out] += np.einsum("bft,fc->bct", dout, w[:, :, j])
+        dx[:, :, j:j + t_out] += dcols[:, :, j]
     return dw, db, dx
 
 
@@ -229,11 +243,11 @@ def _maxpool_backward(dout: np.ndarray, arg: np.ndarray, pool: int, t_in: int):
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # the two stable forms, picked per element; exp sees only -|x| (a NaN
-    # keeps its sign), so no overflow and the bits of boolean-mask indexing
-    pos = x >= 0
-    e = np.exp(np.where(pos, -x, x))
-    return np.where(pos, 1.0 / (1.0 + e), e / (1.0 + e))
+    # the two stable forms 1/(1+e) and e/(1+e), e = exp(-|x|), picked per
+    # element; minimum(x, -x) keeps a NaN's sign, so these are the bits of
+    # boolean-mask indexing
+    e = np.exp(np.minimum(x, -x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 # --------------------------------------------------------------------------
@@ -269,58 +283,76 @@ def cnn_backward(cfg: CnnConfig, params: dict, cache, dlogits: np.ndarray) -> di
 
 
 def lstm_forward(cfg: LstmConfig, params: dict, x: np.ndarray):
-    wx, wh, b = params["wx"], params["wh"], params["b"]
+    # C-order copies: matmul with the transposed views is slower at these sizes
+    wh_t = np.ascontiguousarray(params["wh"].T)
     hidden = cfg.hidden
     batch, _, t_len = x.shape
-    h = np.zeros((batch, hidden))
-    c = np.zeros((batch, hidden))
-    steps = []
+    xt = np.ascontiguousarray(x.transpose(2, 0, 1))  # (T,B,C)
+    # the input projection of every step at once, T GEMMs (B,C) x (C,4H);
+    # step t adds h @ wh.T and overwrites its row with the gates i, f, g, o
+    gates = np.matmul(xt, np.ascontiguousarray(params["wx"].T))
+    gates += params["b"]
+    hs = np.zeros((t_len + 1, batch, hidden))  # hs[t], cs[t]: state before step t
+    cs = np.zeros((t_len + 1, batch, hidden))
+    tanh_cs = np.empty((t_len, batch, hidden))
+    g = slice(2 * hidden, 3 * hidden)
     for t in range(t_len):
-        xt = x[:, :, t]
-        pre = xt @ wx.T + h @ wh.T + b
-        gi = _sigmoid(pre[:, :hidden])
-        gf = _sigmoid(pre[:, hidden : 2 * hidden])
-        gg = np.tanh(pre[:, 2 * hidden : 3 * hidden])
-        go = _sigmoid(pre[:, 3 * hidden :])
-        c_new = gf * c + gi * gg
-        h_new = go * np.tanh(c_new)
-        steps.append((xt, h, c, gi, gf, gg, go, c_new))
-        h, c = h_new, c_new
-    logits = h @ params["wd"].T + params["bd"]
-    return logits, (steps, h)
+        act = gates[t]
+        act += hs[t] @ wh_t
+        sig = _sigmoid(act)
+        np.tanh(act[:, g], out=sig[:, g])
+        act[...] = sig
+        gi, gf, gg, go = (act[:, j * hidden:(j + 1) * hidden] for j in range(4))
+        np.add(gf * cs[t], gi * gg, out=cs[t + 1])
+        np.tanh(cs[t + 1], out=tanh_cs[t])
+        np.multiply(go, tanh_cs[t], out=hs[t + 1])
+    logits = hs[t_len] @ params["wd"].T + params["bd"]
+    return logits, (xt, gates, hs, cs, tanh_cs)
 
 
 def lstm_backward(cfg: LstmConfig, params: dict, cache, dlogits: np.ndarray) -> dict:
-    steps, h_final = cache
-    wh = params["wh"]
+    xt, gates, hs, cs, tanh_cs = cache
+    wx, wh = params["wx"], params["wh"]
     hidden = cfg.hidden
+    t_len, batch, _ = gates.shape
+    gi, gf, gg, go = (gates[..., j * hidden:(j + 1) * hidden] for j in range(4))
+    # the local derivatives of every step at once, built in place because
+    # (T,B,H) temporaries raise the peak heap, whose pages the allocator
+    # then returns and faults in again on the next call; step t scales
+    # them into dpre[t] = (dc, dc, dc, dh) * local[t]
+    dpre = np.empty((t_len, batch, 4, hidden))
+    di, df, dg, do = (dpre[:, :, j] for j in range(4))
+    for local, gate, partner in ((di, gi, gg), (df, gf, cs[:t_len]), (do, go, tanh_cs)):
+        np.subtract(1.0, gate, out=local)
+        local *= gate
+        local *= partner
+    np.multiply(gg, gg, out=dg)
+    np.subtract(1.0, dg, out=dg)
+    dg *= gi
+    dc_from_dh = np.multiply(tanh_cs, tanh_cs)
+    np.subtract(1.0, dc_from_dh, out=dc_from_dh)
+    dc_from_dh *= go
+    # wx and wh grads sum per-step GEMMs as they go: one batched matmul
+    # after the loop would need a (T,4H,H) intermediate, about 1 MB
     grads = {
-        "wx": np.zeros_like(params["wx"]),
+        "wx": np.zeros_like(wx),
         "wh": np.zeros_like(wh),
-        "b": np.zeros_like(params["b"]),
-        "wd": dlogits.T @ h_final,
+        "wd": dlogits.T @ hs[t_len],
         "bd": dlogits.sum(axis=0),
     }
     dh = dlogits @ params["wd"]
     dc = np.zeros_like(dh)
-    for xt, h_prev, c_prev, gi, gf, gg, go, c_new in reversed(steps):
-        tanh_c = np.tanh(c_new)
-        do = dh * tanh_c
-        dc = dc + dh * go * (1.0 - tanh_c**2)
-        dpre = np.concatenate(
-            [
-                dc * gg * gi * (1.0 - gi),
-                dc * c_prev * gf * (1.0 - gf),
-                dc * gi * (1.0 - gg**2),
-                do * go * (1.0 - go),
-            ],
-            axis=1,
-        )
-        grads["wx"] += dpre.T @ xt
-        grads["wh"] += dpre.T @ h_prev
-        grads["b"] += dpre.sum(axis=0)
-        dh = dpre @ wh
-        dc = dc * gf
+    for t in reversed(range(t_len)):
+        dc += dh * dc_from_dh[t]
+        d = dpre[t]
+        d[:, :3] *= dc[:, None, :]
+        d[:, 3] *= dh
+        d = d.reshape(batch, 4 * hidden)
+        grads["wx"] += d.T @ xt[t]
+        grads["wh"] += d.T @ hs[t]
+        dh = d @ wh
+        dc *= gf[t]
+    grads["b"] = dpre.sum(axis=(0, 1)).reshape(-1)
     return grads
 
 

@@ -2,10 +2,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from imutrace.baselines.forest import (
     RandomForestModel,
     RfConfig,
+    _best_split,
     predict_rf_batch,
     train_rf,
 )
@@ -141,3 +144,65 @@ def test_predict_shape_mismatch():
         predict_rf_batch(model, np.zeros(2))
     with pytest.raises(DataError):
         predict_rf_batch(model, np.zeros((2, 3)))
+
+
+def _gini_sweep(values, labels):
+    # the per-feature sweep that _best_split replaced, kept as the reference:
+    # best (cost, threshold) over the cut points of one column, (inf, nan)
+    # when it is constant
+    order = np.argsort(values, kind="stable")
+    v = values[order]
+    n = v.size
+    one_hot = np.zeros((n, 4))
+    one_hot[np.arange(n), labels[order]] = 1.0
+    prefix = one_hot.cumsum(axis=0)
+    cuts = np.nonzero(v[:-1] < v[1:])[0]
+    if cuts.size == 0:
+        return np.inf, np.nan
+    left = prefix[cuts]
+    total = prefix[-1]
+    right = total - left
+    n_left = (cuts + 1).astype(float)
+    n_right = n - n_left
+    gini_left = 1.0 - np.sum((left / n_left[:, None]) ** 2, axis=1)
+    gini_right = 1.0 - np.sum((right / n_right[:, None]) ** 2, axis=1)
+    cost = (n_left * gini_left + n_right * gini_right) / n
+    best = int(np.argmin(cost))
+    threshold = 0.5 * (v[cuts[best]] + v[cuts[best] + 1])
+    return float(cost[best]), float(threshold)
+
+
+def _best_split_loop(values, labels):
+    # one sweep per column, the first strictly lower cost wins
+    best_cost, best_column, best_threshold = np.inf, -1, np.nan
+    for column in range(values.shape[1]):
+        cost, threshold = _gini_sweep(values[:, column], labels)
+        if cost < best_cost:
+            best_cost, best_column, best_threshold = cost, column, threshold
+    return best_column, best_threshold
+
+
+# few distinct values, so columns tie within and across themselves
+TIED_VALUES = [-3.5, -1.0, -0.0, 0.0, 0.25, 1.0, 2.0, 1e6]
+
+
+@st.composite
+def _node(draw):
+    n = draw(st.integers(2, 12))
+    m = draw(st.integers(1, 6))
+    values = draw(arrays(np.float64, (n, m), elements=st.sampled_from(TIED_VALUES)))
+    constant = draw(st.lists(st.booleans(), min_size=m, max_size=m))
+    values[:, constant] = values[0, constant]
+    classes = draw(st.integers(2, 4))
+    labels = draw(arrays(np.int64, n, elements=st.integers(0, classes - 1)))
+    return values, labels
+
+
+@settings(max_examples=300, deadline=None)
+@given(node=_node())
+def test_batched_split_matches_per_feature_sweep(node):
+    values, labels = node
+    column, threshold = _best_split(values, labels)
+    want_column, want_threshold = _best_split_loop(values, labels)
+    assert column == want_column
+    assert np.array(threshold).tobytes() == np.array(want_threshold).tobytes()

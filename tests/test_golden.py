@@ -1,15 +1,20 @@
-"""Cross-version byte stability of the dataset CSV and the prompt text.
+"""Cross-version byte stability of the dataset CSV, the prompt text and
+the default run's report.
 
-The digests below were recorded from the implementation that stored each
-window as per-sample objects; the array-backed windows must render the
-same bytes. A change here changes every dataset hash and every prompt a
-report was scored on, so update the digests only on purpose.
+The CSV and prompt digests were recorded from the implementation that
+stored each window as per-sample objects; the array-backed windows must
+render the same bytes. The report digests were recorded before the
+baselines' training kernels became GEMMs, which move trained weights at
+rounding level; a kernel change that flips a predicted label fails here.
+A change here changes every dataset hash, prompt or score a report
+stands on, so update the digests only on purpose.
 """
 
 import hashlib
 
 import pytest
 
+from imutrace.cli import main
 from imutrace.core import downsample, serialize_csv
 from imutrace.prompting import PromptMode, build_prompt
 from imutrace.synth import GeneratorConfig, generate_dataset, uniform_counts
@@ -42,3 +47,21 @@ def test_golden_bytes(seed, rate):
         build_prompt(downsample(w, 3.0), PromptMode.COT).text for w in windows
     )
     assert (_sha256(serialize_csv(windows)), _sha256(prompts)) == GOLDEN[(seed, rate)]
+
+
+# sha256 of `imutrace run --per-class 12 --gen-seed 7 --out run`'s outputs
+REPORT_GOLDEN = {
+    "report.jsonl": "5a2adb1eef91c6b37cf135195fe511f8bab46efc32bf6ebfc2c36bfe2923ed34",
+    "run_manifest.json": "98fe74897008da36805581538380c894d710b91989e85bd23079f27ca17fc770",
+}
+
+
+def test_golden_report(tmp_path, monkeypatch):
+    # relative --out, as the manifest records the paths it was given
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", "--per-class", "12", "--gen-seed", "7", "--out", "run"]) == 0
+    digests = {
+        name: hashlib.sha256((tmp_path / "run" / name).read_bytes()).hexdigest()
+        for name in REPORT_GOLDEN
+    }
+    assert digests == REPORT_GOLDEN

@@ -3,17 +3,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from imutrace.baselines import nn
 from imutrace.baselines.model_io import load_model, save_model
 from imutrace.baselines.nn import (
     CnnConfig,
     LstmConfig,
     NnModel,
     _sigmoid,
+    cnn_backward,
     cnn_forward,
     cross_entropy,
     gradient_check,
     init_cnn_params,
     init_lstm_params,
+    lstm_backward,
     lstm_forward,
     nn_loss_and_grads,
     predict_nn_batch,
@@ -97,6 +100,161 @@ def test_sigmoid_matches_masked_formula_bit_for_bit(x):
         want = _masked_sigmoid(x)
         got = _sigmoid(x)
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+# the per-tap einsum convolutions and the per-step LSTM that the GEMM
+# kernels replaced, kept as references
+
+
+def _conv1d_ref(x, w, b):
+    k = w.shape[2]
+    t_out = x.shape[2] - k + 1
+    cols = np.stack([x[:, :, j:j + t_out] for j in range(k)], axis=2)
+    out = np.einsum("fck,bckt->bft", w, cols) + b[None, :, None]
+    return out, cols
+
+
+def _conv1d_backward_ref(dout, cols, w):
+    dw = np.einsum("bft,bckt->fck", dout, cols)
+    db = dout.sum(axis=(0, 2))
+    batch, channels, k, t_out = cols.shape
+    dx = np.zeros((batch, channels, t_out + k - 1))
+    for j in range(k):
+        dx[:, :, j:j + t_out] += np.einsum("bft,fc->bct", dout, w[:, :, j])
+    return dw, db, dx
+
+
+def _lstm_forward_ref(cfg, params, x):
+    wx, wh, b = params["wx"], params["wh"], params["b"]
+    hidden = cfg.hidden
+    batch, _, t_len = x.shape
+    h = np.zeros((batch, hidden))
+    c = np.zeros((batch, hidden))
+    steps = []
+    for t in range(t_len):
+        xt = x[:, :, t]
+        pre = xt @ wx.T + h @ wh.T + b
+        gi = _masked_sigmoid(pre[:, :hidden])
+        gf = _masked_sigmoid(pre[:, hidden : 2 * hidden])
+        gg = np.tanh(pre[:, 2 * hidden : 3 * hidden])
+        go = _masked_sigmoid(pre[:, 3 * hidden :])
+        c_new = gf * c + gi * gg
+        h_new = go * np.tanh(c_new)
+        steps.append((xt, h, c, gi, gf, gg, go, c_new))
+        h, c = h_new, c_new
+    logits = h @ params["wd"].T + params["bd"]
+    return logits, (steps, h)
+
+
+def _lstm_backward_ref(cfg, params, cache, dlogits):
+    steps, h_final = cache
+    wh = params["wh"]
+    grads = {
+        "wx": np.zeros_like(params["wx"]),
+        "wh": np.zeros_like(wh),
+        "b": np.zeros_like(params["b"]),
+        "wd": dlogits.T @ h_final,
+        "bd": dlogits.sum(axis=0),
+    }
+    dh = dlogits @ params["wd"]
+    dc = np.zeros_like(dh)
+    for xt, h_prev, c_prev, gi, gf, gg, go, c_new in reversed(steps):
+        tanh_c = np.tanh(c_new)
+        do = dh * tanh_c
+        dc = dc + dh * go * (1.0 - tanh_c**2)
+        dpre = np.concatenate(
+            [
+                dc * gg * gi * (1.0 - gi),
+                dc * c_prev * gf * (1.0 - gf),
+                dc * gi * (1.0 - gg**2),
+                do * go * (1.0 - go),
+            ],
+            axis=1,
+        )
+        grads["wx"] += dpre.T @ xt
+        grads["wh"] += dpre.T @ h_prev
+        grads["b"] += dpre.sum(axis=0)
+        dh = dpre @ wh
+        dc = dc * gf
+    return grads
+
+
+def _assert_close(got, want):
+    # GEMM accumulation order differs from einsum and per-step sums, so
+    # the kernels agree to rounding, not bit for bit
+    np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
+
+
+KERNEL_CASES = dict(
+    batch=st.integers(1, 20),
+    seed=st.integers(0, 2**32 - 1),
+    # input scales up to the range where tanh and the sigmoid saturate
+    scale=st.sampled_from([1e-3, 1.0, 30.0, 1e3]),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    extra=st.integers(0, 20),
+    kernel=st.integers(1, 5),
+    pool=st.integers(1, 3),
+    filters=st.tuples(st.integers(1, 6), st.integers(1, 6)),
+    **KERNEL_CASES,
+)
+def test_cnn_kernels_match_einsum_reference(batch, extra, kernel, pool, filters, seed, scale):
+    cfg = CnnConfig(filters1=filters[0], filters2=filters[1], kernel=kernel, pool=pool)
+    # the shortest input both conv stages accept, plus extra, made odd
+    length = kernel * pool + kernel - 1 + extra
+    length += 1 - length % 2
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((batch, 9, length)) * scale
+    y = rng.integers(0, 4, size=batch)
+    params = init_cnn_params(cfg, length)
+    w, b = params["w1"], params["b1"]
+    out, cols = nn._conv1d(x, w, b)
+    out_ref, cols_ref = _conv1d_ref(x, w, b)
+    _assert_close(out, out_ref)
+    assert np.array_equal(cols, cols_ref)
+    dout = rng.standard_normal(out.shape)
+    for got, want in zip(
+        nn._conv1d_backward(dout, cols, w), _conv1d_backward_ref(dout, cols, w)
+    ):
+        _assert_close(got, want)
+
+    logits, cache = cnn_forward(cfg, params, x)
+    _, dlogits = cross_entropy(logits, y)
+    grads = cnn_backward(cfg, params, cache, dlogits)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nn, "_conv1d", _conv1d_ref)
+        mp.setattr(nn, "_conv1d_backward", _conv1d_backward_ref)
+        logits_ref, cache_ref = cnn_forward(cfg, params, x)
+        grads_ref = cnn_backward(cfg, params, cache_ref, dlogits)
+    _assert_close(logits, logits_ref)
+    assert grads.keys() == grads_ref.keys()
+    for name in grads:
+        _assert_close(grads[name], grads_ref[name])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    length=st.integers(0, 20).map(lambda n: 2 * n + 1),
+    hidden=st.integers(1, 12),
+    **KERNEL_CASES,
+)
+def test_lstm_kernels_match_per_step_reference(batch, length, hidden, seed, scale):
+    cfg = LstmConfig(hidden=hidden)
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((batch, 9, length)) * scale
+    params = init_lstm_params(cfg)
+    logits, cache = lstm_forward(cfg, params, x)
+    logits_ref, cache_ref = _lstm_forward_ref(cfg, params, x)
+    _assert_close(logits, logits_ref)
+    dlogits = rng.standard_normal(logits.shape)
+    grads = lstm_backward(cfg, params, cache, dlogits)
+    grads_ref = _lstm_backward_ref(cfg, params, cache_ref, dlogits)
+    assert grads.keys() == grads_ref.keys()
+    for name in grads:
+        _assert_close(grads[name], grads_ref[name])
 
 
 def test_softmax_properties():
