@@ -1,18 +1,23 @@
-"""Statistical feature extraction for the classic (RF, SVM) baselines.
+"""Baseline inputs: statistical features, and the array steps every baseline shares.
 
 Each window maps to a fixed 48-dimensional vector: five summary
 statistics (mean, std, min, max, RMS) per axis over the nine axes,
 plus the trapezoid-integrated gyroscope x/y/z. The integrals carry the
 net rotation, which is what separates the four trajectory classes.
+
+The shared steps are the checks on a feature matrix, the training-set
+standardization, the digest of the training data that goes into each
+model manifest, and the decoding of per-class scores into labels.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+import hashlib
+from typing import Sequence, Union
 
 import numpy as np
 
-from ..core import AXIS_NAMES, LABEL_ORDER, TrajectoryWindow
+from ..core import AXIS_NAMES, LABEL_ORDER, TrajectoryLabel, TrajectoryWindow
 from ..errors import DataError
 
 FEATURE_DIM = 48
@@ -61,3 +66,57 @@ def label_vector(windows: Sequence[TrajectoryWindow]) -> np.ndarray:
             raise DataError(f"window {w.id!r} is unlabeled")
         indices.append(LABEL_ORDER.index(w.label))
     return np.asarray(indices, dtype=np.int64)
+
+
+def training_set(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(x as float64, y as int64), refused unless x is a non-empty finite
+    2-d matrix with one label per row and y holds at least 2 classes."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
+    if x.ndim != 2 or x.shape[0] == 0:
+        raise DataError(f"training features must be a non-empty 2-d array, got shape {x.shape}")
+    if y.shape != (x.shape[0],):
+        raise DataError(f"labels shape {y.shape} does not match {x.shape[0]} rows")
+    if not np.all(np.isfinite(x)):
+        raise DataError("training features must be finite")
+    if np.unique(y).size < 2:
+        raise DataError("training data must contain at least 2 classes")
+    return x, y
+
+
+def feature_rows(x: np.ndarray, n_features: int) -> np.ndarray:
+    """x as a float64 matrix, refused unless it has n_features columns."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != n_features:
+        raise DataError(
+            f"feature matrix shape {x.shape} does not match trained dimension {n_features}"
+        )
+    return x
+
+
+def standardizer(
+    x: np.ndarray, axis: Union[int, tuple[int, ...]], enabled: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """(mean, scale) over ``axis``: the training-set mean and standard
+    deviation (1 where that is 0), or zeros and ones when not enabled."""
+    mean = x.mean(axis=axis)
+    if not enabled:
+        return np.zeros_like(mean), np.ones_like(mean)
+    sd = x.std(axis=axis)
+    return mean, np.where(sd > 0, sd, 1.0)
+
+
+def data_digest(*arrays: np.ndarray) -> str:
+    """sha256 over dtype, shape, and raw bytes of each array, in order."""
+    h = hashlib.sha256()
+    for arr in arrays:
+        a = np.ascontiguousarray(arr)
+        h.update(str(a.dtype).encode("ascii"))
+        h.update(str(a.shape).encode("ascii"))
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+def argmax_labels(scores: np.ndarray) -> list[TrajectoryLabel]:
+    """The label of each row's highest score, the first one on exact ties."""
+    return [LABEL_ORDER[i] for i in np.argmax(scores, axis=1).tolist()]

@@ -11,14 +11,14 @@ trees are independent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from ..core import LABEL_ORDER, TrajectoryLabel
 from ..errors import DataError
-from .model_io import data_digest
+from .features import argmax_labels, data_digest, feature_rows, training_set
 
 N_CLASSES = len(LABEL_ORDER)
 
@@ -50,26 +50,19 @@ class RandomForestModel:
     manifest: dict
 
     def to_json_dict(self) -> dict:
-        cfg = self.config
         return {
             "kind": self.kind,
-            "config": {
-                "trees": cfg.trees,
-                "max_depth": cfg.max_depth,
-                "features_per_split": cfg.features_per_split,
-                "seed": cfg.seed,
-            },
+            "config": asdict(self.config),
             "n_features": self.n_features,
             "trees_data": list(self.trees),
             "manifest": self.manifest,
         }
 
     @classmethod
-    def from_json_dict(cls, obj: dict) -> "RandomForestModel":
-        cfg = RfConfig(**obj["config"])
+    def from_json_dict(cls, obj: dict, config: RfConfig) -> "RandomForestModel":
         return cls(
             kind="rf",
-            config=cfg,
+            config=config,
             n_features=int(obj["n_features"]),
             trees=tuple(obj["trees_data"]),
             manifest=dict(obj["manifest"]),
@@ -152,16 +145,7 @@ def _tree_predict(node: dict, x: np.ndarray) -> int:
 
 def train_rf(x: np.ndarray, y: np.ndarray, cfg: RfConfig) -> RandomForestModel:
     """Grow cfg.trees CART trees on bootstrap resamples of (x, y)."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
-    if x.ndim != 2 or x.shape[0] == 0:
-        raise DataError(f"training features must be a non-empty 2-d array, got shape {x.shape}")
-    if y.shape != (x.shape[0],):
-        raise DataError(f"labels shape {y.shape} does not match {x.shape[0]} rows")
-    if not np.all(np.isfinite(x)):
-        raise DataError("training features must be finite")
-    if np.unique(y).size < 2:
-        raise DataError("training data must contain at least 2 classes")
+    x, y = training_set(x, y)
     n, d = x.shape
     m_features = cfg.features_per_split
     if m_features is None:
@@ -189,12 +173,7 @@ def train_rf(x: np.ndarray, y: np.ndarray, cfg: RfConfig) -> RandomForestModel:
     grown = tuple(trees)
     train_pred = np.array([int(np.argmax(_forest_votes(grown, row))) for row in x])
     manifest = {
-        "config": {
-            "trees": cfg.trees,
-            "max_depth": cfg.max_depth,
-            "features_per_split": cfg.features_per_split,
-            "seed": cfg.seed,
-        },
+        "config": asdict(cfg),
         "seed": cfg.seed,
         "data_sha256": data_digest(x, y),
         "n_samples": n,
@@ -220,16 +199,8 @@ def predict_rf_batch(
 ) -> tuple[list[TrajectoryLabel], np.ndarray]:
     """Majority vote per row with fixed-label-order tie-break; returns the
     labels and the (n, 4) vote shares."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != model.n_features:
-        raise DataError(
-            f"feature matrix shape {x.shape} does not match trained dimension "
-            f"{model.n_features}"
-        )
-    labels = []
-    shares = np.zeros((x.shape[0], N_CLASSES))
+    x = feature_rows(x, model.n_features)
+    votes = np.zeros((x.shape[0], N_CLASSES))
     for i, row in enumerate(x):
-        votes = _forest_votes(model.trees, row)
-        labels.append(LABEL_ORDER[int(np.argmax(votes))])
-        shares[i] = votes / votes.sum()
-    return labels, shares
+        votes[i] = _forest_votes(model.trees, row)
+    return argmax_labels(votes), votes / votes.sum(axis=1, keepdims=True)

@@ -8,27 +8,14 @@ save/load cycle exactly.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from pathlib import Path
 from typing import Sequence
 
-import numpy as np
-
 from ..errors import DataError
+from . import BASELINES
 
 FORMAT_VERSION = 1
-
-
-def data_digest(*arrays: np.ndarray) -> str:
-    """sha256 over dtype, shape, and raw bytes of each array, in order."""
-    h = hashlib.sha256()
-    for arr in arrays:
-        a = np.ascontiguousarray(arr)
-        h.update(str(a.dtype).encode("ascii"))
-        h.update(str(a.shape).encode("ascii"))
-        h.update(a.tobytes())
-    return h.hexdigest()
 
 
 def save_model(model, path: str | Path) -> None:
@@ -40,7 +27,7 @@ def save_model(model, path: str | Path) -> None:
 
 
 def load_model(path: str | Path):
-    """Reload a saved model, dispatching on its kind tag."""
+    """Reload a saved model; its kind tag picks the config and model class."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
@@ -54,22 +41,13 @@ def load_model(path: str | Path):
             f"model file {path} has format_version {version!r}, expected {FORMAT_VERSION}"
         )
     kind = obj.get("kind")
+    if not isinstance(kind, str) or kind not in BASELINES:
+        raise DataError(f"model file {path} has unknown kind {kind!r}")
+    spec = BASELINES[kind]
     try:
-        if kind == "rf":
-            from .forest import RandomForestModel
-
-            return RandomForestModel.from_json_dict(obj)
-        if kind == "svm":
-            from .svm import SvmModel
-
-            return SvmModel.from_json_dict(obj)
-        if kind in ("cnn", "lstm"):
-            from .nn import NnModel
-
-            return NnModel.from_json_dict(obj)
+        return spec.model.from_json_dict(obj, spec.config(**obj["config"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"model file {path} is malformed: {exc}")
-    raise DataError(f"model file {path} has unknown kind {kind!r}")
 
 
 def save_training_log(history: Sequence[tuple[int, float, float]], path: str | Path) -> None:

@@ -23,15 +23,14 @@ learning rate handles poorly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from dataclasses import asdict, dataclass
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
 from ..core import LABEL_ORDER, TrajectoryLabel, TrajectoryWindow
 from ..errors import DataError, TrainingDivergedError
-from .features import label_vector
-from .model_io import data_digest
+from .features import argmax_labels, data_digest, label_vector, standardizer
 
 N_CLASSES = len(LABEL_ORDER)
 N_CHANNELS = 9
@@ -97,7 +96,7 @@ class NnModel:
     def to_json_dict(self) -> dict:
         return {
             "kind": self.kind,
-            "config": dict(self.config.__dict__),
+            "config": asdict(self.config),
             "params": {name: arr.tolist() for name, arr in self.params.items()},
             "channel_mean": self.channel_mean.tolist(),
             "channel_scale": self.channel_scale.tolist(),
@@ -107,12 +106,10 @@ class NnModel:
         }
 
     @classmethod
-    def from_json_dict(cls, obj: dict) -> "NnModel":
-        kind = obj["kind"]
-        config_cls = CnnConfig if kind == "cnn" else LstmConfig
+    def from_json_dict(cls, obj: dict, config: NnConfig) -> "NnModel":
         return cls(
-            kind=kind,
-            config=config_cls(**obj["config"]),
+            kind=obj["kind"],
+            config=config,
             params={
                 name: np.asarray(arr, dtype=np.float64)
                 for name, arr in obj["params"].items()
@@ -211,17 +208,23 @@ def _conv1d(x: np.ndarray, w: np.ndarray, b: np.ndarray):
     return out, cols
 
 
+def _conv1d_param_grads(dout: np.ndarray, cols: np.ndarray, w: np.ndarray):
+    # the weight and bias grads only, for the first layer, whose input
+    # takes no gradient
+    batch, channels, k, t_out = cols.shape
+    unfolded = cols.reshape(batch, channels * k, t_out)
+    dw = np.matmul(dout, unfolded.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
+    return dw, dout.sum(axis=(0, 2))
+
+
 def _conv1d_backward(dout: np.ndarray, cols: np.ndarray, w: np.ndarray):
     batch, channels, k, t_out = cols.shape
     filters = w.shape[0]
-    unfolded = cols.reshape(batch, channels * k, t_out)
-    dw = np.matmul(dout, unfolded.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
-    db = dout.sum(axis=(0, 2))
     dcols = np.matmul(w.reshape(filters, channels * k).T, dout).reshape(cols.shape)
     dx = np.zeros((batch, channels, t_out + k - 1))
     for j in range(k):
         dx[:, :, j:j + t_out] += dcols[:, :, j]
-    return dw, db, dx
+    return (*_conv1d_param_grads(dout, cols, w), dx)
 
 
 def _maxpool(x: np.ndarray, pool: int):
@@ -278,7 +281,7 @@ def cnn_backward(cfg: CnnConfig, params: dict, cache, dlogits: np.ndarray) -> di
     grads["w2"], grads["b2"], dp = _conv1d_backward(dz2, cols2, params["w2"])
     da1 = _maxpool_backward(dp, arg, cfg.pool, t1)
     dz1 = da1 * (z1 > 0)
-    grads["w1"], grads["b1"], _ = _conv1d_backward(dz1, cols1, params["w1"])
+    grads["w1"], grads["b1"] = _conv1d_param_grads(dz1, cols1, params["w1"])
     return grads
 
 
@@ -356,19 +359,29 @@ def lstm_backward(cfg: LstmConfig, params: dict, cache, dlogits: np.ndarray) -> 
     return grads
 
 
+class _Net(NamedTuple):
+    init: Callable  # (cfg, input length) -> params
+    forward: Callable  # (cfg, params, x) -> (logits, cache)
+    backward: Callable  # (cfg, params, cache, dlogits) -> grads
+
+
+_NETS = {
+    "cnn": _Net(init_cnn_params, cnn_forward, cnn_backward),
+    "lstm": _Net(lambda cfg, length: init_lstm_params(cfg), lstm_forward, lstm_backward),
+}
+
+
 def nn_loss_and_grads(
     kind: str, cfg: NnConfig, params: dict, x: np.ndarray, y: np.ndarray
 ) -> tuple[float, dict]:
-    forward = cnn_forward if kind == "cnn" else lstm_forward
-    backward = cnn_backward if kind == "cnn" else lstm_backward
-    logits, cache = forward(cfg, params, x)
+    net = _NETS[kind]
+    logits, cache = net.forward(cfg, params, x)
     loss, dlogits = cross_entropy(logits, y)
-    return loss, backward(cfg, params, cache, dlogits)
+    return loss, net.backward(cfg, params, cache, dlogits)
 
 
 def nn_loss(kind: str, cfg: NnConfig, params: dict, x: np.ndarray, y: np.ndarray) -> float:
-    forward = cnn_forward if kind == "cnn" else lstm_forward
-    logits, _ = forward(cfg, params, x)
+    logits, _ = _NETS[kind].forward(cfg, params, x)
     loss, _ = cross_entropy(logits, y)
     return loss
 
@@ -440,20 +453,11 @@ def _train(kind: str, windows: Sequence[TrajectoryWindow], cfg: NnConfig) -> NnM
     x = _window_tensor(windows)
     y = label_vector(windows)
     n, _, t_len = x.shape
-
-    if cfg.standardize:
-        channel_mean = x.mean(axis=(0, 2))
-        sd = x.std(axis=(0, 2))
-        channel_scale = np.where(sd > 0, sd, 1.0)
-    else:
-        channel_mean = np.zeros(N_CHANNELS)
-        channel_scale = np.ones(N_CHANNELS)
+    channel_mean, channel_scale = standardizer(x, (0, 2), cfg.standardize)
     xs = (x - channel_mean[None, :, None]) / channel_scale[None, :, None]
 
-    if kind == "cnn":
-        params = init_cnn_params(cfg, t_len)
-    else:
-        params = init_lstm_params(cfg)
+    net = _NETS[kind]
+    params = net.init(cfg, t_len)
     velocity = {name: np.zeros_like(arr) for name, arr in params.items()}
     shuffle_rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 1)))
 
@@ -464,8 +468,7 @@ def _train(kind: str, windows: Sequence[TrajectoryWindow], cfg: NnConfig) -> NnM
             batch = perm[start : start + cfg.batch_size]
             _, grads = nn_loss_and_grads(kind, cfg, params, xs[batch], y[batch])
             sgd_step(params, velocity, grads, cfg.lr, cfg.momentum)
-        forward = cnn_forward if kind == "cnn" else lstm_forward
-        logits, _ = forward(cfg, params, xs)
+        logits, _ = net.forward(cfg, params, xs)
         loss, _ = cross_entropy(logits, y)
         if not np.isfinite(loss):
             raise TrainingDivergedError(
@@ -477,7 +480,7 @@ def _train(kind: str, windows: Sequence[TrajectoryWindow], cfg: NnConfig) -> NnM
 
     final_loss, final_accuracy = (history[-1][1], history[-1][2]) if history else (0.0, 0.0)
     manifest = {
-        "config": dict(cfg.__dict__),
+        "config": asdict(cfg),
         "seed": cfg.seed,
         "data_sha256": data_digest(x, y),
         "n_samples": n,
@@ -516,8 +519,6 @@ def predict_nn_batch(
             )
     x = _window_tensor(windows)
     xs = (x - model.channel_mean[None, :, None]) / model.channel_scale[None, :, None]
-    forward = cnn_forward if model.kind == "cnn" else lstm_forward
-    logits, _ = forward(model.config, model.params, xs)
+    logits, _ = _NETS[model.kind].forward(model.config, model.params, xs)
     probs = softmax(logits)
-    labels = [LABEL_ORDER[int(np.argmax(row))] for row in probs]
-    return labels, probs
+    return argmax_labels(probs), probs

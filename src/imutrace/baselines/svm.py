@@ -14,14 +14,14 @@ be dominated by whichever axes happen to have the largest spread.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import asdict, dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 
 from ..core import LABEL_ORDER, TrajectoryLabel
 from ..errors import DataError
-from .model_io import data_digest
+from .features import argmax_labels, data_digest, feature_rows, standardizer, training_set
 
 N_CLASSES = len(LABEL_ORDER)
 
@@ -71,16 +71,9 @@ class SvmModel:
     manifest: dict
 
     def to_json_dict(self) -> dict:
-        cfg = self.config
         return {
             "kind": self.kind,
-            "config": {
-                "c": cfg.c,
-                "gamma": cfg.gamma,
-                "tol": cfg.tol,
-                "max_passes": cfg.max_passes,
-                "standardize": cfg.standardize,
-            },
+            "config": asdict(self.config),
             "n_features": self.n_features,
             "gamma_used": self.gamma,
             "mean": self.mean.tolist(),
@@ -99,8 +92,7 @@ class SvmModel:
         }
 
     @classmethod
-    def from_json_dict(cls, obj: dict) -> "SvmModel":
-        cfg = SvmConfig(**obj["config"])
+    def from_json_dict(cls, obj: dict, config: SvmConfig) -> "SvmModel":
         n_features = int(obj["n_features"])
         machines = tuple(
             BinarySvm(
@@ -114,7 +106,7 @@ class SvmModel:
         )
         return cls(
             kind="svm",
-            config=cfg,
+            config=config,
             n_features=n_features,
             gamma=float(obj["gamma_used"]),
             mean=np.asarray(obj["mean"], dtype=np.float64),
@@ -229,25 +221,9 @@ def _smo_binary(
 
 
 def train_svm(x: np.ndarray, y: np.ndarray, cfg: SvmConfig) -> SvmModel:
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
-    if x.ndim != 2 or x.shape[0] == 0:
-        raise DataError(f"training features must be a non-empty 2-d array, got shape {x.shape}")
-    if y.shape != (x.shape[0],):
-        raise DataError(f"labels shape {y.shape} does not match {x.shape[0]} rows")
-    if not np.all(np.isfinite(x)):
-        raise DataError("training features must be finite")
-    if np.unique(y).size < 2:
-        raise DataError("training data must contain at least 2 classes")
+    x, y = training_set(x, y)
     n, d = x.shape
-
-    if cfg.standardize:
-        mean = x.mean(axis=0)
-        sd = x.std(axis=0)
-        scale = np.where(sd > 0, sd, 1.0)
-    else:
-        mean = np.zeros(d)
-        scale = np.ones(d)
+    mean, scale = standardizer(x, 0, cfg.standardize)
     xs = (x - mean) / scale
 
     gamma = cfg.gamma
@@ -305,25 +281,14 @@ def train_svm(x: np.ndarray, y: np.ndarray, cfg: SvmConfig) -> SvmModel:
             }
         )
 
-    model = SvmModel(
-        kind="svm",
-        config=cfg,
-        n_features=d,
-        gamma=gamma,
-        mean=mean,
-        scale=scale,
-        machines=tuple(machines),
-        manifest={},
-    )
-    decisions = decision_matrix(model, x)
-    train_accuracy = float(np.mean(np.argmax(decisions, axis=1) == y))
+    decisions = _decisions(xs, machines, gamma)
     manifest = {
-        "config": model.to_json_dict()["config"],
+        "config": asdict(cfg),
         "gamma_used": gamma,
         "data_sha256": data_digest(x, y),
         "n_samples": n,
         "n_features": d,
-        "train_accuracy": train_accuracy,
+        "train_accuracy": float(np.mean(np.argmax(decisions, axis=1) == y)),
         "classes": per_class,
     }
     return SvmModel(
@@ -338,22 +303,20 @@ def train_svm(x: np.ndarray, y: np.ndarray, cfg: SvmConfig) -> SvmModel:
     )
 
 
-def decision_matrix(model: SvmModel, x: np.ndarray) -> np.ndarray:
-    """(n, 4) one-vs-rest decision values for raw (unstandardized) rows."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != model.n_features:
-        raise DataError(
-            f"feature matrix shape {x.shape} does not match trained dimension "
-            f"{model.n_features}"
-        )
-    xs = (x - model.mean) / model.scale
-    out = np.zeros((x.shape[0], N_CLASSES))
-    for column, machine in enumerate(model.machines):
+def _decisions(xs: np.ndarray, machines: Sequence[BinarySvm], gamma: float) -> np.ndarray:
+    out = np.zeros((xs.shape[0], N_CLASSES))
+    for column, machine in enumerate(machines):
         if machine.sv.shape[0] == 0:
             out[:, column] = machine.bias
         else:
-            out[:, column] = rbf_kernel(xs, machine.sv, model.gamma) @ machine.coef + machine.bias
+            out[:, column] = rbf_kernel(xs, machine.sv, gamma) @ machine.coef + machine.bias
     return out
+
+
+def decision_matrix(model: SvmModel, x: np.ndarray) -> np.ndarray:
+    """(n, 4) one-vs-rest decision values for raw (unstandardized) rows."""
+    x = feature_rows(x, model.n_features)
+    return _decisions((x - model.mean) / model.scale, model.machines, model.gamma)
 
 
 def predict_svm_batch(
@@ -361,5 +324,4 @@ def predict_svm_batch(
 ) -> tuple[list[TrajectoryLabel], np.ndarray]:
     """argmax of one-vs-rest decisions per row, first maximum on exact ties."""
     decisions = decision_matrix(model, x)
-    labels = [LABEL_ORDER[int(np.argmax(row))] for row in decisions]
-    return labels, decisions
+    return argmax_labels(decisions), decisions

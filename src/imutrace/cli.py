@@ -51,9 +51,7 @@ from .synth import (
     generate_dataset,
     uniform_counts,
 )
-from .baselines.forest import RfConfig
 from .baselines.model_io import save_model, save_training_log
-from .baselines.nn import CnnConfig, LstmConfig
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -103,6 +101,14 @@ def _noise_mapping(name: str):
     if name == "zero":
         return {scenario: ZERO_NOISE for scenario in Scenario}
     raise ConfigError(f"unknown noise profile {name!r}")
+
+
+def _baseline_config(kind: str, **overrides):
+    """``kind``'s default config with each override its config class has a
+    field for; an override of None keeps the default."""
+    config = BASELINES[kind].config
+    fields = {f.name for f in dataclasses.fields(config)}
+    return config(**{k: v for k, v in overrides.items() if k in fields and v is not None})
 
 
 def _parse_modes(text: str) -> list[PromptMode]:
@@ -187,13 +193,7 @@ def cmd_train(args) -> int:
     if not train_windows:
         raise DataError(f"no training windows for scenario {scenario.value!r}")
 
-    spec = BASELINES[args.model]
-    # every config takes the seed except the SVM's; the nets also take --epochs
-    overrides = {"seed": args.seed, "epochs": args.epochs}
-    fields = {f.name for f in dataclasses.fields(spec.config)}
-    cfg = spec.config(
-        **{k: v for k, v in overrides.items() if k in fields and v is not None}
-    )
+    cfg = _baseline_config(args.model, seed=args.seed, epochs=args.epochs)
     inputs = baseline_inputs(
         args.model, train_windows, lambda w: downsample(w, args.target_rate)
     )
@@ -296,9 +296,7 @@ def cmd_run(args) -> int:
         baselines=baselines,
         modes=modes,
         provider_cfg=provider_cfg,
-        rf_cfg=RfConfig(seed=args.seed),
-        cnn_cfg=CnnConfig(seed=args.seed),
-        lstm_cfg=LstmConfig(seed=args.seed),
+        configs={kind: _baseline_config(kind, seed=args.seed) for kind in BASELINE_KINDS},
         target_rate_hz=args.target_rate,
         templates=templates,
         manifest_extra=manifest_extra,

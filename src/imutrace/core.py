@@ -203,11 +203,6 @@ class SplitAssignment:
             raise DataError(f"unknown split part {exc.args[0]!r}") from exc
 
 
-def format_float(value: float) -> str:
-    """Shortest decimal string that parses back to the identical float."""
-    return repr(float(value))
-
-
 def _csv_prefix(*fields: str) -> str:
     """``fields`` as the csv-quoted start of a row, without a trailing comma."""
     line = io.StringIO()
@@ -223,8 +218,9 @@ def serialize_csv(windows: Iterable[TrajectoryWindow]) -> str:
         label = w.label.value if w.label is not None else ""
         prefix = _csv_prefix(f"{w.recording_group}/{w.id}", w.scenario.value, label)
         rate = float(w.rate)
-        # tolist() yields Python floats, whose repr is format_float's; no
-        # float repr holds a character the csv dialect would quote
+        # tolist() yields Python floats, whose repr is the shortest string
+        # that parses back to the same float; no float repr holds a
+        # character the csv dialect would quote
         for i, row in enumerate(w.data.tolist()):
             buf.write(f"{prefix},{i / rate!r},{','.join(map(repr, row))}\n")
     return buf.getvalue()

@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from decimal import ROUND_HALF_UP, Decimal
-from typing import Callable, Mapping, NamedTuple, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -36,39 +36,10 @@ from .core import (
 from .errors import ConfigError, DataError
 from .llm import MOCK_PROVIDER_ID, Prediction, ProviderConfig, classify_windows
 from .prompting import PromptMode, SerializationOptions, TemplateSet
+from .baselines import BASELINES
 from .baselines.features import feature_matrix, label_vector
-# the train and predict functions are called by name through BASELINES
-from .baselines.forest import RfConfig, predict_rf_batch, train_rf
-from .baselines.nn import CnnConfig, LstmConfig, predict_nn_batch, train_cnn, train_lstm
-from .baselines.svm import SvmConfig, predict_svm_batch, train_svm
 
 N_CLASSES = len(LABEL_ORDER)
-
-
-class BaselineSpec(NamedTuple):
-    """How one baseline kind is fed, configured, trained and applied.
-
-    ``input`` is ``"features"`` (the statistical features of the
-    full-rate windows, plus their labels) or ``"downsampled"`` (the
-    downsampled windows themselves, the sequences the prompt path sees,
-    which carry their own labels). ``train`` and ``predict_batch`` are
-    names of this module's globals, looked up when called, so whatever
-    a module attribute holds at that moment (a tracing wrapper, a test
-    double) is what runs.
-    """
-
-    input: str
-    config: type
-    train: str
-    predict_batch: str
-
-
-BASELINES = {
-    "rf": BaselineSpec("features", RfConfig, "train_rf", "predict_rf_batch"),
-    "svm": BaselineSpec("features", SvmConfig, "train_svm", "predict_svm_batch"),
-    "cnn": BaselineSpec("downsampled", CnnConfig, "train_cnn", "predict_nn_batch"),
-    "lstm": BaselineSpec("downsampled", LstmConfig, "train_lstm", "predict_nn_batch"),
-}
 
 BASELINE_KINDS = tuple(BASELINES)
 
@@ -82,8 +53,6 @@ REFERENCE_FOOTER = (
 )
 
 _TEST_NAMES = {Part.SEEN_TEST: "Seen", Part.UNSEEN_TEST: "Unseen"}
-
-_DISPLAY = {"rf": "RF", "svm": "SVM", "cnn": "CNN", "lstm": "LSTM"}
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,12 +73,6 @@ class ConfusionMatrix:
     @property
     def total(self) -> int:
         return int(self.counts.sum() + self.unparsed.sum())
-
-    def same_counts(self, other: "ConfusionMatrix") -> bool:
-        return bool(
-            np.array_equal(self.counts, other.counts)
-            and np.array_equal(self.unparsed, other.unparsed)
-        )
 
 
 @dataclass(frozen=True)
@@ -210,8 +173,8 @@ def _llm_model_id(provider: str, mode: PromptMode) -> str:
 
 
 def _display_name(model_id: str) -> str:
-    if model_id in _DISPLAY:
-        return _DISPLAY[model_id]
+    if model_id in BASELINES:
+        return model_id.upper()
     if model_id.endswith("-cot"):
         return model_id[: -len("-cot")] + "-CoT"
     if model_id.endswith("-do"):
@@ -234,12 +197,14 @@ def baseline_inputs(
 
 def train_baseline(kind: str, inputs: tuple, cfg):
     """Train ``kind`` on ``baseline_inputs`` with its config."""
-    return globals()[BASELINES[kind].train](*inputs, cfg)
+    spec = BASELINES[kind]
+    return getattr(spec.module, spec.train)(*inputs, cfg)
 
 
 def predict_baseline(kind: str, model, inputs: tuple) -> list[TrajectoryLabel]:
     """One label per window of ``inputs`` (see ``baseline_inputs``)."""
-    labels, _ = globals()[BASELINES[kind].predict_batch](model, inputs[0])
+    spec = BASELINES[kind]
+    labels, _ = getattr(spec.module, spec.predict_batch)(model, inputs[0])
     return labels
 
 
@@ -250,10 +215,7 @@ def run_experiment(
     baselines: Sequence[str] = BASELINE_KINDS,
     modes: Sequence[PromptMode] = (PromptMode.COT, PromptMode.DO),
     provider_cfg: Optional[ProviderConfig] = None,
-    rf_cfg: Optional[RfConfig] = None,
-    svm_cfg: Optional[SvmConfig] = None,
-    cnn_cfg: Optional[CnnConfig] = None,
-    lstm_cfg: Optional[LstmConfig] = None,
+    configs: Optional[Mapping[str, object]] = None,
     target_rate_hz: float = DEFAULT_TARGET_RATE_HZ,
     templates: Optional[TemplateSet] = None,
     opts: Optional[SerializationOptions] = None,
@@ -267,21 +229,28 @@ def run_experiment(
     Each baseline trains once per scenario on that scenario's Train
     windows, and that one model is evaluated on both SeenTest and
     UnseenTest; prompt modes are evaluated on UnseenTest only. The mock
-    provider runs when no provider config is given. ``dataset_sha256``
-    is ``dataset_hash(windows)`` when the caller already has it (say,
-    from the CSV text it wrote); it is computed when omitted.
+    provider runs when no provider config is given. ``configs`` maps a
+    baseline kind to its config; a kind it leaves out trains with its
+    config class's defaults, and the manifest records the config of
+    every kind. A kind or mode named twice in ``baselines`` or ``modes``,
+    or an unknown kind, is refused with ``ConfigError``.
+    ``dataset_sha256`` is ``dataset_hash(windows)`` when the caller
+    already has it (say, from the CSV text it wrote); it is computed
+    when omitted.
     """
-    for kind in baselines:
+    configs = dict(configs or {})
+    for kind in (*baselines, *configs):
         if kind not in BASELINES:
             raise ConfigError(f"unknown baseline kind {kind!r}")
+    named = {"baseline kind": list(baselines), "prompt mode": [m.value for m in modes]}
+    for what, names in named.items():
+        if len(set(names)) != len(names):
+            raise ConfigError(f"each {what} may be named once, got {', '.join(names)}")
     split.validate(windows)
     if templates is None:
         templates = TemplateSet.load_default()
-    given = {"rf": rf_cfg, "svm": svm_cfg, "cnn": cnn_cfg, "lstm": lstm_cfg}
-    configs = {
-        kind: cfg if cfg is not None else BASELINES[kind].config()
-        for kind, cfg in given.items()
-    }
+    for kind, spec in BASELINES.items():
+        configs.setdefault(kind, spec.config())
     provider = MOCK_PROVIDER_ID if provider_cfg is None else provider_cfg.model
 
     down = {w.id: downsample(w, target_rate_hz) for w in windows}
@@ -378,7 +347,7 @@ def run_experiment(
         ),
         "modes": [m.value for m in modes],
         "baselines": list(baselines),
-        "baseline_configs": {k: dict(configs[k].__dict__) for k in BASELINE_KINDS},
+        "baseline_configs": {k: asdict(configs[k]) for k in BASELINE_KINDS},
         "target_rate_hz": target_rate_hz,
         "reference_targets": dict(REFERENCE_TARGETS),
     }

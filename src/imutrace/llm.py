@@ -200,7 +200,9 @@ def _read_completion(
         raise ProviderError("response JSON lacks choices[0].message.content")
     if not isinstance(text, str) or not text:
         raise ProviderError("provider returned empty response text")
-    usage = payload.get("usage") or {}
+    usage = payload.get("usage")
+    if not isinstance(usage, dict):
+        usage = {}  # absent or malformed: the token counts are unknown
     return CompletionResult(
         text=text,
         provider=cfg.model,
@@ -357,11 +359,6 @@ class LabelLexicon:
                     raise ConfigError(f"lexicon entry {key!r} holds an empty phrase")
                 compiled.append((label, _compile_phrase(phrase)))
         return cls(version=version, patterns=tuple(compiled))
-
-    @classmethod
-    def load(cls, path: str | Path) -> "LabelLexicon":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json_dict(json.load(fh))
 
     @classmethod
     def load_default(cls) -> "LabelLexicon":

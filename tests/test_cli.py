@@ -11,9 +11,11 @@ import pytest
 import imutrace
 import imutrace.cli as cli
 import imutrace.core as core
-from imutrace.baselines.model_io import load_model
+from imutrace.baselines import BASELINES
+from imutrace.baselines.model_io import load_model, save_model
 from imutrace.cli import main
-from imutrace.core import Scenario, dataset_hash, ingest_csv, serialize_csv
+from imutrace.core import Scenario, dataset_hash, downsample, ingest_csv, serialize_csv
+from imutrace.evalreport import DEFAULT_TARGET_RATE_HZ, baseline_inputs
 from imutrace.synth import GeneratorConfig, ZERO_NOISE, generate_dataset, uniform_counts
 
 RUN_FILES = ("dataset.csv", "split.json", "report.txt", "report.jsonl", "run_manifest.json")
@@ -74,34 +76,47 @@ def test_split_counts_and_missing_data(tmp_path, capsys):
     assert rc == 3  # data error
 
 
-def test_train_rf_and_nn_log(tmp_path, capsys):
+def test_train_rf_and_nn_log(tmp_path, capsys, monkeypatch):
     data = _generate(tmp_path, per_class=3)
     split_path = tmp_path / "split.json"
     main(["split", "--data", str(data / "dataset.csv"), "--out", str(split_path)])
     common = ["--data", str(data / "dataset.csv"), "--split", str(split_path)]
+    windows = ingest_csv(io.StringIO((data / "dataset.csv").read_text(encoding="utf-8")))
+    trained = {}
 
-    model_path = tmp_path / "rf.json"
-    rc = main(["train", *common, "--model", "rf", "--out", str(model_path)])
-    assert rc == 0
-    assert load_model(model_path).kind == "rf"
+    def keep_and_save(model, path):
+        trained[str(path)] = model
+        save_model(model, path)
 
-    nn_path = tmp_path / "cnn.json"
-    log_path = tmp_path / "log.csv"
-    rc = main(
-        ["train", *common, "--model", "cnn", "--epochs", "2",
-         "--out", str(nn_path), "--log", str(log_path)]
-    )
-    assert rc == 0
-    lines = log_path.read_text().splitlines()
-    assert lines[0] == "epoch,loss,train_accuracy"
-    assert len(lines) == 3
-
-    capsys.readouterr()
-    rc = main(["train", *common, "--model", "rf", "--out", str(model_path),
-               "--log", str(tmp_path / "rf_log.csv")])
-    assert rc == 0
-    assert "no per-epoch history" in capsys.readouterr().err
-    assert not (tmp_path / "rf_log.csv").exists()
+    monkeypatch.setattr(cli, "save_model", keep_and_save)
+    # every kind of the table trains from the CLI and reloads to a model
+    # that predicts the same bits; --epochs reaches only the nets' configs
+    for kind, spec in BASELINES.items():
+        model_path, log_path = tmp_path / f"{kind}.json", tmp_path / f"{kind}_log.csv"
+        capsys.readouterr()
+        rc = main(["train", *common, "--model", kind, "--epochs", "2",
+                   "--out", str(model_path), "--log", str(log_path)])
+        assert rc == 0
+        model = trained[str(model_path)]
+        back = load_model(model_path)
+        assert type(back) is spec.model and back.kind == kind
+        assert back.config == model.config
+        assert getattr(back.config, "epochs", 2) == 2
+        save_model(back, tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_bytes() == model_path.read_bytes()
+        inputs = baseline_inputs(kind, windows, lambda w: downsample(w, DEFAULT_TARGET_RATE_HZ))
+        predict = getattr(spec.module, spec.predict_batch)
+        labels, scores = predict(model, inputs[0])
+        labels_back, scores_back = predict(back, inputs[0])
+        assert labels_back == labels
+        assert scores_back.tobytes() == scores.tobytes()
+        if hasattr(model, "history"):
+            lines = log_path.read_text().splitlines()
+            assert lines[0] == "epoch,loss,train_accuracy"
+            assert len(lines) == 3
+        else:
+            assert "no per-epoch history" in capsys.readouterr().err
+            assert not log_path.exists()
 
     rc = main(["train", *common, "--model", "svm", "--out", str(tmp_path / "s.json"),
                "--scenario", "outdoor"])
@@ -131,6 +146,12 @@ def test_run_outputs_and_rerun_identical(tmp_path, capsys):
     assert manifest["baselines"] == ["rf"]
     assert manifest["modes"] == ["cot"]
     assert manifest["data_source"]["kind"] == "generated"
+
+
+def test_run_refuses_duplicate_kinds_and_modes(tmp_path, capsys):
+    assert _run(tmp_path / "r1", extra=("--baselines", "rf,rf")) == 2
+    assert _run(tmp_path / "r2", extra=("--modes", "do,do")) == 2
+    assert "named once" in capsys.readouterr().err
 
 
 def test_run_requires_one_data_source(tmp_path, capsys):

@@ -135,7 +135,9 @@ def test_confusion_builder_properties():
     ]
     cm1 = confusion(preds, truths)
     shuffled = [preds[i] for i in rng.permutation(len(preds))]
-    assert cm1.same_counts(confusion(shuffled, truths))
+    cm2 = confusion(shuffled, truths)
+    assert np.array_equal(cm1.counts, cm2.counts)
+    assert np.array_equal(cm1.unparsed, cm2.unparsed)
     assert cm1.total == 8
 
     with pytest.raises(DataError):  # prediction without a matching truth
@@ -250,7 +252,11 @@ def test_jsonl_round_trip(skip_path_report):
     # parsed cells carry the same metric values
     key = ("svm", Scenario.OUTDOOR, Part.SEEN_TEST)
     assert back.cells[key].metrics == skip_path_report.cells[key].metrics
-    assert back.cells[key].confusion.same_counts(skip_path_report.cells[key].confusion)
+    for field in ("counts", "unparsed"):
+        assert np.array_equal(
+            getattr(back.cells[key].confusion, field),
+            getattr(skip_path_report.cells[key].confusion, field),
+        )
     with pytest.raises(DataError):
         parse_report_jsonl("")
     with pytest.raises(DataError):
@@ -318,6 +324,8 @@ def test_partial_failures_below_threshold_still_score(monkeypatch):
 def test_unknown_baseline_rejected():
     with pytest.raises(ConfigError):
         run_experiment([], SplitAssignment(assignment={}), baselines=("xgboost",))
+    with pytest.raises(ConfigError):
+        run_experiment([], SplitAssignment(assignment={}), configs={"xgboost": RfConfig()})
 
 
 def test_each_baseline_trains_once_per_scenario(monkeypatch):
@@ -331,7 +339,8 @@ def test_each_baseline_trains_once_per_scenario(monkeypatch):
     # the runner resolves train functions through module attributes, so
     # patched ones (as a tracer installs them) are the ones that run
     def counting(kind):
-        real = getattr(evalreport, evalreport.BASELINES[kind].train)
+        spec = evalreport.BASELINES[kind]
+        real = getattr(spec.module, spec.train)
 
         def train(*args):
             trains[kind] += 1
@@ -340,7 +349,8 @@ def test_each_baseline_trains_once_per_scenario(monkeypatch):
         return train
 
     for kind in trains:
-        monkeypatch.setattr(evalreport, evalreport.BASELINES[kind].train, counting(kind))
+        spec = evalreport.BASELINES[kind]
+        monkeypatch.setattr(spec.module, spec.train, counting(kind))
     real_features = evalreport.feature_matrix
     monkeypatch.setattr(
         evalreport, "feature_matrix", lambda ws: features.append(len(ws)) or real_features(ws)
@@ -349,9 +359,11 @@ def test_each_baseline_trains_once_per_scenario(monkeypatch):
         windows,
         split,
         modes=(),
-        rf_cfg=RfConfig(trees=5),
-        cnn_cfg=CnnConfig(filters1=4, filters2=6, epochs=2),
-        lstm_cfg=LstmConfig(hidden=4, epochs=2),
+        configs={
+            "rf": RfConfig(trees=5),
+            "cnn": CnnConfig(filters1=4, filters2=6, epochs=2),
+            "lstm": LstmConfig(hidden=4, epochs=2),
+        },
     )
     parts = {(split.assignment[w.id], w.scenario) for w in windows}
     trained = [s for s in Scenario if (Part.TRAIN, s) in parts]

@@ -145,6 +145,17 @@ def test_malformed_json_shape_is_provider_error(stub):
         complete(_cfg(url2), BUNDLE)
 
 
+def test_non_object_usage_reads_as_absent(stub):
+    for usage in ("n/a", [12, 3], 7, None):
+        payload = json.dumps(
+            {"choices": [{"message": {"content": "turn left"}}], "usage": usage}
+        ).encode()
+        _, url = stub([(200, payload)])
+        result = complete(_cfg(url), BUNDLE)
+        assert result.text == "turn left"
+        assert result.prompt_tokens is None and result.completion_tokens is None
+
+
 def test_empty_content_is_provider_error(stub):
     payload = json.dumps({"choices": [{"message": {"content": ""}}]}).encode()
     _, url = stub([(200, payload)])
