@@ -54,7 +54,6 @@ from .llm import (
 from .prompting import (
     PromptBundle,
     PromptMode,
-    SerializationOptions,
     TemplateSet,
     build_prompt,
     serialize_window,
@@ -104,7 +103,6 @@ __all__ = [
     "parse_label",
     "PromptBundle",
     "PromptMode",
-    "SerializationOptions",
     "TemplateSet",
     "build_prompt",
     "serialize_window",

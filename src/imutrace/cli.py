@@ -42,6 +42,7 @@ from .evalreport import (
     render_report,
     run_experiment,
     train_baseline,
+    validate_run,
 )
 from .llm import ProviderConfig
 from .prompting import PromptMode, TemplateSet
@@ -129,15 +130,7 @@ def _parse_modes(text: str) -> list[PromptMode]:
 def _parse_baselines(text: str) -> list[str]:
     if text.strip().lower() in ("", "none"):
         return []
-    kinds = []
-    for token in text.split(","):
-        token = token.strip().lower()
-        if token not in BASELINE_KINDS:
-            raise ConfigError(
-                f"unknown baseline {token!r}, expected one of {', '.join(BASELINE_KINDS)}"
-            )
-        kinds.append(token)
-    return kinds
+    return [token.strip().lower() for token in text.split(",")]
 
 
 # --------------------------------------------------------------------------
@@ -249,6 +242,8 @@ def cmd_run(args) -> int:
             concurrency=args.concurrency,
         )
     baselines = _parse_baselines(args.baselines)
+    configs = {kind: _baseline_config(kind, seed=args.seed) for kind in BASELINE_KINDS}
+    validate_run(baselines, modes, configs)
     templates = None
     if args.template is not None:
         templates = TemplateSet.from_dir(args.template)
@@ -296,7 +291,7 @@ def cmd_run(args) -> int:
         baselines=baselines,
         modes=modes,
         provider_cfg=provider_cfg,
-        configs={kind: _baseline_config(kind, seed=args.seed) for kind in BASELINE_KINDS},
+        configs=configs,
         target_rate_hz=args.target_rate,
         templates=templates,
         manifest_extra=manifest_extra,

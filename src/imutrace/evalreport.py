@@ -35,7 +35,7 @@ from .core import (
 )
 from .errors import ConfigError, DataError
 from .llm import MOCK_PROVIDER_ID, Prediction, ProviderConfig, classify_windows
-from .prompting import PromptMode, SerializationOptions, TemplateSet
+from .prompting import PromptMode, TemplateSet
 from .baselines import BASELINES
 from .baselines.features import feature_matrix, label_vector
 
@@ -44,6 +44,10 @@ N_CLASSES = len(LABEL_ORDER)
 BASELINE_KINDS = tuple(BASELINES)
 
 DEFAULT_TARGET_RATE_HZ = 3.0
+
+# A prompt cell whose provider calls fail for more than this share of its
+# windows is skipped rather than scored on the few that came back.
+MAX_FAILED_SHARE = 0.5
 
 # Published targets this testbed is benchmarked against (unseen split).
 REFERENCE_TARGETS = {"indoor": 0.836, "outdoor": 0.767}
@@ -208,6 +212,32 @@ def predict_baseline(kind: str, model, inputs: tuple) -> list[TrajectoryLabel]:
     return labels
 
 
+def validate_run(
+    baselines: Sequence[str],
+    modes: Sequence[PromptMode],
+    configs: Mapping[str, object],
+) -> None:
+    """Refuse, with ``ConfigError``, an unknown baseline kind in
+    ``baselines`` or ``configs``, a config that is not an instance of its
+    kind's config class, and a kind or mode named twice."""
+    for kind in (*baselines, *configs):
+        if kind not in BASELINES:
+            raise ConfigError(
+                f"unknown baseline kind {kind!r}, expected one of {', '.join(BASELINE_KINDS)}"
+            )
+    for kind, cfg in configs.items():
+        expected = BASELINES[kind].config
+        if not isinstance(cfg, expected):
+            raise ConfigError(
+                f"config for {kind!r} must be a {expected.__name__}, "
+                f"got {type(cfg).__name__}"
+            )
+    named = {"baseline kind": list(baselines), "prompt mode": [m.value for m in modes]}
+    for what, names in named.items():
+        if len(set(names)) != len(names):
+            raise ConfigError(f"each {what} may be named once, got {', '.join(names)}")
+
+
 def run_experiment(
     windows: Sequence[TrajectoryWindow],
     split: SplitAssignment,
@@ -218,8 +248,6 @@ def run_experiment(
     configs: Optional[Mapping[str, object]] = None,
     target_rate_hz: float = DEFAULT_TARGET_RATE_HZ,
     templates: Optional[TemplateSet] = None,
-    opts: Optional[SerializationOptions] = None,
-    skip_threshold: float = 0.5,
     manifest_extra: Optional[dict] = None,
     transcript_path=None,
     dataset_sha256: Optional[str] = None,
@@ -232,20 +260,15 @@ def run_experiment(
     provider runs when no provider config is given. ``configs`` maps a
     baseline kind to its config; a kind it leaves out trains with its
     config class's defaults, and the manifest records the config of
-    every kind. A kind or mode named twice in ``baselines`` or ``modes``,
-    or an unknown kind, is refused with ``ConfigError``.
+    every kind. ``validate_run`` vets the kinds, modes and configs first.
+    A prompt cell is skipped when more than ``MAX_FAILED_SHARE`` of its
+    provider calls fail.
     ``dataset_sha256`` is ``dataset_hash(windows)`` when the caller
     already has it (say, from the CSV text it wrote); it is computed
     when omitted.
     """
     configs = dict(configs or {})
-    for kind in (*baselines, *configs):
-        if kind not in BASELINES:
-            raise ConfigError(f"unknown baseline kind {kind!r}")
-    named = {"baseline kind": list(baselines), "prompt mode": [m.value for m in modes]}
-    for what, names in named.items():
-        if len(set(names)) != len(names):
-            raise ConfigError(f"each {what} may be named once, got {', '.join(names)}")
+    validate_run(baselines, modes, configs)
     split.validate(windows)
     if templates is None:
         templates = TemplateSet.load_default()
@@ -314,12 +337,11 @@ def run_experiment(
                 mode,
                 cfg=provider_cfg,
                 templates=templates,
-                opts=opts,
                 transcript_path=transcript_path,
             )
             n_total = len(eval_down)
             n_failed = len(batch.failures)
-            if n_failed > skip_threshold * n_total:
+            if n_failed > MAX_FAILED_SHARE * n_total:
                 cells[key] = CellResult(
                     None,
                     None,

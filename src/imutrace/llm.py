@@ -36,10 +36,10 @@ from .errors import (
     UnparseableLabelError,
 )
 from .prompting import (
-    DEFAULT_SOURCE_RATE_HZ,
+    CHANNEL_HEADER,
+    SAMPLE_DELIMITER,
     PromptBundle,
     PromptMode,
-    SerializationOptions,
     TemplateSet,
     build_prompt,
 )
@@ -51,7 +51,7 @@ STRAIGHT_MAX_RAD = math.pi / 4
 QUARTER_MAX_RAD = 3 * math.pi / 4
 
 _RATE_PATTERN = re.compile(r"downsampled\s+to\s+([0-9]+(?:\.[0-9]+)?)\s*Hz", re.IGNORECASE)
-_SORTED_AXES = sorted(AXIS_NAMES)
+_GZ_COLUMN = AXIS_NAMES.index("gz")
 
 
 @dataclass(frozen=True)
@@ -212,60 +212,33 @@ def _read_completion(
     )
 
 
-def _read_header(line: str) -> Optional[tuple[str, list[str]]]:
-    """(delimiter, axis names) of a channel header line, None for other lines.
+def _parse_embedded_window(question: str) -> tuple[list[list[float]], float]:
+    """Recover (sample rows, sample rate) from a rendered question.
 
-    A header is the nine two-letter axis names joined by one delimiter, so
-    the line's length fixes the delimiter's width. Reading the names at
-    their fixed offsets, not by splitting, stays exact when the delimiter
-    itself contains letters.
+    Needs the exact ``CHANNEL_HEADER`` line that ``serialize_window``
+    writes, then one line per sample with nine numbers in ``AXIS_NAMES``
+    order joined by ``SAMPLE_DELIMITER``, and a context sentence quoting
+    the downsampled rate as "downsampled to <rate> Hz". A question
+    without that header is refused, since its columns cannot be trusted
+    to be in that order.
     """
-    n = len(AXIS_NAMES)
-    width, extra = divmod(len(line) - 2 * n, n - 1)
-    if width < 1 or extra:
-        return None
-    step = 2 + width
-    delimiter = line[2:step]
-    names = [line[k * step : k * step + 2] for k in range(n)]
-    if sorted(names) != _SORTED_AXES or any(
-        line[k * step + 2 : (k + 1) * step] != delimiter for k in range(1, n - 1)
-    ):
-        return None
-    return delimiter, names
-
-
-def _parse_embedded_window(question: str) -> tuple[list[list[float]], int, float]:
-    """Recover (sample rows, gz column, sample rate) from a rendered question.
-
-    Needs the channel header line that ``serialize_window`` emits (the
-    nine axis names in the prompt's column order), then one line per
-    sample with nine numbers joined by the header's delimiter, and a
-    context sentence quoting the downsampled rate as
-    "downsampled to <rate> Hz". The delimiter may be any string
-    ``SerializationOptions`` accepts: it holds no character a number is
-    written with, so splitting a sample line on it is exact.
-    """
-    delimiter: Optional[str] = None
-    gz_column = 0
+    header_seen = False
     rows: list[list[float]] = []
     for line in question.splitlines():
         line = line.strip()
-        if delimiter is None:
-            header = _read_header(line)
-            if header is not None:
-                delimiter, names = header
-                gz_column = names.index("gz")
+        if not header_seen:
+            header_seen = line == CHANNEL_HEADER
             continue
-        tokens = line.split(delimiter)
-        if len(tokens) != 9:
+        tokens = line.split(SAMPLE_DELIMITER)
+        if len(tokens) != len(AXIS_NAMES):
             continue
         try:
             rows.append([float(t) for t in tokens])
         except ValueError:
             continue
-    if delimiter is None:
+    if not header_seen:
         raise ProviderError(
-            "mock provider found no channel header line naming the nine axes, "
+            f"mock provider found no channel header line {CHANNEL_HEADER!r}, "
             "so it cannot tell which column is gz"
         )
     if len(rows) < 2:
@@ -278,7 +251,7 @@ def _parse_embedded_window(question: str) -> tuple[list[list[float]], int, float
     rate = float(match.group(1))
     if rate <= 0:
         raise ProviderError(f"mock provider parsed a non-positive sample rate {rate}")
-    return rows, gz_column, rate
+    return rows, rate
 
 
 def _classify_heading(dtheta: float) -> TrajectoryLabel:
@@ -293,8 +266,8 @@ def mock_complete(bundle: PromptBundle) -> CompletionResult:
     """Deterministic offline provider.
 
     Re-parses the serialized window embedded in the question, integrates
-    the column its channel header names gz by the trapezoid rule, and
-    refuses a prompt without that header. It classifies the net
+    its gz column by the trapezoid rule, and refuses a prompt without the
+    exact channel header ``serialize_window`` writes. It classifies the net
     heading change: below pi/4 in magnitude is straight, up to 3pi/4 a
     quarter turn (sign picks the side, positive yaw is a left turn),
     beyond that a turn around. Chain-of-thought bundles get a four-phase
@@ -302,8 +275,8 @@ def mock_complete(bundle: PromptBundle) -> CompletionResult:
     bundles get the bare label.
     """
     started = time.perf_counter()
-    rows, gz_column, rate = _parse_embedded_window(bundle.question)
-    gz = [row[gz_column] for row in rows]
+    rows, rate = _parse_embedded_window(bundle.question)
+    gz = [row[_GZ_COLUMN] for row in rows]
     dt = 1.0 / rate
     dtheta = sum((gz[i] + gz[i + 1]) * 0.5 * dt for i in range(len(gz) - 1))
     label = _classify_heading(dtheta)
@@ -428,13 +401,10 @@ def classify_windows(
     cfg: Optional[ProviderConfig] = None,
     completer: Optional[Callable[[PromptBundle], CompletionResult]] = None,
     templates: Optional[TemplateSet] = None,
-    opts: Optional[SerializationOptions] = None,
-    source_rate_hz: float = DEFAULT_SOURCE_RATE_HZ,
-    lexicon: Optional[LabelLexicon] = None,
-    concurrency: Optional[int] = None,
     transcript_path: Optional[str | Path] = None,
 ) -> BatchResult:
-    """Classify every window through one provider, in parallel.
+    """Classify every window through one provider, ``cfg.concurrency``
+    calls at a time (one at a time without ``cfg``).
 
     Predictions come back sorted by window_id regardless of completion
     order. A response whose text yields no label becomes a prediction
@@ -448,19 +418,11 @@ def classify_windows(
     """
     if completer is None:
         completer = mock_complete if cfg is None else (lambda b: complete(cfg, b))
-    if concurrency is None:
-        concurrency = cfg.concurrency if cfg is not None else 1
-    if concurrency < 1:
-        raise ConfigError(f"concurrency must be >= 1, got {concurrency}")
+    concurrency = cfg.concurrency if cfg is not None else 1
     if templates is None:
         templates = TemplateSet.load_default()
 
-    bundles = [
-        build_prompt(
-            w, mode, opts, templates=templates, source_rate_hz=source_rate_hz
-        )
-        for w in windows
-    ]
+    bundles = [build_prompt(w, mode, templates=templates) for w in windows]
 
     def attempt(bundle: PromptBundle):
         try:
@@ -483,9 +445,7 @@ def classify_windows(
             failures.append((bundle.window_id, str(result)))
             continue
         try:
-            label: Optional[TrajectoryLabel] = parse_label(
-                result.text, mode, lexicon=lexicon
-            )
+            label: Optional[TrajectoryLabel] = parse_label(result.text, mode)
         except LabelParseError:
             label = None
         predictions.append(

@@ -28,43 +28,22 @@ from .errors import ConfigError
 COT_CLOSER = "I would appreciate a step-by-step analysis of your reasoning process."
 DO_CLOSER = "Answer with exactly one of the candidate labels and nothing else."
 
-DEFAULT_SOURCE_RATE_HZ = 100.0
-DEFAULT_MAX_CHARS = 4000
+# The original logging rate the context sentence quotes, Hz.
+SOURCE_RATE_HZ = 100.0
+MAX_PROMPT_CHARS = 4000
+
+# The serialized window: this header line, then one line per sample with
+# the nine values in AXIS_NAMES order, 2 decimals, joined the same way.
+SAMPLE_DELIMITER = ", "
+CHANNEL_HEADER = SAMPLE_DELIMITER.join(AXIS_NAMES)
 
 TEMPLATE_FILES = ("instruction.txt", "question_cot.txt", "question_do.txt")
 _PLACEHOLDER = re.compile(r"\{\{(\w+)\}\}")
-# Characters a fixed-point sample value can be written with.
-_NUMBER_CHARS = frozenset("0123456789.+-")
 
 
 class PromptMode(Enum):
     DO = "do"
     COT = "cot"
-
-
-@dataclass(frozen=True)
-class SerializationOptions:
-    """How sample lines are rendered inside the question."""
-
-    decimals: int = 2
-    axis_order: tuple[str, ...] = AXIS_NAMES
-    sample_delimiter: str = ", "
-    channel_labels: bool = True
-
-    def __post_init__(self):
-        if not 0 <= self.decimals <= 9:
-            raise ConfigError(f"decimals must be in [0, 9], got {self.decimals}")
-        if sorted(self.axis_order) != sorted(AXIS_NAMES):
-            raise ConfigError(f"axis_order must be a permutation of {AXIS_NAMES}")
-        # a sample line must split back into its nine numbers, one per line
-        if not self.sample_delimiter or any(
-            c in _NUMBER_CHARS or len(f"a{c}a".splitlines()) > 1
-            for c in self.sample_delimiter
-        ):
-            raise ConfigError(
-                "sample_delimiter must be non-empty and hold no digit, '.', '+', "
-                f"'-' or line break, got {self.sample_delimiter!r}"
-            )
 
 
 @dataclass(frozen=True)
@@ -111,16 +90,12 @@ class TemplateSet:
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-def serialize_window(w: TrajectoryWindow, opts: SerializationOptions) -> str:
-    """One fixed-point line per sample, nine values in ``opts.axis_order``."""
-    rows = []
-    if opts.channel_labels:
-        rows.append(opts.sample_delimiter.join(opts.axis_order))
-    indices = [AXIS_NAMES.index(a) for a in opts.axis_order]
-    for values in w.data[:, indices].tolist():
-        rows.append(
-            opts.sample_delimiter.join(f"{v:.{opts.decimals}f}" for v in values)
-        )
+def serialize_window(w: TrajectoryWindow) -> str:
+    """``CHANNEL_HEADER``, then one fixed-point line per sample."""
+    rows = [CHANNEL_HEADER]
+    rows.extend(
+        SAMPLE_DELIMITER.join(f"{v:.2f}" for v in values) for values in w.data.tolist()
+    )
     return "\n".join(rows)
 
 
@@ -166,20 +141,16 @@ def validate_bundle(bundle: PromptBundle) -> None:
 def build_prompt(
     w: TrajectoryWindow,
     mode: PromptMode,
-    opts: Optional[SerializationOptions] = None,
     *,
     templates: Optional[TemplateSet] = None,
-    source_rate_hz: float = DEFAULT_SOURCE_RATE_HZ,
-    max_chars: int = DEFAULT_MAX_CHARS,
 ) -> PromptBundle:
     """Render ``w`` into a prompt bundle for ``mode``.
 
-    ``source_rate_hz`` is the original logging rate quoted in the
-    context sentence; the downsampled rate is taken from the window
-    itself. Deterministic: identical inputs render identical text.
+    The context sentence quotes ``SOURCE_RATE_HZ`` as the original
+    logging rate and the window's own rate as the downsampled one.
+    Deterministic: identical inputs render identical text. A prompt
+    over ``MAX_PROMPT_CHARS`` is refused with ``ConfigError``.
     """
-    if opts is None:
-        opts = SerializationOptions()
     if templates is None:
         templates = TemplateSet.load_default()
 
@@ -187,9 +158,9 @@ def build_prompt(
         templates.question_cot if mode is PromptMode.COT else templates.question_do
     )
     values = {
-        "source_rate": _format_rate(source_rate_hz),
+        "source_rate": _format_rate(SOURCE_RATE_HZ),
         "sample_rate": _format_rate(w.rate),
-        "data": serialize_window(w, opts),
+        "data": serialize_window(w),
         "labels": candidate_label_list(),
     }
     bundle = PromptBundle(
@@ -198,10 +169,10 @@ def build_prompt(
         mode=mode,
         window_id=w.id,
     )
-    if len(bundle.text) > max_chars:
+    if len(bundle.text) > MAX_PROMPT_CHARS:
         raise ConfigError(
             f"prompt for window {w.id!r} is {len(bundle.text)} characters, "
-            f"over the {max_chars} budget; raise max_chars or shrink the window"
+            f"over the {MAX_PROMPT_CHARS} budget; shrink the window"
         )
     validate_bundle(bundle)
     return bundle

@@ -154,6 +154,14 @@ def test_run_refuses_duplicate_kinds_and_modes(tmp_path, capsys):
     assert "named once" in capsys.readouterr().err
 
 
+def test_run_vets_lists_before_writing(tmp_path, capsys):
+    out = tmp_path / "r"
+    rc = main(["run", "--per-class", "6", "--baselines", "rf,rf", "--out", str(out)])
+    assert rc == 2
+    assert "named once" in capsys.readouterr().err
+    assert not (out / "dataset.csv").exists()
+
+
 def test_run_requires_one_data_source(tmp_path, capsys):
     rc = main(["run", "--out", str(tmp_path / "r")])
     assert rc == 2

@@ -4,6 +4,7 @@ import pytest
 import imutrace.evalreport as evalreport
 from imutrace.baselines.forest import RfConfig
 from imutrace.baselines.nn import CnnConfig, LstmConfig
+from imutrace.baselines.svm import SvmConfig
 from imutrace.core import Part, Scenario, SplitAssignment, TrajectoryLabel, split_dataset
 from imutrace.errors import ConfigError, DataError
 from imutrace.evalreport import (
@@ -326,6 +327,8 @@ def test_unknown_baseline_rejected():
         run_experiment([], SplitAssignment(assignment={}), baselines=("xgboost",))
     with pytest.raises(ConfigError):
         run_experiment([], SplitAssignment(assignment={}), configs={"xgboost": RfConfig()})
+    with pytest.raises(ConfigError, match="must be a RfConfig, got SvmConfig"):
+        run_experiment([], SplitAssignment(assignment={}), configs={"rf": SvmConfig()})
 
 
 def test_each_baseline_trains_once_per_scenario(monkeypatch):

@@ -21,16 +21,13 @@ from imutrace.llm import (
     CompletionResult,
     LabelLexicon,
     MOCK_PROVIDER_ID,
+    ProviderConfig,
+    _parse_embedded_window,
     classify_windows,
     mock_complete,
     parse_label,
 )
-from imutrace.prompting import (
-    PromptBundle,
-    PromptMode,
-    SerializationOptions,
-    build_prompt,
-)
+from imutrace.prompting import PromptBundle, PromptMode, build_prompt
 from imutrace.synth import GeneratorConfig, ZERO_NOISE, generate_dataset, uniform_counts
 
 from conftest import window_from_array
@@ -120,10 +117,19 @@ def test_mock_needs_sample_lines():
         mock_complete(bundle)
 
 
-def test_mock_needs_channel_header():
+_SAMPLES = "\n1, 2, 3, 4, 5, 6, 7, 8, 9\n9, 8, 7, 6, 5, 4, 3, 2, 1"
+
+
+@pytest.mark.parametrize(
+    "header",
+    ["", ", ".join(reversed(AXIS_NAMES)), "; ".join(AXIS_NAMES)],
+    ids=["no-header", "permuted", "semicolon"],
+)
+def test_mock_needs_channel_header(header):
+    # only the one fixed layout says which column is gz
     bundle = PromptBundle(
         instruction="inst",
-        question="downsampled to 3 Hz\n1, 2, 3, 4, 5, 6, 7, 8, 9\n9, 8, 7, 6, 5, 4, 3, 2, 1",
+        question=f"downsampled to 3 Hz\n{header}{_SAMPLES}",
         mode=PromptMode.DO,
         window_id="w",
     )
@@ -131,47 +137,23 @@ def test_mock_needs_channel_header():
         mock_complete(bundle)
 
 
-_CLEAN_48 = _clean_windows(per_class=6)
-_DEFAULT_LABELS = [
-    p.label for p in classify_windows(_CLEAN_48, PromptMode.DO).predictions
-]
-
-
-@settings(max_examples=25, deadline=None)
-@given(order=st.permutations(AXIS_NAMES), header=st.booleans())
-def test_mock_reads_any_axis_order_from_header(order, header):
-    opts = SerializationOptions(axis_order=tuple(order), channel_labels=header)
-    batch = classify_windows(_CLEAN_48, PromptMode.DO, opts=opts)
-    if header:
-        assert not batch.failures
-        assert [p.label for p in batch.predictions] == _DEFAULT_LABELS
-    else:
-        # a headerless prompt cannot say its column order
-        assert not batch.predictions
-        assert len(batch.failures) == len(_CLEAN_48)
-
-
-def _allowed_delimiter(text):
-    try:
-        SerializationOptions(sample_delimiter=text)
-    except ConfigError:
-        return False
-    return True
+_BOUNDED = st.floats(-1e3, 1e3, exclude_min=True, exclude_max=True)
 
 
 @settings(max_examples=40, deadline=None)
 @given(
-    delimiter=st.one_of(
-        st.sampled_from(["; ", " | ", "\t", " ", "gx", "axay", "/"]),
-        st.text(min_size=1, max_size=3).filter(_allowed_delimiter),
+    data=st.integers(2, 20).flatmap(
+        lambda n: st.lists(st.lists(_BOUNDED, min_size=9, max_size=9), min_size=n, max_size=n)
     ),
-    order=st.permutations(AXIS_NAMES),
+    mode=st.sampled_from(PromptMode),
 )
-def test_mock_reads_any_allowed_delimiter(delimiter, order):
-    opts = SerializationOptions(axis_order=tuple(order), sample_delimiter=delimiter)
-    batch = classify_windows(_CLEAN_48, PromptMode.DO, opts=opts)
-    assert not batch.failures
-    assert [p.label for p in batch.predictions] == _DEFAULT_LABELS
+def test_mock_reads_back_the_two_decimal_window(data, mode):
+    w = window_from_array(np.array(data), rate=3.0)
+    rows, rate = _parse_embedded_window(build_prompt(w, mode).question)
+    assert rate == 3.0
+    assert rows == [[float(f"{v:.2f}") for v in row] for row in data]
+    gz = AXIS_NAMES.index("gz")
+    assert [row[gz] for row in rows] == [float(f"{v:.2f}") for v in w.data[:, gz]]
 
 
 def test_completion_result_rejects_empty_text():
@@ -318,15 +300,9 @@ def test_classify_windows_concurrent_order_stable():
             seen.append(bundle.window_id)
         return mock_complete(bundle)
 
-    batch = classify_windows(
-        windows, PromptMode.DO, completer=completer, concurrency=8
-    )
+    cfg = ProviderConfig(endpoint="http://unused", model="fake", concurrency=8)
+    batch = classify_windows(windows, PromptMode.DO, cfg=cfg, completer=completer)
     assert [p.window_id for p in batch.predictions] == sorted(w.id for w in windows)
     assert len(seen) == len(windows)
     truth = {w.id: w.label for w in windows}
     assert all(p.label is truth[p.window_id] for p in batch.predictions)
-
-
-def test_classify_windows_rejects_bad_concurrency():
-    with pytest.raises(ConfigError):
-        classify_windows(_clean_windows()[:2], PromptMode.DO, concurrency=0)

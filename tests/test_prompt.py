@@ -5,15 +5,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from imutrace.core import AXIS_NAMES, Scenario, TrajectoryLabel, downsample
+from imutrace.core import Scenario, TrajectoryLabel, downsample
 from imutrace.errors import ConfigError
 from imutrace.prompting import (
     COT_CLOSER,
-    DEFAULT_MAX_CHARS,
     DO_CLOSER,
+    MAX_PROMPT_CHARS,
     PromptBundle,
     PromptMode,
-    SerializationOptions,
     TemplateSet,
     build_prompt,
     candidate_label_list,
@@ -30,49 +29,13 @@ TEMPLATE_DIR = Path(__file__).resolve().parents[1] / "src" / "imutrace" / "templ
 def test_serialize_window_exact_lines(make_window):
     data = np.zeros((2, 9))
     data[0] = [1.0, -2.5, 0.1, 0.0, 3.0, -0.75, 30.0, 0.0, 40.0]
-    data[1] = [0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5]
+    data[1] = [0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.125]
     w = make_window(data, rate=10.0)
-    text = serialize_window(w, SerializationOptions(channel_labels=False))
-    assert text == (
+    assert serialize_window(w) == (
+        "ax, ay, az, gx, gy, gz, mx, my, mz\n"
         "1.00, -2.50, 0.10, 0.00, 3.00, -0.75, 30.00, 0.00, 40.00\n"
-        "0.50, 0.50, 0.50, 0.50, 0.50, 0.50, 0.50, 0.50, 0.50"
+        "0.50, 0.50, 0.50, 0.50, 0.50, 0.50, 0.50, 0.50, 0.12"
     )
-
-
-def test_serialize_window_header_and_decimals(make_window):
-    w = make_window(np.full((2, 9), 0.125), rate=10.0)
-    text = serialize_window(w, SerializationOptions(decimals=3))
-    lines = text.split("\n")
-    assert lines[0] == ", ".join(AXIS_NAMES)
-    assert lines[1] == ", ".join(["0.125"] * 9)
-    assert len(lines) == 3
-
-
-def test_serialize_window_axis_permutation(make_window):
-    data = np.zeros((2, 9))
-    data[:, 0] = 1.0   # ax
-    data[:, 5] = 2.0   # gz
-    w = make_window(data, rate=10.0)
-    order = ("gz", "ax", "ay", "az", "gx", "gy", "mx", "my", "mz")
-    text = serialize_window(
-        w, SerializationOptions(axis_order=order, channel_labels=False)
-    )
-    assert text.split("\n")[0].startswith("2.00, 1.00, 0.00")
-
-
-def test_serialization_options_validation():
-    with pytest.raises(ConfigError):
-        SerializationOptions(decimals=10)
-    with pytest.raises(ConfigError):
-        SerializationOptions(axis_order=("ax",) * 9)
-
-
-def test_sample_delimiter_must_split_back():
-    for bad in ("", "0", "; 1", ".", "+", " - ", "\n", "a\rb", "\u2028"):
-        with pytest.raises(ConfigError, match="sample_delimiter"):
-            SerializationOptions(sample_delimiter=bad)
-    for good in (", ", "; ", " | ", "\t", " ", "gx"):
-        assert SerializationOptions(sample_delimiter=good).sample_delimiter == good
 
 
 def test_build_prompt_substitutes_everything(make_window):
@@ -129,7 +92,7 @@ def test_default_budget_fits_30_sample_windows():
     windows, _ = generate_dataset(
         GeneratorConfig(seed=13), uniform_counts(2), None
     )
-    assert DEFAULT_MAX_CHARS == 4000
+    assert MAX_PROMPT_CHARS == 4000
     for w in windows:
         d = downsample(w, 3.0)
         assert len(d) == 30
@@ -140,10 +103,8 @@ def test_default_budget_fits_30_sample_windows():
 
 def test_over_budget_raises(make_window):
     w = make_window(np.zeros((1000, 9)), rate=100.0)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="over the 4000 budget"):
         build_prompt(w, PromptMode.COT)
-    bundle = build_prompt(w, PromptMode.COT, max_chars=100_000)
-    assert len(bundle.text) > 4000
 
 
 def test_template_set_from_dir(tmp_path, make_window):
