@@ -21,7 +21,10 @@ class BaselineSpec(NamedTuple):
     which carry their own labels). ``train`` and ``predict_batch`` name
     attributes of ``module``, looked up when called, so whatever the
     attribute holds at that moment (a tracing wrapper, a test double) is
-    what runs.
+    what runs. ``run_experiment`` trains on a ``fork`` pool, so ``train``
+    is looked up in the worker, after the fork: a double installed
+    before the run is inherited and runs there, and whatever it records
+    in memory stays in the worker.
     """
 
     input: str

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import hashlib
 import json
 import sys
 from pathlib import Path
@@ -21,9 +20,9 @@ from .core import (
     Part,
     Scenario,
     SplitAssignment,
+    dataset_hash,
     downsample,
     ingest_csv,
-    serialize_csv,
     split_dataset,
 )
 from .errors import (
@@ -65,14 +64,6 @@ def _write_json(obj: dict, path: Path) -> None:
     path.write_text(
         json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n", encoding="utf-8"
     )
-
-
-def _write_dataset(windows, path: Path) -> str:
-    """Write the canonical CSV of ``windows``; returns its sha256, which is
-    ``dataset_hash(windows)`` without serializing a second time."""
-    data = serialize_csv(windows).encode("utf-8")
-    path.write_bytes(data)
-    return hashlib.sha256(data).hexdigest()
 
 
 def _load_windows(path: str):
@@ -150,7 +141,7 @@ def cmd_generate(args) -> int:
     try:
         out.mkdir(parents=True, exist_ok=True)
         manifest = dict(manifest)
-        manifest["dataset_sha256"] = _write_dataset(windows, out / "dataset.csv")
+        manifest["dataset_sha256"] = dataset_hash(windows, out / "dataset.csv")
         _write_json(manifest, out / "manifest.json")
     except OSError as exc:
         raise ConfigError(f"cannot write to output directory {out}: {exc}")
@@ -275,31 +266,27 @@ def cmd_run(args) -> int:
 
     out = Path(args.out)
     transcript_path = out / "transcript.jsonl" if args.transcript else None
-    dataset_sha256 = None
     try:
         out.mkdir(parents=True, exist_ok=True)
         if transcript_path is not None and transcript_path.exists():
             transcript_path.unlink()
-        if generated is not None:
-            dataset_sha256 = _write_dataset(windows, out / "dataset.csv")
     except OSError as exc:
         raise ConfigError(f"cannot prepare output directory {out}: {exc}")
 
-    report = run_experiment(
-        windows,
-        split,
-        baselines=baselines,
-        modes=modes,
-        provider_cfg=provider_cfg,
-        configs=configs,
-        target_rate_hz=args.target_rate,
-        templates=templates,
-        manifest_extra=manifest_extra,
-        transcript_path=transcript_path,
-        dataset_sha256=dataset_sha256,
-    )
-
     try:
+        report = run_experiment(
+            windows,
+            split,
+            baselines=baselines,
+            modes=modes,
+            provider_cfg=provider_cfg,
+            configs=configs,
+            target_rate_hz=args.target_rate,
+            templates=templates,
+            manifest_extra=manifest_extra,
+            transcript_path=transcript_path,
+            dataset_csv=out / "dataset.csv" if generated is not None else None,
+        )
         _write_json(
             {"seed": args.split_seed, "assignment": split.to_json_dict()},
             out / "split.json",
@@ -309,6 +296,7 @@ def cmd_run(args) -> int:
         (out / "report.jsonl").write_text(
             render_report(report, "jsonl"), encoding="utf-8"
         )
+        _write_json(report.timings, out / "timings.json")
     except OSError as exc:
         raise ConfigError(f"cannot write run outputs to {out}: {exc}")
 

@@ -30,6 +30,7 @@ import io
 import math
 from dataclasses import dataclass
 from enum import Enum
+from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -226,9 +227,16 @@ def serialize_csv(windows: Iterable[TrajectoryWindow]) -> str:
     return buf.getvalue()
 
 
-def dataset_hash(windows: Sequence[TrajectoryWindow]) -> str:
-    """SHA-256 of the canonical CSV serialization."""
-    return hashlib.sha256(serialize_csv(windows).encode("utf-8")).hexdigest()
+def dataset_hash(
+    windows: Sequence[TrajectoryWindow], write_to: Optional[Path] = None
+) -> str:
+    """SHA-256 of the canonical CSV serialization. With ``write_to``, the
+    CSV bytes are also written to that file, so one serialization serves
+    both."""
+    data = serialize_csv(windows).encode("utf-8")
+    if write_to is not None:
+        Path(write_to).write_bytes(data)
+    return hashlib.sha256(data).hexdigest()
 
 
 def _infer_rate(times: np.ndarray) -> float:

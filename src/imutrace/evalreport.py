@@ -17,8 +17,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass
+import os
+import time
+from dataclasses import asdict, dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
+from functools import partial
+from pathlib import Path
 from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -57,6 +61,13 @@ REFERENCE_FOOTER = (
 )
 
 _TEST_NAMES = {Part.SEEN_TEST: "Seen", Part.UNSEEN_TEST: "Unseen"}
+
+# run_experiment submits its pool tasks longest first, so the short ones
+# fill in behind the long ones. One traced grid-mock op (--per-class 12,
+# one process) spent 1.50 s training the two LSTMs, 1.02 s serializing the
+# 22 MB dataset CSV, and 0.23 s, 0.14 s and 0.12 s training the CNNs,
+# forests and SVMs.
+_TASK_ORDER = ("lstm", "dataset", "cnn", "svm", "rf")
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,10 +112,16 @@ class CellResult:
 
 @dataclass(frozen=True, eq=False)
 class EvalReport:
-    """Cells keyed by (model id, scenario, split part), plus the manifest."""
+    """Cells keyed by (model id, scenario, split part), plus the manifest.
+
+    ``timings`` holds the wall-clock record of ``run_experiment``'s pool
+    (see ``_run_tasks``); it is never rendered and never enters the
+    manifest, so reruns stay byte-identical.
+    """
 
     cells: Mapping[tuple[str, Scenario, Part], CellResult]
     manifest: dict
+    timings: dict = field(default_factory=dict)
 
     def manifest_digest(self) -> str:
         if set(self.manifest) == {"sha256"}:
@@ -238,6 +255,70 @@ def validate_run(
             raise ConfigError(f"each {what} may be named once, got {', '.join(names)}")
 
 
+# A pool worker's tasks, set by ``_adopt_tasks`` in the worker itself; the
+# parent process never sets it.
+_WORKER_TASKS: list[Callable[[], object]] = []
+
+
+def _adopt_tasks(tasks: list[Callable[[], object]]) -> None:
+    global _WORKER_TASKS
+    _WORKER_TASKS = tasks
+
+
+def _timed(task: Callable[[], object]) -> tuple:
+    """``task()`` with the wall and CPU seconds it took, measured in the
+    process that ran it."""
+    wall, cpu = time.perf_counter(), time.process_time()
+    result = task()
+    return result, time.perf_counter() - wall, time.process_time() - cpu
+
+
+def _timed_task(index: int) -> tuple:
+    return _timed(_WORKER_TASKS[index])
+
+
+def _run_tasks(tasks: Mapping[str, Callable[[], object]]) -> tuple[dict, dict]:
+    """Run the named zero-argument ``tasks``, in order, on a ``fork`` pool of
+    one worker per usable core (no more than there are tasks), or inline
+    when that is one worker or the platform cannot fork. Returns the
+    results by name, and timings: ``workers``, ``pool_s`` and each task's
+    ``wall_s`` and ``cpu_s``. A task's exception reaches the caller, and
+    every worker has been reaped when this returns.
+
+    A worker inherits the tasks, and the data they close over, when it
+    forks (the pool's initializer arguments are not pickled under
+    ``fork``); it receives only a task index and sends back only the
+    result. Forking is safe here because the package has started no
+    thread when ``run_experiment`` calls this.
+    """
+    # imported here, not at the top, so that what never runs a pool (the
+    # other subcommands, a live-provider client) starts without it
+    import multiprocessing
+
+    fns = list(tasks.values())
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(cores, len(fns))
+    started = time.perf_counter()
+    if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
+        workers = 1
+        done = [_timed(fn) for fn in fns]
+    else:
+        ctx = multiprocessing.get_context("fork")
+        with ctx.Pool(workers, initializer=_adopt_tasks, initargs=(fns,)) as pool:
+            done = pool.map(_timed_task, range(len(fns)), chunksize=1)
+            pool.close()
+            pool.join()
+    timings = {
+        "workers": workers,
+        "pool_s": time.perf_counter() - started,
+        "tasks": {
+            name: {"wall_s": wall, "cpu_s": cpu}
+            for name, (_, wall, cpu) in zip(tasks, done)
+        },
+    }
+    return {name: result for name, (result, _, _) in zip(tasks, done)}, timings
+
+
 def run_experiment(
     windows: Sequence[TrajectoryWindow],
     split: SplitAssignment,
@@ -250,7 +331,7 @@ def run_experiment(
     templates: Optional[TemplateSet] = None,
     manifest_extra: Optional[dict] = None,
     transcript_path=None,
-    dataset_sha256: Optional[str] = None,
+    dataset_csv: Optional[Path] = None,
 ) -> EvalReport:
     """Fill the full (model, scenario, split) grid.
 
@@ -263,9 +344,15 @@ def run_experiment(
     every kind. ``validate_run`` vets the kinds, modes and configs first.
     A prompt cell is skipped when more than ``MAX_FAILED_SHARE`` of its
     provider calls fail.
-    ``dataset_sha256`` is ``dataset_hash(windows)`` when the caller
-    already has it (say, from the CSV text it wrote); it is computed
-    when omitted.
+
+    The trainings (one per kind and scenario with Train windows and a
+    non-empty test part) and one serialization of the dataset, which
+    gives the manifest's ``dataset_sha256`` and is written to
+    ``dataset_csv`` when that is given, run as independent tasks on a
+    ``fork`` pool with one worker per usable core, or inline on one core
+    (see ``_run_tasks``). The pool is done before any prompt cell runs,
+    and the report, the manifest, the CSV and every model are the same
+    bytes either way; only the report's ``timings`` differ.
     """
     configs = dict(configs or {})
     validate_run(baselines, modes, configs)
@@ -281,24 +368,38 @@ def run_experiment(
     for w in windows:
         by_part_scenario.setdefault((split.assignment[w.id], w.scenario), []).append(w)
 
+    # RF and SVM share one feature matrix per (scenario, part), CNN and
+    # LSTM one list of downsampled windows
+    inputs: dict[tuple[Scenario, Part, str], tuple] = {}
+
+    def inputs_for(kind: str, scenario: Scenario, part: Part) -> tuple:
+        key = (scenario, part, BASELINES[kind].input)
+        if key not in inputs:
+            part_windows = by_part_scenario.get((part, scenario), [])
+            inputs[key] = baseline_inputs(kind, part_windows, lambda w: down[w.id])
+        return inputs[key]
+
+    test_parts = (Part.SEEN_TEST, Part.UNSEEN_TEST)
+    tasks = {
+        f"{kind}/{scenario.value}": partial(
+            train_baseline, kind, inputs_for(kind, scenario, Part.TRAIN), configs[kind]
+        )
+        for scenario in Scenario
+        if (Part.TRAIN, scenario) in by_part_scenario
+        and any((part, scenario) in by_part_scenario for part in test_parts)
+        for kind in baselines
+    }
+    tasks["dataset"] = partial(dataset_hash, windows, dataset_csv)
+    results, timings = _run_tasks(
+        dict(sorted(tasks.items(), key=lambda t: _TASK_ORDER.index(t[0].split("/")[0])))
+    )
+
     cells: dict[tuple[str, Scenario, Part], CellResult] = {}
 
     for scenario in Scenario:
         train_full = by_part_scenario.get((Part.TRAIN, scenario), [])
-        # RF and SVM share one feature matrix per part, CNN and LSTM one
-        # list of downsampled windows
-        inputs: dict[tuple[Part, str], tuple] = {}
-
-        def inputs_for(kind: str, part: Part) -> tuple:
-            key = (part, BASELINES[kind].input)
-            if key not in inputs:
-                part_windows = by_part_scenario.get((part, scenario), [])
-                inputs[key] = baseline_inputs(kind, part_windows, lambda w: down[w.id])
-            return inputs[key]
-
         for kind in baselines:
-            model = None
-            for part in (Part.SEEN_TEST, Part.UNSEEN_TEST):
+            for part in test_parts:
                 eval_full = by_part_scenario.get((part, scenario), [])
                 key = (kind, scenario, part)
                 if not train_full:
@@ -311,11 +412,8 @@ def run_experiment(
                         None, None, skipped_reason="no evaluation windows in scenario"
                     )
                     continue
-                if model is None:
-                    model = train_baseline(
-                        kind, inputs_for(kind, Part.TRAIN), configs[kind]
-                    )
-                labels = predict_baseline(kind, model, inputs_for(kind, part))
+                model = results[f"{kind}/{scenario.value}"]
+                labels = predict_baseline(kind, model, inputs_for(kind, scenario, part))
                 preds = [
                     Prediction(window_id=w.id, label=lb, raw_text="", mode=None, provider=kind)
                     for w, lb in zip(eval_full, labels)
@@ -356,9 +454,7 @@ def run_experiment(
             )
 
     manifest = {
-        "dataset_sha256": (
-            dataset_sha256 if dataset_sha256 is not None else dataset_hash(windows)
-        ),
+        "dataset_sha256": results["dataset"],
         "split_sha256": canonical_digest(split.to_json_dict()),
         "template_sha256": templates.digest(),
         "provider": provider,
@@ -375,7 +471,7 @@ def run_experiment(
     }
     if manifest_extra:
         manifest.update(manifest_extra)
-    return EvalReport(cells=cells, manifest=manifest)
+    return EvalReport(cells=cells, manifest=manifest, timings=timings)
 
 
 # --------------------------------------------------------------------------

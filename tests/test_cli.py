@@ -243,16 +243,21 @@ def test_version_subprocess():
 
 
 def test_run_hashes_the_dataset_it_writes_once(tmp_path, monkeypatch):
-    calls = []
+    # the dataset is serialized in a forked pool worker (rf trains beside
+    # it), so every call appends a line to a file, which counts calls made
+    # in any process
+    log = tmp_path / "calls.log"
+    log.touch()
 
     def counting(windows):
-        calls.append(len(windows))
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(f"{len(windows)}\n")
         return serialize_csv(windows)
 
     monkeypatch.setattr(core, "serialize_csv", counting)
-    monkeypatch.setattr(cli, "serialize_csv", counting)
     out = tmp_path / "r"
-    assert _run(out, extra=("--baselines", "none", "--providers", "none")) == 0
+    assert _run(out, extra=("--providers", "none")) == 0
+    calls = log.read_text(encoding="utf-8").split()
     assert len(calls) == 1
     monkeypatch.undo()
 
@@ -263,3 +268,21 @@ def test_run_hashes_the_dataset_it_writes_once(tmp_path, monkeypatch):
         GeneratorConfig(seed=0), uniform_counts(6), {s: ZERO_NOISE for s in Scenario}
     )
     assert manifest["dataset_sha256"] == dataset_hash(windows)
+
+
+def test_run_writes_timings_beside_the_same_outputs_pooled_or_inline(tmp_path, monkeypatch):
+    kinds = ",".join(BASELINES)
+    pooled, inline = tmp_path / "pooled", tmp_path / "inline"
+    assert _run(pooled, extra=("--baselines", kinds)) == 0
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert _run(inline, extra=("--baselines", kinds)) == 0
+    for name in RUN_FILES:
+        assert (pooled / name).read_bytes() == (inline / name).read_bytes(), name
+    tasks = {f"{kind}/{s.value}" for kind in BASELINES for s in Scenario} | {"dataset"}
+    for out in (pooled, inline):
+        timings = json.loads((out / "timings.json").read_text())
+        assert set(timings) == {"workers", "pool_s", "tasks"}
+        assert set(timings["tasks"]) == tasks
+        assert all(t["wall_s"] >= 0 and t["cpu_s"] >= 0 for t in timings["tasks"].values())
+    assert json.loads((inline / "timings.json").read_text())["workers"] == 1
+    assert "wall_s" not in (pooled / "report.jsonl").read_text()

@@ -1,3 +1,5 @@
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -331,13 +333,30 @@ def test_unknown_baseline_rejected():
         run_experiment([], SplitAssignment(assignment={}), configs={"rf": SvmConfig()})
 
 
-def test_each_baseline_trains_once_per_scenario(monkeypatch):
-    cfg = GeneratorConfig(seed=4, windows_per_group=2)
-    noise = {s: ZERO_NOISE for s in Scenario}
-    windows, _ = generate_dataset(cfg, uniform_counts(3), noise=noise)
-    split = split_dataset(windows, seed=1)
-    trains = {kind: 0 for kind in evalreport.BASELINE_KINDS}
-    features = []
+def _small_grid():
+    windows, _ = generate_dataset(
+        GeneratorConfig(seed=4, windows_per_group=2),
+        uniform_counts(3),
+        noise={s: ZERO_NOISE for s in Scenario},
+    )
+    configs = {
+        "rf": RfConfig(trees=5),
+        "cnn": CnnConfig(filters1=4, filters2=6, epochs=2),
+        "lstm": LstmConfig(hidden=4, epochs=2),
+    }
+    return windows, split_dataset(windows, seed=1), configs
+
+
+def test_each_baseline_trains_once_per_scenario(monkeypatch, tmp_path):
+    windows, split, configs = _small_grid()
+    # training runs in forked pool workers, so every call appends a line to
+    # a file, which counts calls made in any process
+    log = tmp_path / "calls.log"
+    log.touch()
+
+    def record(name):
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(name + "\n")
 
     # the runner resolves train functions through module attributes, so
     # patched ones (as a tracer installs them) are the ones that run
@@ -346,28 +365,22 @@ def test_each_baseline_trains_once_per_scenario(monkeypatch):
         real = getattr(spec.module, spec.train)
 
         def train(*args):
-            trains[kind] += 1
+            record(kind)
             return real(*args)
 
         return train
 
-    for kind in trains:
+    for kind in evalreport.BASELINE_KINDS:
         spec = evalreport.BASELINES[kind]
         monkeypatch.setattr(spec.module, spec.train, counting(kind))
     real_features = evalreport.feature_matrix
     monkeypatch.setattr(
-        evalreport, "feature_matrix", lambda ws: features.append(len(ws)) or real_features(ws)
+        evalreport, "feature_matrix", lambda ws: record("features") or real_features(ws)
     )
-    r = run_experiment(
-        windows,
-        split,
-        modes=(),
-        configs={
-            "rf": RfConfig(trees=5),
-            "cnn": CnnConfig(filters1=4, filters2=6, epochs=2),
-            "lstm": LstmConfig(hidden=4, epochs=2),
-        },
-    )
+    r = run_experiment(windows, split, modes=(), configs=configs)
+    calls = log.read_text(encoding="utf-8").split()
+    trains = {kind: calls.count(kind) for kind in evalreport.BASELINE_KINDS}
+    features = [name for name in calls if name == "features"]
     parts = {(split.assignment[w.id], w.scenario) for w in windows}
     trained = [s for s in Scenario if (Part.TRAIN, s) in parts]
     assert len(trained) == 2
@@ -382,3 +395,30 @@ def test_each_baseline_trains_once_per_scenario(monkeypatch):
             for part in test_parts:
                 cell = r.cells[(kind, scenario, part)]
                 assert cell.skipped == ((part, scenario) not in parts)
+
+
+def test_pooled_and_inline_runs_agree(monkeypatch):
+    windows, split, configs = _small_grid()
+    pooled = run_experiment(windows, split, configs=configs)
+    monkeypatch.setattr(evalreport.os, "sched_getaffinity", lambda pid: {0})
+    inline = run_experiment(windows, split, configs=configs)
+    assert inline.timings["workers"] == 1
+    assert render_report(pooled, "jsonl") == render_report(inline, "jsonl")
+    assert pooled.manifest_digest() == inline.manifest_digest()
+    # both ran the same tasks, longest first
+    assert list(pooled.timings["tasks"]) == list(inline.timings["tasks"]) == [
+        "lstm/indoor", "lstm/outdoor", "dataset", "cnn/indoor", "cnn/outdoor",
+        "svm/indoor", "svm/outdoor", "rf/indoor", "rf/outdoor",
+    ]
+
+
+def test_a_failing_task_reaches_the_caller(monkeypatch):
+    windows, split, configs = _small_grid()
+
+    def broken(*args):
+        raise DataError("lstm training failed on purpose")
+
+    monkeypatch.setattr(evalreport.BASELINES["lstm"].module, "train_lstm", broken)
+    with pytest.raises(DataError, match="^lstm training failed on purpose$"):
+        run_experiment(windows, split, modes=(), configs=configs)
+    assert multiprocessing.active_children() == []
