@@ -28,10 +28,11 @@ import csv
 import hashlib
 import io
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -211,20 +212,34 @@ def _csv_prefix(*fields: str) -> str:
     return line.getvalue()[:-1]
 
 
-def serialize_csv(windows: Iterable[TrajectoryWindow]) -> str:
-    """Render windows in the canonical CSV layout (see module docstring)."""
-    buf = io.StringIO()
-    buf.write(",".join(CSV_COLUMNS) + "\n")
+def _csv_chunks(windows: Iterable[TrajectoryWindow]) -> Iterator[str]:
+    """The canonical CSV text as the header line, then one chunk per window."""
+    yield ",".join(CSV_COLUMNS) + "\n"
+    # the "t" strings of one rate, as long as its longest window so far;
+    # windows of one rate share them instead of each repr-ing its own
+    times: dict[float, list[str]] = {}
     for w in windows:
         label = w.label.value if w.label is not None else ""
         prefix = _csv_prefix(f"{w.recording_group}/{w.id}", w.scenario.value, label)
         rate = float(w.rate)
+        t = times.setdefault(rate, [])
+        t.extend(repr(i / rate) for i in range(len(t), len(w.data)))
         # tolist() yields Python floats, whose repr is the shortest string
         # that parses back to the same float; no float repr holds a
         # character the csv dialect would quote
-        for i, row in enumerate(w.data.tolist()):
-            buf.write(f"{prefix},{i / rate!r},{','.join(map(repr, row))}\n")
-    return buf.getvalue()
+        yield "".join(
+            f"{prefix},{ti},{','.join(map(repr, row))}\n"
+            for ti, row in zip(t, w.data.tolist())
+        )
+
+
+def serialize_csv(windows: Iterable[TrajectoryWindow]) -> str:
+    """Render windows in the canonical CSV layout (see module docstring).
+
+    The whole text is built in memory; :func:`dataset_hash` streams the
+    same text, one window at a time, to a hash and a file instead.
+    """
+    return "".join(_csv_chunks(windows))
 
 
 def dataset_hash(
@@ -232,11 +247,20 @@ def dataset_hash(
 ) -> str:
     """SHA-256 of the canonical CSV serialization. With ``write_to``, the
     CSV bytes are also written to that file, so one serialization serves
-    both."""
-    data = serialize_csv(windows).encode("utf-8")
-    if write_to is not None:
-        Path(write_to).write_bytes(data)
-    return hashlib.sha256(data).hexdigest()
+    both.
+
+    The text is hashed and written one window's chunk at a time, so at
+    most one window's CSV is held in memory, never the whole file; the
+    bytes and the digest are those of ``serialize_csv(windows)``.
+    """
+    digest = hashlib.sha256()
+    with open(write_to, "wb") if write_to is not None else nullcontext() as fh:
+        for chunk in _csv_chunks(windows):
+            data = chunk.encode("utf-8")
+            digest.update(data)
+            if fh is not None:
+                fh.write(data)
+    return digest.hexdigest()
 
 
 def _infer_rate(times: np.ndarray) -> float:

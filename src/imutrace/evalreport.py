@@ -63,11 +63,12 @@ REFERENCE_FOOTER = (
 _TEST_NAMES = {Part.SEEN_TEST: "Seen", Part.UNSEEN_TEST: "Unseen"}
 
 # run_experiment submits its pool tasks longest first, so the short ones
-# fill in behind the long ones. One traced grid-mock op (--per-class 12,
-# one process) spent 1.50 s training the two LSTMs, 1.02 s serializing the
-# 22 MB dataset CSV, and 0.23 s, 0.14 s and 0.12 s training the CNNs,
-# forests and SVMs.
-_TASK_ORDER = ("lstm", "dataset", "cnn", "svm", "rf")
+# fill in behind the long ones. The order is by single task, not by kind's
+# total: in the timings.json of six grid-mock runs (--per-class 12, 2-core
+# x86 VM, pooled and inline) writing the 22 MB dataset CSV took 1.15-1.31 s,
+# each LSTM 0.69-1.03 s (once 1.5 s in a worker beside the CSV task), each
+# CNN 0.10-0.24 s, each SVM 0.04-0.14 s and each forest 0.06-0.11 s.
+_TASK_ORDER = ("dataset", "lstm", "cnn", "svm", "rf")
 
 
 @dataclass(frozen=True, eq=False)

@@ -22,8 +22,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
-import requests
-
 from importlib import resources
 
 from .core import AXIS_NAMES, TrajectoryLabel, TrajectoryWindow
@@ -56,7 +54,13 @@ _GZ_COLUMN = AXIS_NAMES.index("gz")
 
 @dataclass(frozen=True)
 class ProviderConfig:
-    """Connection settings for one chat-completion provider."""
+    """Connection settings for one chat-completion provider.
+
+    Building one imports ``requests``, the HTTP client ``complete`` uses.
+    The package does not import it otherwise, so an offline run with the
+    mock provider never loads it, and a live run loads it with its config
+    rather than inside its first provider call.
+    """
 
     endpoint: str
     model: str
@@ -83,6 +87,7 @@ class ProviderConfig:
             raise ConfigError(f"timeout must be positive, got {self.timeout_s}")
         if self.backoff_base_s < 0:
             raise ConfigError(f"backoff base must be >= 0, got {self.backoff_base_s}")
+        import requests  # noqa: F401  (see the class docstring)
 
 
 @dataclass(frozen=True)
@@ -137,6 +142,8 @@ def complete(cfg: ProviderConfig, bundle: PromptBundle) -> CompletionResult:
     5xx) with exponential backoff, ``backoff_base_s * 2**attempt``
     between attempts, for at most ``retries`` extra attempts.
     """
+    import requests  # loaded already by ProviderConfig, so only a lookup
+
     token = os.environ.get(cfg.token_env, "")
     if not token:
         raise ConfigError(

@@ -242,19 +242,56 @@ def test_version_subprocess():
     assert proc.stdout.strip() == "imutrace 0.1.0"
 
 
+# Runs an offline `imutrace run` through cli.main in a fresh interpreter,
+# pooled or pinned inline, then builds a ProviderConfig; prints whether
+# requests was loaded after each step.
+_REQUESTS_PROBE = """
+import json, os, sys
+from imutrace import cli
+if sys.argv[2] == "inline":
+    os.sched_getaffinity = lambda pid: {0}
+rc = cli.main(["run", "--per-class", "6", "--noise", "zero", "--out", sys.argv[1],
+               "--baselines", "rf", "--modes", "cot"])
+after_run = "requests" in sys.modules
+from imutrace.llm import ProviderConfig
+ProviderConfig(endpoint="http://127.0.0.1:9/v1/chat/completions", model="m")
+print(json.dumps({"rc": rc, "after_run": after_run,
+                  "after_config": "requests" in sys.modules}))
+"""
+
+
+@pytest.mark.parametrize("how", ["pooled", "inline"])
+def test_offline_run_never_imports_the_http_client(tmp_path, how):
+    src = str(Path(imutrace.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    out = tmp_path / "r"
+    proc = subprocess.run(
+        [sys.executable, "-c", _REQUESTS_PROBE, str(out), how],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    probe = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert probe == {"rc": 0, "after_run": False, "after_config": True}
+    workers = json.loads((out / "timings.json").read_text())["workers"]
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    assert (workers > 1) == (how == "pooled" and cores > 1)
+
+
 def test_run_hashes_the_dataset_it_writes_once(tmp_path, monkeypatch):
     # the dataset is serialized in a forked pool worker (rf trains beside
     # it), so every call appends a line to a file, which counts calls made
-    # in any process
+    # in any process; serialize_csv and dataset_hash both render the text
+    # through core._csv_chunks, so that is what is counted
     log = tmp_path / "calls.log"
     log.touch()
+    chunks = core._csv_chunks
 
     def counting(windows):
         with open(log, "a", encoding="utf-8") as fh:
             fh.write(f"{len(windows)}\n")
-        return serialize_csv(windows)
+        return chunks(windows)
 
-    monkeypatch.setattr(core, "serialize_csv", counting)
+    monkeypatch.setattr(core, "_csv_chunks", counting)
     out = tmp_path / "r"
     assert _run(out, extra=("--providers", "none")) == 0
     calls = log.read_text(encoding="utf-8").split()

@@ -1,8 +1,13 @@
+import hashlib
 import io
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from imutrace.core import (
     AXIS_NAMES,
@@ -118,6 +123,59 @@ def test_csv_round_trip_keeps_the_rate_grid(rate):
     back = ingest_csv(io.StringIO(text))
     assert back[0].rate == rate
     assert serialize_csv(back) == text
+
+
+def _reference_csv(windows):
+    """The canonical CSV built row by row, each timestamp repr-ed anew: an
+    oracle that shares nothing with the per-window chunks of serialize_csv."""
+    lines = [",".join(CSV_COLUMNS) + "\n"]
+    for w in windows:
+        label = w.label.value if w.label is not None else ""
+        for i, row in enumerate(w.data.tolist()):
+            fields = [f"{w.recording_group}/{w.id}", w.scenario.value, label,
+                      repr(i / w.rate), *map(repr, row)]
+            lines.append(",".join(fields) + "\n")
+    return "".join(lines)
+
+
+# rates that repeat across windows, including ones whose i / rate needs
+# 16-17 significant digits
+_RATES = st.sampled_from([100.0, 50.0, 100 / 3, 200 / 3, 1000 / 7, 123.456])
+_VALUES = st.floats(allow_nan=False, allow_infinity=False, width=64)
+
+
+@st.composite
+def _mixed_windows(draw):
+    shapes = draw(st.lists(st.tuples(st.integers(2, 40), _RATES), min_size=1, max_size=4))
+    # every shape is used by one to three windows, so some share (len, rate)
+    counts = draw(st.lists(st.integers(1, 3), min_size=len(shapes), max_size=len(shapes)))
+    windows = []
+    for (n, rate), count in zip(shapes, counts):
+        for _ in range(count):
+            i = len(windows)
+            windows.append(window_from_array(
+                draw(arrays(np.float64, (n, 9), elements=_VALUES)),
+                rate=rate,
+                window_id=f"w{i}",
+                group=draw(st.sampled_from([f"w{i}", "g0", "g1"])),
+                scenario=draw(st.sampled_from(list(Scenario))),
+                label=draw(st.sampled_from([None, *TrajectoryLabel])),
+            ))
+    return draw(st.permutations(windows))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_mixed_windows())
+def test_streamed_csv_is_the_serialized_text(windows):
+    text = serialize_csv(windows)
+    assert text == _reference_csv(windows)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "dataset.csv"
+        digest = dataset_hash(windows, write_to=path)
+        assert path.read_bytes() == text.encode("utf-8")
+    assert digest == hashlib.sha256(text.encode("utf-8")).hexdigest()
+    assert dataset_hash(windows) == digest
+    assert serialize_csv(ingest_csv(io.StringIO(text))) == text
 
 
 def test_csv_unlabeled_and_slashless_ids():

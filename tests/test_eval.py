@@ -407,9 +407,15 @@ def test_pooled_and_inline_runs_agree(monkeypatch):
     assert pooled.manifest_digest() == inline.manifest_digest()
     # both ran the same tasks, longest first
     assert list(pooled.timings["tasks"]) == list(inline.timings["tasks"]) == [
-        "lstm/indoor", "lstm/outdoor", "dataset", "cnn/indoor", "cnn/outdoor",
+        "dataset", "lstm/indoor", "lstm/outdoor", "cnn/indoor", "cnn/outdoor",
         "svm/indoor", "svm/outdoor", "rf/indoor", "rf/outdoor",
     ]
+
+
+def test_task_order_names_every_task_kind_once():
+    # run_experiment sorts its tasks by their place here, so a baseline
+    # kind missing from it would fail every run with ValueError
+    assert sorted(evalreport._TASK_ORDER) == sorted(["dataset", *evalreport.BASELINES])
 
 
 def test_a_failing_task_reaches_the_caller(monkeypatch):
