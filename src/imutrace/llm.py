@@ -2,22 +2,26 @@
 
 Three layers live here. `complete` is a thin provider-agnostic HTTP
 client for chat-completion endpoints, with bounded retries on transient
-failures. `mock_complete` is an offline stand-in that re-parses the
-serialized window out of the prompt, integrates gyro-z, and writes a
-four-phase reasoning text (chain-of-thought) or a bare label (direct
-output); it doubles as the oracle generator for tests. `parse_label`
+failures; it and `classify_windows` run their calls through one small
+scheduler, in which a call waiting to retry holds no worker.
+`mock_complete` is an offline stand-in that re-parses the serialized
+window out of the prompt, integrates gyro-z, and writes a four-phase
+reasoning text (chain-of-thought) or a bare label (direct output); it
+doubles as the oracle generator for tests. `parse_label`
 recovers a TrajectoryLabel from free-form response text via a synonym
 lexicon shipped as a versioned data file.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
 import os
 import re
+import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional, Sequence
@@ -60,6 +64,10 @@ class ProviderConfig:
     The package does not import it otherwise, so an offline run with the
     mock provider never loads it, and a live run loads it with its config
     rather than inside its first provider call.
+
+    ``concurrency`` is the most requests a batch has in flight at once.
+    A call waiting out its backoff holds no slot, so the limit holds
+    while calls back off too, and other windows use the slots meanwhile.
     """
 
     endpoint: str
@@ -140,7 +148,46 @@ def complete(cfg: ProviderConfig, bundle: PromptBundle) -> CompletionResult:
 
     Retries transient failures (timeout, connection error, HTTP 429 and
     5xx) with exponential backoff, ``backoff_base_s * 2**attempt``
-    between attempts, for at most ``retries`` extra attempts.
+    between attempts, for at most ``retries`` extra attempts. A 429 or
+    503 whose ``Retry-After`` header gives a number of seconds waits at
+    least that long.
+    """
+    ((result, _attempts),) = _complete_batch(cfg, [bundle], workers=1)
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+class _Retry(Exception):
+    """One attempt failed in a way a later attempt may not: a timeout, a
+    connection error, HTTP 429 or 5xx. ``status`` is None for the first
+    two; ``retry_after_s`` is the wait the provider asked for, else 0."""
+
+    def __init__(self, status: Optional[int], retry_after_s: float = 0.0):
+        super().__init__(status)
+        self.status = status
+        self.retry_after_s = retry_after_s
+
+
+def _retry_after_s(resp: "requests.Response") -> float:
+    """Seconds a 429 or 503 asks the client to wait; 0 when the header is
+    absent, an HTTP-date, or not a non-negative number."""
+    try:
+        seconds = float(resp.headers.get("Retry-After", ""))
+    except ValueError:
+        return 0.0
+    return seconds if math.isfinite(seconds) and seconds >= 0 else 0.0
+
+
+def _complete_batch(
+    cfg: ProviderConfig, bundles: Sequence[PromptBundle], workers: int
+) -> list[tuple[object, int]]:
+    """Send every bundle to the provider through ``_run_calls``, each
+    worker on its own ``requests.Session``.
+
+    Raises ConfigError before any traffic when the auth token is
+    missing. One attempt raises ``_Retry`` on a transient failure and
+    TransportError or ProviderError on one that no retry can mend.
     """
     import requests  # loaded already by ProviderConfig, so only a lookup
 
@@ -149,49 +196,140 @@ def complete(cfg: ProviderConfig, bundle: PromptBundle) -> CompletionResult:
         raise ConfigError(
             f"auth token environment variable {cfg.token_env!r} is empty or unset"
         )
-    body = {
-        "model": cfg.model,
-        "temperature": cfg.temperature,
-        "max_tokens": cfg.max_tokens,
-        "messages": [
-            {"role": "system", "content": bundle.instruction},
-            {"role": "user", "content": bundle.question},
-        ],
-    }
     headers = {"Authorization": f"Bearer {token}"}
-    last_status: Optional[int] = None
-    attempts = 0
-    for attempt in range(cfg.retries + 1):
-        attempts = attempt + 1
+
+    def attempt(bundle: PromptBundle, session, number: int) -> CompletionResult:
+        body = {
+            "model": cfg.model,
+            "temperature": cfg.temperature,
+            "max_tokens": cfg.max_tokens,
+            "messages": [
+                {"role": "system", "content": bundle.instruction},
+                {"role": "user", "content": bundle.question},
+            ],
+        }
         started = time.perf_counter()
         try:
-            resp = requests.post(
-                cfg.endpoint, json=body, headers=headers, timeout=cfg.timeout_s
-            )
+            resp = session.post(cfg.endpoint, json=body, headers=headers, timeout=cfg.timeout_s)
         except (requests.Timeout, requests.ConnectionError):
-            last_status = None
+            raise _Retry(None) from None
         except requests.RequestException as exc:
-            raise TransportError(f"request failed: {exc}", attempts=attempts)
-        else:
-            status = resp.status_code
-            if status == 429 or status >= 500:
-                last_status = status
-            elif status >= 400:
-                raise TransportError(
-                    f"provider rejected the request with HTTP {status}",
-                    status=status,
-                    attempts=attempts,
-                )
-            else:
-                return _read_completion(cfg, resp, time.perf_counter() - started)
-        if attempt < cfg.retries:
-            time.sleep(cfg.backoff_base_s * (2**attempt))
-    detail = f"HTTP {last_status}" if last_status is not None else "timeout"
-    raise TransportError(
-        f"retries exhausted after {attempts} attempts (last failure: {detail})",
-        status=last_status,
-        attempts=attempts,
+            raise TransportError(f"request failed: {exc}", attempts=number)
+        status = resp.status_code
+        if status == 429 or status >= 500:
+            raise _Retry(status, _retry_after_s(resp) if status in (429, 503) else 0.0)
+        if status >= 400:
+            raise TransportError(
+                f"provider rejected the request with HTTP {status}",
+                status=status,
+                attempts=number,
+            )
+        return _read_completion(cfg, resp, time.perf_counter() - started)
+
+    return _run_calls(
+        bundles,
+        attempt,
+        workers=workers,
+        retries=cfg.retries,
+        backoff_base_s=cfg.backoff_base_s,
+        open_session=requests.Session,
     )
+
+
+def _run_calls(
+    bundles: Sequence[PromptBundle],
+    attempt: Callable[[PromptBundle, object, int], CompletionResult],
+    *,
+    workers: int,
+    retries: int = 0,
+    backoff_base_s: float = 0.0,
+    open_session: Optional[Callable[[], object]] = None,
+) -> list[tuple[object, int]]:
+    """Make one call per bundle, at most ``workers`` attempts at a time.
+
+    ``attempt(bundle, session, number)`` makes one attempt; ``session``
+    is the worker's own ``open_session()`` (closed when the batch ends)
+    or None. An attempt that raises ``_Retry`` frees its worker at once:
+    the call is queued again, due after ``backoff_base_s * 2**k`` (k
+    counts the call's earlier attempts) or the provider's Retry-After,
+    whichever is longer, and a due retry goes ahead of calls not yet
+    started. After ``retries`` retries the call fails with
+    TransportError. Returns, in bundle order, each call's
+    CompletionResult or the TransportError or ProviderError that ended
+    it, with the attempts made. Any other exception stops the batch: no
+    attempt starts after it, every worker is joined, and it is raised.
+    With one worker everything runs in the caller's thread.
+    """
+    outcomes: list[object] = [None] * len(bundles)
+    attempts = [0] * len(bundles)
+    fresh = deque(range(len(bundles)))
+    due: list[tuple[float, int]] = []  # heap of (due time, index) of calls backing off
+    open_calls = len(bundles)
+    aborts: list[BaseException] = []
+    cond = threading.Condition()
+
+    def next_call() -> Optional[int]:
+        # called with cond held; None once the batch is done or aborted
+        while open_calls and not aborts:
+            now = time.monotonic()
+            if due and due[0][0] <= now:
+                return heapq.heappop(due)[1]
+            if fresh:
+                return fresh.popleft()
+            cond.wait(due[0][0] - now if due else None)
+        return None
+
+    def worker() -> None:
+        nonlocal open_calls
+        session = None
+        try:
+            session = open_session() if open_session is not None else None
+            while True:
+                with cond:
+                    i = next_call()
+                    if i is None:
+                        return
+                    attempts[i] += 1
+                    number = attempts[i]
+                try:
+                    outcome = attempt(bundles[i], session, number)
+                except _Retry as exc:
+                    if number <= retries:
+                        delay = max(backoff_base_s * 2 ** (number - 1), exc.retry_after_s)
+                        with cond:
+                            heapq.heappush(due, (time.monotonic() + delay, i))
+                            cond.notify()
+                        continue
+                    detail = f"HTTP {exc.status}" if exc.status is not None else "timeout"
+                    outcome = TransportError(
+                        f"retries exhausted after {number} attempts (last failure: {detail})",
+                        status=exc.status,
+                        attempts=number,
+                    )
+                except (TransportError, ProviderError) as exc:
+                    outcome = exc
+                with cond:
+                    outcomes[i] = outcome
+                    open_calls -= 1
+                    if not open_calls:
+                        cond.notify_all()
+        except BaseException as exc:  # handed to the caller after every join
+            with cond:
+                aborts.append(exc)
+                cond.notify_all()
+        finally:
+            if session is not None:
+                session.close()
+
+    threads = [threading.Thread(target=worker) for _ in range(workers - 1)]
+    for thread in threads:
+        thread.start()
+    worker()
+    for thread in threads:
+        thread.join()
+    if aborts:
+        raise aborts[0]
+    return list(zip(outcomes, attempts))
 
 
 def _read_completion(
@@ -410,74 +548,59 @@ def classify_windows(
     templates: Optional[TemplateSet] = None,
     transcript_path: Optional[str | Path] = None,
 ) -> BatchResult:
-    """Classify every window through one provider, ``cfg.concurrency``
-    calls at a time (one at a time without ``cfg``).
+    """Classify every window through one provider, at most
+    ``cfg.concurrency`` requests in flight (one at a time without
+    ``cfg``).
 
     Predictions come back sorted by window_id regardless of completion
     order. A response whose text yields no label becomes a prediction
     with ``label=None``; a call that raises a transport or provider
     error lands in ``failures`` instead, so one bad window cannot
     abort a batch. Config errors (bad templates, missing auth) do
-    abort: they would fail every window the same way. With
-    ``transcript_path`` set, one JSON object per successful call
-    (window_id, bundle hash, text, latency) is appended in window_id
-    order.
+    abort: they would fail every window the same way. An injected
+    ``completer`` makes one attempt per window and is never retried.
+    With ``transcript_path`` set, one JSON object per call is appended
+    in window_id order: window_id, bundle hash, text and latency for a
+    success; window_id, bundle hash, error and attempts for a failure.
     """
-    if completer is None:
-        completer = mock_complete if cfg is None else (lambda b: complete(cfg, b))
-    concurrency = cfg.concurrency if cfg is not None else 1
     if templates is None:
         templates = TemplateSet.load_default()
-
     bundles = [build_prompt(w, mode, templates=templates) for w in windows]
-
-    def attempt(bundle: PromptBundle):
-        try:
-            return completer(bundle)
-        except (TransportError, ProviderError) as exc:
-            return exc
-
-    if concurrency == 1 or len(bundles) <= 1:
-        results = [attempt(b) for b in bundles]
+    workers = min(cfg.concurrency if cfg is not None else 1, len(bundles))
+    if completer is None and cfg is not None:
+        calls = _complete_batch(cfg, bundles, workers)
     else:
-        with ThreadPoolExecutor(max_workers=concurrency) as pool:
-            results = list(pool.map(attempt, bundles))
+        single = completer if completer is not None else mock_complete
+        calls = _run_calls(bundles, lambda bundle, _session, _number: single(bundle), workers=workers)
 
-    paired = sorted(zip(bundles, results), key=lambda pair: pair[0].window_id)
+    paired = sorted(zip(bundles, calls), key=lambda pair: pair[0].window_id)
     predictions: list[Prediction] = []
     failures: list[tuple[str, str]] = []
     transcript_rows: list[str] = []
-    for bundle, result in paired:
+    for bundle, (result, attempts) in paired:
         if isinstance(result, Exception):
             failures.append((bundle.window_id, str(result)))
-            continue
-        try:
-            label: Optional[TrajectoryLabel] = parse_label(result.text, mode)
-        except LabelParseError:
-            label = None
-        predictions.append(
-            Prediction(
-                window_id=bundle.window_id,
-                label=label,
-                raw_text=result.text,
-                mode=mode,
-                provider=result.provider,
-            )
-        )
-        if transcript_path is not None:
-            transcript_rows.append(
-                json.dumps(
-                    {
-                        "window_id": bundle.window_id,
-                        "bundle_sha256": bundle.digest(),
-                        "text": result.text,
-                        "latency_s": result.latency_s,
-                    },
-                    ensure_ascii=True,
+            row = {"error": str(result), "attempts": attempts}
+        else:
+            try:
+                label: Optional[TrajectoryLabel] = parse_label(result.text, mode)
+            except LabelParseError:
+                label = None
+            predictions.append(
+                Prediction(
+                    window_id=bundle.window_id,
+                    label=label,
+                    raw_text=result.text,
+                    mode=mode,
+                    provider=result.provider,
                 )
             )
+            row = {"text": result.text, "latency_s": result.latency_s}
+        if transcript_path is not None:
+            row = {"window_id": bundle.window_id, "bundle_sha256": bundle.digest(), **row}
+            transcript_rows.append(json.dumps(row, ensure_ascii=True))
     if transcript_path is not None:
         with open(transcript_path, "a", encoding="utf-8") as fh:
-            for row in transcript_rows:
-                fh.write(row + "\n")
+            for line in transcript_rows:
+                fh.write(line + "\n")
     return BatchResult(predictions=tuple(predictions), failures=tuple(failures))

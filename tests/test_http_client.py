@@ -6,11 +6,14 @@ import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
+import numpy as np
 import pytest
 
 from imutrace.errors import ConfigError, ProviderError, TransportError
-from imutrace.llm import ProviderConfig, complete
+from imutrace.llm import ProviderConfig, classify_windows, complete
 from imutrace.prompting import PromptBundle, PromptMode
+
+from conftest import window_from_array
 
 TOKEN_ENV = "IMUTRACE_TEST_TOKEN"
 
@@ -29,20 +32,43 @@ OK_PAYLOAD = json.dumps(
 ).encode()
 
 
+def _windows(n):
+    """n windows whose prompts differ, so a retry is told apart by its body."""
+    return [window_from_array(np.full((2, 9), float(i)), window_id=f"w{i}") for i in range(n)]
+
+
 class _Handler(BaseHTTPRequestHandler):
+    """Answers the n-th request with the n-th script entry (the last one
+    once the script runs out): (status, payload) or (status, payload,
+    extra headers)."""
+
     def do_POST(self):
+        server = self.server
         length = int(self.headers.get("Content-Length", 0))
         body = self.rfile.read(length)
-        self.server.requests.append(
-            {"path": self.path, "headers": dict(self.headers), "body": body}
-        )
-        if self.server.sleep_s:
-            time.sleep(self.server.sleep_s)
-        script = self.server.script
-        status, payload = script[min(len(self.server.requests) - 1, len(script) - 1)]
+        with server.lock:
+            server.requests.append(
+                {
+                    "path": self.path,
+                    "headers": dict(self.headers),
+                    "body": body,
+                    "port": self.client_address[1],
+                    "arrived": time.monotonic(),
+                }
+            )
+            index = len(server.requests) - 1
+            server.inflight += 1
+            server.peak_inflight = max(server.peak_inflight, server.inflight)
+        if server.sleep_s:
+            time.sleep(server.sleep_s)
+        with server.lock:  # before the reply, which lets the client send its next request
+            server.inflight -= 1
+        status, payload, *extra = server.script[min(index, len(server.script) - 1)]
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(payload)))
+        for key, value in (extra[0] if extra else {}).items():
+            self.send_header(key, value)
         self.end_headers()
         self.wfile.write(payload)
 
@@ -55,11 +81,13 @@ def stub(monkeypatch):
     monkeypatch.setenv(TOKEN_ENV, "sesame")
     servers = []
 
-    def make(script, sleep_s=0.0):
-        server = ThreadingHTTPServer(("127.0.0.1", 0), _Handler)
+    def make(script, sleep_s=0.0, handler=_Handler):
+        server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
         server.script = script
         server.requests = []
         server.sleep_s = sleep_s
+        server.lock = threading.Lock()
+        server.inflight = server.peak_inflight = 0
         threading.Thread(target=server.serve_forever, daemon=True).start()
         servers.append(server)
         url = f"http://127.0.0.1:{server.server_address[1]}/v1/chat/completions"
@@ -206,3 +234,82 @@ def test_provider_config_validation():
         ProviderConfig(endpoint="http://x", model="m", concurrency=0)
     with pytest.raises(ConfigError):
         ProviderConfig(endpoint="http://x", model="m", temperature=-0.1)
+
+
+def test_retries_free_the_slot_for_other_windows(stub):
+    # one worker: while the refused window backs off, the others go ahead
+    server, url = stub([(503, b"busy"), (200, OK_PAYLOAD)])
+    cfg = _cfg(url, concurrency=1, backoff_base_s=0.3)
+    batch = classify_windows(_windows(4), PromptMode.DO, cfg=cfg)
+    assert batch.failures == () and len(batch.predictions) == 4
+    bodies = [r["body"] for r in server.requests]
+    assert len(bodies) == 5
+    retry = bodies.index(bodies[0], 1)
+    assert retry > 1  # other windows' requests came between the 503 and its retry
+    gap = server.requests[retry]["arrived"] - server.requests[0]["arrived"]
+    assert gap >= 0.3
+
+
+def test_inflight_requests_never_exceed_concurrency(stub):
+    server, url = stub(
+        [(503, b"busy"), (503, b"busy"), (500, b"boom"), (200, OK_PAYLOAD)], sleep_s=0.02
+    )
+    cfg = _cfg(url, concurrency=2, backoff_base_s=0.05)
+    batch = classify_windows(_windows(8), PromptMode.DO, cfg=cfg)
+    assert batch.failures == () and len(batch.predictions) == 8
+    assert len(server.requests) == 11
+    assert 1 <= server.peak_inflight <= 2
+
+
+class _KeepAliveHandler(_Handler):
+    protocol_version = "HTTP/1.1"
+
+
+def test_each_worker_reuses_one_connection(stub):
+    server, url = stub([(200, OK_PAYLOAD)], handler=_KeepAliveHandler)
+    batch = classify_windows(_windows(8), PromptMode.DO, cfg=_cfg(url, concurrency=2))
+    assert batch.failures == () and len(batch.predictions) == 8
+    assert len(server.requests) == 8
+    assert len({r["port"] for r in server.requests}) <= 2
+
+
+@pytest.mark.parametrize(
+    "status, retry_after, backoff_s, honoured",
+    [
+        (503, "0.8", 0.0, True),
+        (429, "0.8", 0.0, True),
+        (503, "0", 0.8, True),  # the longer of backoff and header wins
+        (429, "Wed, 21 Oct 2015 07:28:00 GMT", 0.0, False),  # HTTP-date: plain backoff
+        (503, "soon", 0.0, False),
+        (503, "-3", 0.0, False),
+        (500, "0.8", 0.0, False),  # only 429 and 503 carry it
+    ],
+)
+def test_retry_after_delays_the_retry(stub, status, retry_after, backoff_s, honoured):
+    server, url = stub([(status, b"wait", {"Retry-After": retry_after}), (200, OK_PAYLOAD)])
+    result = complete(_cfg(url, retries=1, backoff_base_s=backoff_s), BUNDLE)
+    assert result.text == "turn left"
+    assert len(server.requests) == 2
+    gap = server.requests[1]["arrived"] - server.requests[0]["arrived"]
+    if honoured:
+        assert gap >= 0.8
+    else:
+        assert gap < 0.5
+
+
+def test_transcript_records_failed_calls(stub, tmp_path):
+    _, url = stub([(500, b"boom")])
+    transcript = tmp_path / "transcript.jsonl"
+    windows = _windows(2)
+    batch = classify_windows(
+        windows, PromptMode.DO, cfg=_cfg(url, concurrency=1, retries=1),
+        transcript_path=transcript,
+    )
+    assert [f[0] for f in batch.failures] == [w.id for w in windows]
+    rows = [json.loads(line) for line in transcript.read_text().splitlines()]
+    assert [r["window_id"] for r in rows] == [w.id for w in windows]
+    for row, (_, message) in zip(rows, batch.failures):
+        assert set(row) == {"window_id", "bundle_sha256", "error", "attempts"}
+        assert row["attempts"] == 2
+        assert row["error"] == message
+        assert "retries exhausted after 2 attempts (last failure: HTTP 500)" in message

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 import threading
 import time
 from pathlib import Path
@@ -22,7 +23,9 @@ from imutrace.llm import (
     LabelLexicon,
     MOCK_PROVIDER_ID,
     ProviderConfig,
+    _Retry,
     _parse_embedded_window,
+    _run_calls,
     classify_windows,
     mock_complete,
     parse_label,
@@ -306,3 +309,108 @@ def test_classify_windows_concurrent_order_stable():
     assert len(seen) == len(windows)
     truth = {w.id: w.label for w in windows}
     assert all(p.label is truth[p.window_id] for p in batch.predictions)
+
+
+def test_transcript_records_failures_in_window_order(tmp_path):
+    windows = _clean_windows()
+    doomed = sorted(w.id for w in windows)[1]
+
+    def completer(bundle):
+        if bundle.window_id == doomed:
+            raise TransportError("socket exploded", status=500, attempts=3)
+        return mock_complete(bundle)
+
+    transcript = tmp_path / "transcript.jsonl"
+    batch = classify_windows(
+        windows, PromptMode.DO, completer=completer, transcript_path=transcript
+    )
+    rows = [json.loads(line) for line in transcript.read_text().splitlines()]
+    assert [r["window_id"] for r in rows] == sorted(w.id for w in windows)
+    failed = [r for r in rows if "error" in r]
+    # an injected completer makes one attempt, never retried
+    assert failed == [
+        {
+            "window_id": doomed,
+            "bundle_sha256": failed[0]["bundle_sha256"],
+            "error": "socket exploded",
+            "attempts": 1,
+        }
+    ]
+    assert batch.failures == ((doomed, "socket exploded"),)
+
+
+def test_unexpected_error_stops_the_batch():
+    windows = _clean_windows()
+    first = windows[0].id
+    started = []
+
+    def completer(bundle):
+        started.append(bundle.window_id)
+        if bundle.window_id == first:
+            raise RuntimeError("bug in the completer")
+        time.sleep(0.05)
+        return mock_complete(bundle)
+
+    threads_before = threading.active_count()
+    cfg = ProviderConfig(endpoint="http://unused", model="fake", concurrency=2)
+    with pytest.raises(RuntimeError, match="bug in the completer"):
+        classify_windows(windows, PromptMode.DO, cfg=cfg, completer=completer)
+    assert len(started) <= 3 < len(windows)  # no attempt starts after the error
+    assert threading.active_count() == threads_before  # every worker joined
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    failures=st.lists(st.integers(0, 4), max_size=12),
+    retries=st.integers(0, 3),
+    concurrency=st.integers(1, 5),
+)
+def test_scheduler_retries_and_limits_property(failures, retries, concurrency):
+    bundles = [
+        PromptBundle(instruction="i", question=f"q{i}", mode=PromptMode.DO, window_id=f"w{i:02d}")
+        for i in range(len(failures))
+    ]
+    lock = threading.Lock()
+    made = [0] * len(bundles)
+    inflight = peak = 0
+
+    def attempt(bundle, session, number):
+        nonlocal inflight, peak
+        index = int(bundle.window_id[1:])
+        with lock:
+            made[index] += 1
+            assert number == made[index]
+            inflight += 1
+            peak = max(peak, inflight)
+        try:
+            time.sleep(0.0005)
+            if number <= failures[index]:
+                raise _Retry(503)
+            return CompletionResult(text=bundle.window_id, provider="fake", latency_s=0.0)
+        finally:
+            with lock:
+                inflight -= 1
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        calls = _run_calls(
+            bundles, attempt, workers=min(concurrency, len(bundles)),
+            retries=retries, backoff_base_s=0.0,
+        )
+    finally:
+        sys.setswitchinterval(interval)
+
+    assert peak <= concurrency
+    assert sum(made) == sum(min(f, retries) + 1 for f in failures)
+    assert len(calls) == len(bundles)
+    for bundle, f, (outcome, attempts) in zip(bundles, failures, calls):
+        assert attempts == min(f, retries) + 1
+        if f > retries:
+            assert isinstance(outcome, TransportError)
+            assert outcome.attempts == attempts and outcome.status == 503
+            assert str(outcome) == (
+                f"retries exhausted after {attempts} attempts (last failure: HTTP 503)"
+            )
+        else:
+            assert outcome.text == bundle.window_id
