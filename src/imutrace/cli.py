@@ -303,10 +303,7 @@ def cmd_run(args) -> int:
     print(render_report(report, "text"), end="")
     print(f"wrote report to {out}")
 
-    transport_skips = [
-        cell for cell in report.cells.values()
-        if cell.skipped and "provider calls failed" in (cell.skipped_reason or "")
-    ]
+    transport_skips = [c for c in report.cells.values() if c.skipped and c.n_failures]
     if transport_skips:
         print(
             f"warning: {len(transport_skips)} cell(s) skipped on provider failures",

@@ -267,17 +267,24 @@ def _infer_rate(times: np.ndarray) -> float:
     """The rate whose grid ``arange(n) / rate`` the timestamps sit on.
 
     ``(n - 1) / t_last`` is rounded to 12, 13, ... 17 significant digits,
-    and the first rounding whose grid equals ``times`` exactly wins. When
-    none does (a file this package did not write), the 12-digit rounding
-    is returned and the caller's tolerance check decides.
+    then its two float neighbours are tried, and the first candidate whose
+    grid equals ``times`` exactly wins. (The quotient can land one ulp off
+    the rate the grid was written with, 40 samples at 1000/7 Hz for one,
+    and then no rounding of it reproduces the grid.) When none does (a
+    file this package did not write), the 12-digit rounding is returned
+    and the caller's tolerance check decides.
     """
-    raw = (len(times) - 1) / times[-1]
+    raw = float((len(times) - 1) / times[-1])
     grid = np.arange(len(times))
-    for digits in range(RATE_SIGNIFICANT_DIGITS, MAX_RATE_SIGNIFICANT_DIGITS + 1):
-        rate = float(f"{raw:.{digits}g}")
+    candidates = [
+        float(f"{raw:.{digits}g}")
+        for digits in range(RATE_SIGNIFICANT_DIGITS, MAX_RATE_SIGNIFICANT_DIGITS + 1)
+    ]
+    candidates += [math.nextafter(raw, 0.0), math.nextafter(raw, math.inf)]
+    for rate in candidates:
         if np.array_equal(grid / rate, times):
             return rate
-    return float(f"{raw:.{RATE_SIGNIFICANT_DIGITS}g}")
+    return candidates[0]
 
 
 def ingest_csv(stream: Iterable[str]) -> list[TrajectoryWindow]:

@@ -19,7 +19,7 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, astuple, dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
 from functools import partial
 from pathlib import Path
@@ -100,8 +100,16 @@ class Metrics:
 
 @dataclass(frozen=True, eq=False)
 class CellResult:
+    """One grid cell: the confusion counts it scored, or why it was skipped.
+
+    The counts are the cell's only stored result; ``metrics`` derives the
+    macro precision, recall and F1 from them. ``n_windows`` is the number
+    of evaluation windows the cell ran on (0 when it was skipped before
+    any ran), and ``n_failures`` the number of those whose provider call
+    failed; a cell skipped on provider failures keeps both.
+    """
+
     confusion: Optional[ConfusionMatrix]
-    metrics: Optional[Metrics]
     skipped_reason: Optional[str] = None
     n_windows: int = 0
     n_failures: int = 0
@@ -109,6 +117,10 @@ class CellResult:
     @property
     def skipped(self) -> bool:
         return self.skipped_reason is not None
+
+    @property
+    def metrics(self) -> Optional[Metrics]:
+        return None if self.confusion is None else metrics(self.confusion)
 
 
 @dataclass(frozen=True, eq=False)
@@ -343,11 +355,15 @@ def run_experiment(
     baseline kind to its config; a kind it leaves out trains with its
     config class's defaults, and the manifest records the config of
     every kind. ``validate_run`` vets the kinds, modes and configs first.
-    A prompt cell is skipped when more than ``MAX_FAILED_SHARE`` of its
-    provider calls fail.
 
-    The trainings (one per kind and scenario with Train windows and a
-    non-empty test part) and one serialization of the dataset, which
+    Every cell is scored the same way, into its confusion counts. A cell
+    is skipped before it runs when its scenario has no windows in its
+    test part, or, for a baseline, no Train windows; a prompt cell is
+    skipped after it runs, keeping its window and failure counts, when
+    more than ``MAX_FAILED_SHARE`` of its provider calls fail.
+
+    The trainings (one per kind and scenario with a cell that is not
+    skipped before it runs) and one serialization of the dataset, which
     gives the manifest's ``dataset_sha256`` and is written to
     ``dataset_csv`` when that is given, run as independent tasks on a
     ``fork`` pool with one worker per usable core, or inline on one core
@@ -380,78 +396,64 @@ def run_experiment(
             inputs[key] = baseline_inputs(kind, part_windows, lambda w: down[w.id])
         return inputs[key]
 
+    def skip_reason(model, scenario: Scenario, part: Part) -> Optional[str]:
+        # why a cell is skipped before any of its windows runs, or None
+        if model in BASELINES and (Part.TRAIN, scenario) not in by_part_scenario:
+            return "no training windows in scenario"
+        if (part, scenario) not in by_part_scenario:
+            return "no evaluation windows in scenario"
+        return None
+
     test_parts = (Part.SEEN_TEST, Part.UNSEEN_TEST)
+    # each scenario's (model, part) cells: a baseline kind or a prompt mode
+    grid = [(kind, part) for kind in baselines for part in test_parts]
+    grid += [(mode, Part.UNSEEN_TEST) for mode in modes]
     tasks = {
         f"{kind}/{scenario.value}": partial(
             train_baseline, kind, inputs_for(kind, scenario, Part.TRAIN), configs[kind]
         )
         for scenario in Scenario
-        if (Part.TRAIN, scenario) in by_part_scenario
-        and any((part, scenario) in by_part_scenario for part in test_parts)
         for kind in baselines
+        if any(skip_reason(kind, scenario, part) is None for part in test_parts)
     }
     tasks["dataset"] = partial(dataset_hash, windows, dataset_csv)
     results, timings = _run_tasks(
         dict(sorted(tasks.items(), key=lambda t: _TASK_ORDER.index(t[0].split("/")[0])))
     )
 
+    def predict(model, scenario: Scenario, part: Part, eval_full: list) -> tuple:
+        # the cell's predictions and the number of failed provider calls
+        if model in BASELINES:
+            trained = results[f"{model}/{scenario.value}"]
+            labels = predict_baseline(model, trained, inputs_for(model, scenario, part))
+            return [
+                Prediction(window_id=w.id, label=lb, raw_text="", mode=None, provider=model)
+                for w, lb in zip(eval_full, labels)
+            ], 0
+        batch = classify_windows(
+            [down[w.id] for w in eval_full],
+            model,
+            cfg=provider_cfg,
+            templates=templates,
+            transcript_path=transcript_path,
+        )
+        return batch.predictions, len(batch.failures)
+
     cells: dict[tuple[str, Scenario, Part], CellResult] = {}
-
     for scenario in Scenario:
-        train_full = by_part_scenario.get((Part.TRAIN, scenario), [])
-        for kind in baselines:
-            for part in test_parts:
-                eval_full = by_part_scenario.get((part, scenario), [])
-                key = (kind, scenario, part)
-                if not train_full:
-                    cells[key] = CellResult(
-                        None, None, skipped_reason="no training windows in scenario"
-                    )
-                    continue
-                if not eval_full:
-                    cells[key] = CellResult(
-                        None, None, skipped_reason="no evaluation windows in scenario"
-                    )
-                    continue
-                model = results[f"{kind}/{scenario.value}"]
-                labels = predict_baseline(kind, model, inputs_for(kind, scenario, part))
-                preds = [
-                    Prediction(window_id=w.id, label=lb, raw_text="", mode=None, provider=kind)
-                    for w, lb in zip(eval_full, labels)
-                ]
-                cm = confusion(preds, eval_full)
-                cells[key] = CellResult(cm, metrics(cm), n_windows=len(eval_full))
-
-        for mode in modes:
-            key = (_llm_model_id(provider, mode), scenario, Part.UNSEEN_TEST)
-            eval_full = by_part_scenario.get((Part.UNSEEN_TEST, scenario), [])
-            if not eval_full:
-                cells[key] = CellResult(
-                    None, None, skipped_reason="no evaluation windows in scenario"
-                )
+        for model, part in grid:
+            model_id = model if model in BASELINES else _llm_model_id(provider, model)
+            reason = skip_reason(model, scenario, part)
+            if reason is not None:
+                cells[(model_id, scenario, part)] = CellResult(None, reason)
                 continue
-            eval_down = [down[w.id] for w in eval_full]
-            batch = classify_windows(
-                eval_down,
-                mode,
-                cfg=provider_cfg,
-                templates=templates,
-                transcript_path=transcript_path,
-            )
-            n_total = len(eval_down)
-            n_failed = len(batch.failures)
+            eval_full = by_part_scenario[(part, scenario)]
+            preds, n_failed = predict(model, scenario, part, eval_full)
+            n_total = len(eval_full)
             if n_failed > MAX_FAILED_SHARE * n_total:
-                cells[key] = CellResult(
-                    None,
-                    None,
-                    skipped_reason=f"{n_failed}/{n_total} provider calls failed",
-                    n_windows=n_total,
-                    n_failures=n_failed,
-                )
-                continue
-            cm = confusion(batch.predictions, eval_full)
-            cells[key] = CellResult(
-                cm, metrics(cm), n_windows=n_total, n_failures=n_failed
+                reason = f"{n_failed}/{n_total} provider calls failed"
+            cells[(model_id, scenario, part)] = CellResult(
+                None if reason else confusion(preds, eval_full), reason, n_total, n_failed
             )
 
     manifest = {
@@ -518,17 +520,8 @@ def _render_text(r: EvalReport) -> str:
         if cell.skipped:
             rows.append((name, scen, test, f"skipped ({cell.skipped_reason})", "", "", ""))
         else:
-            rows.append(
-                (
-                    name,
-                    scen,
-                    test,
-                    _percent(cell.metrics.precision),
-                    _percent(cell.metrics.recall),
-                    _percent(cell.metrics.f1),
-                    str(int(cell.confusion.unparsed.sum())),
-                )
-            )
+            unparsed = str(int(cell.confusion.unparsed.sum()))
+            rows.append((name, scen, test, *map(_percent, astuple(cell.metrics)), unparsed))
     widths = [
         max(len(headers[i]), *(len(row[i]) for row in rows)) if rows else len(headers[i])
         for i in range(len(headers))
@@ -557,9 +550,7 @@ def _render_jsonl(r: EvalReport) -> str:
         if cell.skipped:
             obj["skipped"] = cell.skipped_reason
         else:
-            obj["precision"] = cell.metrics.precision
-            obj["recall"] = cell.metrics.recall
-            obj["f1"] = cell.metrics.f1
+            obj.update(asdict(cell.metrics))
             obj["confusion"] = cell.confusion.counts.tolist()
             obj["unparsed"] = cell.confusion.unparsed.tolist()
         lines.append(json.dumps(obj, sort_keys=True))
@@ -569,8 +560,11 @@ def _render_jsonl(r: EvalReport) -> str:
 def parse_report_jsonl(text: str) -> EvalReport:
     """Rebuild an EvalReport from its JSONL rendering.
 
-    The manifest comes back as just its hash; rendering the parsed
-    report again reproduces the input bytes.
+    A scored cell comes back as its confusion counts, and its metrics are
+    derived from them again; a line whose precision, recall or F1 is not
+    exactly what its counts give is refused with ``DataError``. The
+    manifest comes back as just its hash; rendering the parsed report
+    again reproduces the input bytes.
     """
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
@@ -584,30 +578,21 @@ def parse_report_jsonl(text: str) -> EvalReport:
     for line in lines[1:]:
         try:
             obj = json.loads(line)
-            key = (
-                obj["model"],
-                Scenario(obj["scenario"]),
-                Part(obj["split"]),
-            )
-            if "skipped" in obj:
-                cells[key] = CellResult(
-                    None,
-                    None,
-                    skipped_reason=obj["skipped"],
-                    n_windows=obj["n_windows"],
-                    n_failures=obj["n_failures"],
-                )
-            else:
+            key = (obj["model"], Scenario(obj["scenario"]), Part(obj["split"]))
+            cm = None
+            if "skipped" not in obj:
                 cm = ConfusionMatrix(
                     counts=np.asarray(obj["confusion"], dtype=np.int64),
                     unparsed=np.asarray(obj["unparsed"], dtype=np.int64),
                 )
-                cells[key] = CellResult(
-                    cm,
-                    Metrics(obj["precision"], obj["recall"], obj["f1"]),
-                    n_windows=obj["n_windows"],
-                    n_failures=obj["n_failures"],
-                )
+                stored = Metrics(obj["precision"], obj["recall"], obj["f1"])
+            cell = CellResult(cm, obj.get("skipped"), obj["n_windows"], obj["n_failures"])
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise DataError(f"malformed JSONL report line: {exc}")
+        if cm is not None and stored != cell.metrics:
+            raise DataError(
+                f"JSONL report cell {obj['model']!r}/{obj['scenario']}/{obj['split']} "
+                f"gives {stored}, but its counts give {cell.metrics}"
+            )
+        cells[key] = cell
     return EvalReport(cells=cells, manifest=manifest)

@@ -478,10 +478,6 @@ class LabelLexicon:
                 compiled.append((label, _compile_phrase(phrase)))
         return cls(version=version, patterns=tuple(compiled))
 
-    @classmethod
-    def load_default(cls) -> "LabelLexicon":
-        return _default_lexicon()
-
 
 def _compile_phrase(phrase: str) -> "re.Pattern[str]":
     # Whitespace or hyphens between words both match, so "turn left",

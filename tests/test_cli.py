@@ -11,11 +11,13 @@ import pytest
 import imutrace
 import imutrace.cli as cli
 import imutrace.core as core
+import imutrace.evalreport as evalreport
 from imutrace.baselines import BASELINES
 from imutrace.baselines.model_io import load_model, save_model
 from imutrace.cli import main
 from imutrace.core import Scenario, dataset_hash, downsample, ingest_csv, serialize_csv
 from imutrace.evalreport import DEFAULT_TARGET_RATE_HZ, baseline_inputs
+from imutrace.llm import BatchResult
 from imutrace.synth import GeneratorConfig, ZERO_NOISE, generate_dataset, uniform_counts
 
 RUN_FILES = ("dataset.csv", "split.json", "report.txt", "report.jsonl", "run_manifest.json")
@@ -196,6 +198,33 @@ def test_report_round_trips(tmp_path, capsys):
 
     rc = main(["report", "--input", str(tmp_path / "missing.jsonl")])
     assert rc == 3
+
+
+def test_run_exits_4_when_provider_failures_skip_a_cell(tmp_path, capsys, monkeypatch):
+    def all_fail(windows, mode, **kwargs):
+        return BatchResult(
+            predictions=(), failures=tuple((w.id, "connection lost") for w in windows)
+        )
+
+    monkeypatch.setattr(evalreport, "classify_windows", all_fail)
+    run_dir = tmp_path / "r"
+    assert _run(run_dir) == 4
+    assert "skipped on provider failures" in capsys.readouterr().err
+    for name in (*RUN_FILES, "timings.json"):
+        assert (run_dir / name).exists(), name
+
+    # the skipped cells keep their window and failure counts through a re-render
+    jsonl = run_dir / "report.jsonl"
+    assert main(["report", "--input", str(jsonl), "--format", "jsonl"]) == 0
+    assert capsys.readouterr().out == jsonl.read_text()
+    assert main(["report", "--input", str(jsonl)]) == 0
+    assert capsys.readouterr().out == (run_dir / "report.txt").read_text()
+    cells = [json.loads(line) for line in jsonl.read_text().splitlines()[1:]]
+    cot = [c for c in cells if c["model"] == "mock-cot"]
+    assert len(cot) == 2
+    for cell in cot:
+        assert cell["n_failures"] == cell["n_windows"] > 0
+        assert cell["skipped"] == f"{cell['n_failures']}/{cell['n_windows']} provider calls failed"
 
 
 def test_config_file_precedence(tmp_path, capsys):

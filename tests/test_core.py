@@ -125,6 +125,17 @@ def test_csv_round_trip_keeps_the_rate_grid(rate):
     assert serialize_csv(back) == text
 
 
+@pytest.mark.parametrize("n", [3, 9, 17, 40, 41, 100])
+def test_ingest_recovers_a_rate_the_quotient_misses_by_an_ulp(n):
+    # for 40 samples, 39 / t_last lands one ulp above 1000 / 7, and no
+    # rounding of it to 12-17 significant digits reproduces the t column
+    w = window_from_array(np.zeros((n, 9)), rate=1000 / 7)
+    text = serialize_csv([w])
+    back = ingest_csv(io.StringIO(text))
+    assert back[0].rate == 1000 / 7
+    assert serialize_csv(back) == text
+
+
 def _reference_csv(windows):
     """The canonical CSV built row by row, each timestamp repr-ed anew: an
     oracle that shares nothing with the per-window chunks of serialize_csv."""

@@ -1,7 +1,11 @@
+import json
+import math
 import multiprocessing
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import imutrace.evalreport as evalreport
 from imutrace.baselines.forest import RfConfig
@@ -10,6 +14,7 @@ from imutrace.baselines.svm import SvmConfig
 from imutrace.core import Part, Scenario, SplitAssignment, TrajectoryLabel, split_dataset
 from imutrace.errors import ConfigError, DataError
 from imutrace.evalreport import (
+    CellResult,
     ConfusionMatrix,
     EvalReport,
     Metrics,
@@ -266,6 +271,64 @@ def test_jsonl_round_trip(skip_path_report):
         parse_report_jsonl("not json\n")
     with pytest.raises(DataError):
         parse_report_jsonl(jsonl + '{"model": "rf"}\n')
+
+
+_COUNTS = st.integers(0, 10**6)
+
+
+@st.composite
+def _cells(draw):
+    """A scored cell (non-negative counts, at least one) or a skipped one."""
+    if draw(st.booleans()):
+        return CellResult(
+            None, draw(st.text()), draw(st.integers(0, 10**6)), draw(st.integers(0, 10**6))
+        )
+    cm = ConfusionMatrix(
+        counts=draw(arrays(np.int64, (4, 4), elements=_COUNTS)),
+        unparsed=draw(arrays(np.int64, (4,), elements=_COUNTS)),
+    )
+    if cm.total == 0:
+        cm.counts[draw(st.integers(0, 3)), draw(st.integers(0, 3))] = 1
+    return CellResult(cm, None, cm.total, draw(st.integers(0, 10**6)))
+
+
+_KEYS = st.tuples(
+    st.one_of(st.sampled_from([*evalreport.BASELINE_KINDS, "mock-cot", "mock-do"]), st.text()),
+    st.sampled_from(list(Scenario)),
+    st.sampled_from([Part.SEEN_TEST, Part.UNSEEN_TEST]),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.dictionaries(_KEYS, _cells(), min_size=1, max_size=8),
+    st.text(alphabet="0123456789abcdef", min_size=64, max_size=64),
+    st.data(),
+)
+def test_jsonl_report_is_its_counts(cells, digest, data):
+    report = EvalReport(cells=cells, manifest={"sha256": digest})
+    jsonl = render_report(report, "jsonl")
+    back = parse_report_jsonl(jsonl)
+    assert render_report(back, "jsonl") == jsonl
+    assert back.cells.keys() == cells.keys()
+    for key, cell in back.cells.items():
+        assert (cell.skipped_reason, cell.n_windows, cell.n_failures) == (
+            cells[key].skipped_reason, cells[key].n_windows, cells[key].n_failures
+        )
+        if not cell.skipped:
+            assert cell.metrics == metrics(cell.confusion)
+
+    # a metric one float away from what its counts give is refused
+    lines = jsonl.splitlines()
+    scored = [i for i, line in enumerate(lines[1:], 1) if "f1" in json.loads(line)]
+    if scored:
+        i = data.draw(st.sampled_from(scored))
+        obj = json.loads(lines[i])
+        name = data.draw(st.sampled_from(["precision", "recall", "f1"]))
+        obj[name] = math.nextafter(obj[name], data.draw(st.sampled_from([-math.inf, math.inf])))
+        lines[i] = json.dumps(obj, sort_keys=True)
+        with pytest.raises(DataError, match="but its counts give"):
+            parse_report_jsonl("\n".join(lines) + "\n")
 
 
 def test_experiment_is_deterministic(skip_path_report):
