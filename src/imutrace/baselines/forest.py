@@ -33,6 +33,8 @@ class RfConfig:
     def __post_init__(self):
         if self.trees < 1:
             raise DataError(f"tree count must be >= 1, got {self.trees}")
+        if self.seed < 0:
+            raise DataError("seed must be a nonnegative integer")
         if self.max_depth is not None and self.max_depth < 1:
             raise DataError(f"max_depth must be >= 1 or None, got {self.max_depth}")
         if self.features_per_split is not None and self.features_per_split < 1:

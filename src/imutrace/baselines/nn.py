@@ -57,6 +57,8 @@ class CnnConfig:
             raise DataError(f"learning rate must be positive, got {self.lr}")
         if not 0 <= self.momentum < 1:
             raise DataError(f"momentum must be in [0, 1), got {self.momentum}")
+        if self.seed < 0:
+            raise DataError("seed must be a nonnegative integer")
 
 
 @dataclass(frozen=True)
@@ -77,6 +79,8 @@ class LstmConfig:
             raise DataError(f"learning rate must be positive, got {self.lr}")
         if not 0 <= self.momentum < 1:
             raise DataError(f"momentum must be in [0, 1), got {self.momentum}")
+        if self.seed < 0:
+            raise DataError("seed must be a nonnegative integer")
 
 
 NnConfig = Union[CnnConfig, LstmConfig]

@@ -148,8 +148,11 @@ def kkt_violations(
 
 def _smo_binary(
     k: np.ndarray, y: np.ndarray, c: float, tol: float, max_passes: int
-) -> tuple[np.ndarray, float, int, bool]:
-    """Solve one binary dual; returns (alpha, bias, sweeps, converged)."""
+) -> tuple[np.ndarray, float, int, float]:
+    """Solve one binary dual; returns (alpha, bias, sweeps, max KKT violation).
+
+    The machine has converged when the largest violation is ``<= tol``.
+    """
     n = y.size
     alpha = np.zeros(n)
     bias = 0.0
@@ -213,11 +216,10 @@ def _smo_binary(
         if changed == 0:
             break
 
-    # recompute decisions from scratch so the flag is free of the tiny
+    # recompute decisions from scratch so the check is free of the tiny
     # drift the incremental f updates accumulate
     fresh = k @ (alpha * y) + bias
-    converged = bool(np.max(kkt_violations(alpha, y, fresh, c)) <= tol)
-    return alpha, bias, sweeps, converged
+    return alpha, bias, sweeps, float(np.max(kkt_violations(alpha, y, fresh, c)))
 
 
 def train_svm(x: np.ndarray, y: np.ndarray, cfg: SvmConfig) -> SvmModel:
@@ -255,10 +257,10 @@ def train_svm(x: np.ndarray, y: np.ndarray, cfg: SvmConfig) -> SvmModel:
                  "max_kkt_violation": 0.0, "duals": [0.0] * n}
             )
             continue
-        alpha, bias, sweeps, converged = _smo_binary(
+        alpha, bias, sweeps, max_violation = _smo_binary(
             k, yk, cfg.c, cfg.tol, cfg.max_passes
         )
-        decision = k @ (alpha * yk) + bias
+        converged = max_violation <= cfg.tol
         mask = alpha > ALPHA_EPS
         machines.append(
             BinarySvm(
@@ -274,9 +276,7 @@ def train_svm(x: np.ndarray, y: np.ndarray, cfg: SvmConfig) -> SvmModel:
                 "n_support": int(mask.sum()),
                 "converged": converged,
                 "sweeps": sweeps,
-                "max_kkt_violation": float(
-                    np.max(kkt_violations(alpha, yk, decision, cfg.c))
-                ),
+                "max_kkt_violation": max_violation,
                 "duals": alpha.tolist(),
             }
         )

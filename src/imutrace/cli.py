@@ -45,12 +45,7 @@ from .evalreport import (
 )
 from .llm import ProviderConfig
 from .prompting import PromptMode, TemplateSet
-from .synth import (
-    GeneratorConfig,
-    ZERO_NOISE,
-    generate_dataset,
-    uniform_counts,
-)
+from .synth import GeneratorConfig, ZERO_NOISE, generate_dataset, uniform_counts
 from .baselines.model_io import save_model, save_training_log
 
 EXIT_OK = 0
@@ -87,12 +82,19 @@ def _load_split(path: str) -> SplitAssignment:
     return SplitAssignment.from_json_dict(obj["assignment"])
 
 
-def _noise_mapping(name: str):
-    if name == "default":
-        return None  # per-scenario defaults
-    if name == "zero":
-        return {scenario: ZERO_NOISE for scenario in Scenario}
-    raise ConfigError(f"unknown noise profile {name!r}")
+def _generate(args, seed: int):
+    """The windows and manifest that the generator flags in ``args`` give."""
+    if args.noise not in ("default", "zero"):
+        raise ConfigError(f"unknown noise profile {args.noise!r}")
+    cfg = GeneratorConfig(
+        seed=seed,
+        rate=args.rate,
+        duration=args.duration,
+        windows_per_group=args.windows_per_group,
+    )
+    # None keeps the per-scenario default profiles
+    noise = {scenario: ZERO_NOISE for scenario in Scenario} if args.noise == "zero" else None
+    return generate_dataset(cfg, uniform_counts(args.per_class), noise)
 
 
 def _baseline_config(kind: str, **overrides):
@@ -129,14 +131,7 @@ def _parse_baselines(text: str) -> list[str]:
 
 
 def cmd_generate(args) -> int:
-    cfg = GeneratorConfig(
-        seed=args.seed,
-        rate=args.rate,
-        duration=args.duration,
-        windows_per_group=args.windows_per_group,
-    )
-    counts = uniform_counts(args.per_class)
-    windows, manifest = generate_dataset(cfg, counts, _noise_mapping(args.noise))
+    windows, manifest = _generate(args, args.seed)
     out = Path(args.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -245,15 +240,7 @@ def cmd_run(args) -> int:
         windows = _load_windows(args.data)
         manifest_extra["data_source"] = {"kind": "file", "path": args.data}
     else:
-        gen_cfg = GeneratorConfig(
-            seed=args.gen_seed,
-            rate=args.rate,
-            duration=args.duration,
-            windows_per_group=args.windows_per_group,
-        )
-        windows, generated = generate_dataset(
-            gen_cfg, uniform_counts(args.per_class), _noise_mapping(args.noise)
-        )
+        windows, generated = _generate(args, args.gen_seed)
         manifest_extra["data_source"] = {"kind": "generated", "generator": generated}
     if not windows:
         raise DataError("the dataset is empty; nothing to evaluate")
@@ -358,14 +345,26 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
         subparsers[name] = p
         return p
 
+    def add_generator_flags(p: argparse.ArgumentParser) -> None:
+        # the defaults are GeneratorConfig's own
+        gen = GeneratorConfig
+        p.add_argument("--rate", type=float, default=gen.rate, help="generator sample rate, Hz")
+        p.add_argument("--duration", type=float, default=gen.duration, help="generator window length, s")
+        p.add_argument(
+            "--windows-per-group",
+            type=int,
+            default=gen.windows_per_group,
+            help="generator windows per recording group",
+        )
+        p.add_argument(
+            "--noise", choices=["default", "zero"], default="default", help="generator noise profiles"
+        )
+
     g = add("generate", "synthesize a labeled dataset")
     g.add_argument("--out", default="dataset", help="output directory")
     g.add_argument("--per-class", type=int, default=10, help="windows per (label, scenario)")
     g.add_argument("--seed", type=int, default=0, help="generator seed")
-    g.add_argument("--rate", type=float, default=100.0, help="sample rate, Hz")
-    g.add_argument("--duration", type=float, default=10.0, help="window length, s")
-    g.add_argument("--windows-per-group", type=int, default=4, help="windows per recording group")
-    g.add_argument("--noise", choices=["default", "zero"], default="default", help="noise profiles")
+    add_generator_flags(g)
     g.set_defaults(func=cmd_generate)
 
     s = add("split", "assign windows to train/validation/seen/unseen parts")
@@ -397,10 +396,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     r.add_argument("--split-seed", type=int, default=0, help="seed when computing the split")
     r.add_argument("--per-class", type=int, default=None, help="generate N windows per (label, scenario)")
     r.add_argument("--gen-seed", type=int, default=0, help="generator seed")
-    r.add_argument("--rate", type=float, default=100.0, help="generator sample rate, Hz")
-    r.add_argument("--duration", type=float, default=10.0, help="generator window length, s")
-    r.add_argument("--windows-per-group", type=int, default=4, help="generator windows per group")
-    r.add_argument("--noise", choices=["default", "zero"], default="default", help="generator noise")
+    add_generator_flags(r)
     r.add_argument("--out", default="run", help="output directory")
     r.add_argument("--providers", choices=["mock", "live", "none"], default="mock")
     r.add_argument("--modes", default="cot,do", help="comma list of prompt modes (cot, do) or none")
@@ -420,13 +416,16 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     r.add_argument("--transcript", action="store_true", help="write transcript.jsonl of provider calls")
     r.add_argument("--endpoint", default=None, help="live provider: chat-completion URL")
     r.add_argument("--model", default=None, help="live provider: model id")
-    r.add_argument("--token-env", default="IMUTRACE_API_TOKEN", help="live provider: auth token env var")
-    r.add_argument("--temperature", type=float, default=0.0, help="live provider: temperature")
-    r.add_argument("--max-tokens", type=int, default=1024, help="live provider: response token cap")
-    r.add_argument("--timeout", type=float, default=30.0, help="live provider: request timeout, s")
-    r.add_argument("--retries", type=int, default=3, help="live provider: max retries")
-    r.add_argument("--backoff", type=float, default=0.5, help="live provider: backoff base, s")
-    r.add_argument("--concurrency", type=int, default=4, help="live provider: concurrent requests")
+    # the live-provider defaults are ProviderConfig's own; none is built
+    # here, so an offline run still never imports the HTTP client
+    live = ProviderConfig
+    r.add_argument("--token-env", default=live.token_env, help="live provider: auth token env var")
+    r.add_argument("--temperature", type=float, default=live.temperature, help="live provider: temperature")
+    r.add_argument("--max-tokens", type=int, default=live.max_tokens, help="live provider: response token cap")
+    r.add_argument("--timeout", type=float, default=live.timeout_s, help="live provider: request timeout, s")
+    r.add_argument("--retries", type=int, default=live.retries, help="live provider: max retries")
+    r.add_argument("--backoff", type=float, default=live.backoff_base_s, help="live provider: backoff base, s")
+    r.add_argument("--concurrency", type=int, default=live.concurrency, help="live provider: concurrent requests")
     r.set_defaults(func=cmd_run)
 
     p = add("report", "re-render a JSONL report")

@@ -426,6 +426,8 @@ def split_dataset(windows: Sequence[TrajectoryWindow], seed: int) -> SplitAssign
     into train/validation/seen-test by largest-remainder allocation,
     nudged so every part lands within one window of its exact share.
     """
+    if seed < 0:
+        raise DataError("seed must be a nonnegative integer")
     n = len(windows)
     if n < 6:
         raise DataError(f"need at least 6 windows to split, got {n}")

@@ -561,10 +561,12 @@ def parse_report_jsonl(text: str) -> EvalReport:
     """Rebuild an EvalReport from its JSONL rendering.
 
     A scored cell comes back as its confusion counts, and its metrics are
-    derived from them again; a line whose precision, recall or F1 is not
-    exactly what its counts give is refused with ``DataError``. The
-    manifest comes back as just its hash; rendering the parsed report
-    again reproduces the input bytes.
+    derived from them again. ``DataError`` refuses a second line for the
+    same cell, and a scored line whose precision, recall or F1 is not
+    exactly what its counts give, or whose ``n_windows`` is not its
+    counts' total plus its ``n_failures`` (as ``run_experiment`` writes
+    it). The manifest comes back as just its hash; rendering the parsed
+    report again reproduces the input bytes.
     """
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
@@ -589,10 +591,15 @@ def parse_report_jsonl(text: str) -> EvalReport:
             cell = CellResult(cm, obj.get("skipped"), obj["n_windows"], obj["n_failures"])
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise DataError(f"malformed JSONL report line: {exc}")
+        name = f"JSONL report cell {obj['model']!r}/{obj['scenario']}/{obj['split']}"
+        if key in cells:
+            raise DataError(f"{name} appears on more than one line")
         if cm is not None and stored != cell.metrics:
+            raise DataError(f"{name} gives {stored}, but its counts give {cell.metrics}")
+        if cm is not None and cell.n_windows != cm.total + cell.n_failures:
             raise DataError(
-                f"JSONL report cell {obj['model']!r}/{obj['scenario']}/{obj['split']} "
-                f"gives {stored}, but its counts give {cell.metrics}"
+                f"{name} gives n_windows {cell.n_windows}, but its counts and "
+                f"failures give {cm.total + cell.n_failures}"
             )
         cells[key] = cell
     return EvalReport(cells=cells, manifest=manifest)

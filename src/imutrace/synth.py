@@ -26,7 +26,7 @@ pure function of the profile.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, fields
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -88,9 +88,9 @@ class NoiseProfile:
     bump_amp: float = 0.0      # m/s^2 per bump
 
     def __post_init__(self):
-        for name in ("accel_sigma", "gyro_sigma", "mag_sigma", "bump_rate", "bump_amp"):
-            if getattr(self, name) < 0:
-                raise DataError(f"noise parameter {name} must be >= 0")
+        for f in fields(self):
+            if getattr(self, f.name) < 0:
+                raise DataError(f"noise parameter {f.name} must be >= 0")
 
 
 # Indoor floors are flat; outdoor surfaces are rough enough that the
@@ -349,7 +349,9 @@ def generate_dataset(
     group ("scene") cover a mix of trajectory classes, the way one
     recording session visits all of them. Each window's RNG is derived
     from ``(cfg.seed, global window index)``, making generation
-    order-independent and reproducible.
+    order-independent and reproducible. The manifest records every
+    :class:`GeneratorConfig` field and every scenario's
+    :class:`NoiseProfile` fields, read off the dataclasses themselves.
     """
     if noise is None:
         noise = DEFAULT_NOISE
@@ -388,23 +390,11 @@ def generate_dataset(
             global_index += 1
 
     manifest = {
+        **asdict(cfg),
         "version": MANIFEST_VERSION,
-        "seed": cfg.seed,
         "rng": GENERATOR_ALGORITHM,
-        "rate": cfg.rate,
-        "duration": cfg.duration,
-        "earth_field_h": cfg.earth_field_h,
-        "earth_field_v": cfg.earth_field_v,
-        "gravity": cfg.gravity,
-        "windows_per_group": cfg.windows_per_group,
         "noise": {
-            scenario.value: {
-                "accel_sigma": profile.accel_sigma,
-                "gyro_sigma": profile.gyro_sigma,
-                "mag_sigma": profile.mag_sigma,
-                "bump_rate": profile.bump_rate,
-                "bump_amp": profile.bump_amp,
-            }
+            scenario.value: asdict(profile)
             for scenario, profile in sorted(noise.items(), key=lambda kv: kv[0].value)
         },
         "counts": {

@@ -182,6 +182,37 @@ def test_run_live_requires_endpoint(tmp_path, capsys):
     assert "requires --endpoint and --model" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["split", "--seed", "-1"],
+        ["train", "--model", "rf", "--seed", "-1"],
+        ["run", "--per-class", "3", "--windows-per-group", "2", "--seed", "-1"],
+        ["run", "--per-class", "3", "--windows-per-group", "2", "--split-seed", "-1"],
+    ],
+    ids=["split", "train", "run-seed", "run-split-seed"],
+)
+def test_negative_seed_exits_3_before_writing(tmp_path, argv):
+    data = _generate(tmp_path, per_class=3)
+    split = tmp_path / "split.json"
+    assert main(["split", "--data", str(data / "dataset.csv"), "--out", str(split)]) == 0
+    if argv[0] != "run":
+        argv = [*argv, "--data", str(data / "dataset.csv")]
+    if argv[0] == "train":
+        argv = [*argv, "--split", str(split)]
+    out = tmp_path / "out"
+    src = str(Path(imutrace.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "imutrace.cli", *argv, "--out", str(out)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "seed must be a nonnegative integer" in proc.stderr
+    assert not out.exists()
+
+
 def test_report_round_trips(tmp_path, capsys):
     run_dir = tmp_path / "r"
     assert _run(run_dir) == 0

@@ -1,6 +1,7 @@
 import json
 import math
 import multiprocessing
+import re
 
 import numpy as np
 import pytest
@@ -278,7 +279,11 @@ _COUNTS = st.integers(0, 10**6)
 
 @st.composite
 def _cells(draw):
-    """A scored cell (non-negative counts, at least one) or a skipped one."""
+    """A scored cell (non-negative counts, at least one) or a skipped one.
+
+    A scored cell's n_windows is its counts' total plus its failures, as
+    run_experiment writes it.
+    """
     if draw(st.booleans()):
         return CellResult(
             None, draw(st.text()), draw(st.integers(0, 10**6)), draw(st.integers(0, 10**6))
@@ -289,7 +294,8 @@ def _cells(draw):
     )
     if cm.total == 0:
         cm.counts[draw(st.integers(0, 3)), draw(st.integers(0, 3))] = 1
-    return CellResult(cm, None, cm.total, draw(st.integers(0, 10**6)))
+    n_failures = draw(st.integers(0, 10**6))
+    return CellResult(cm, None, cm.total + n_failures, n_failures)
 
 
 _KEYS = st.tuples(
@@ -329,6 +335,26 @@ def test_jsonl_report_is_its_counts(cells, digest, data):
         lines[i] = json.dumps(obj, sort_keys=True)
         with pytest.raises(DataError, match="but its counts give"):
             parse_report_jsonl("\n".join(lines) + "\n")
+
+
+def test_jsonl_report_refuses_a_repeated_cell(skip_path_report):
+    jsonl = render_report(skip_path_report, "jsonl")
+    line = next(line for line in jsonl.splitlines()[1:] if "f1" in json.loads(line))
+    obj = json.loads(line)
+    cell = f"{obj['model']!r}/{obj['scenario']}/{obj['split']}"
+    with pytest.raises(DataError, match=re.escape(f"cell {cell} appears on more than one line")):
+        parse_report_jsonl(jsonl + line + "\n")
+
+
+@pytest.mark.parametrize("shift", [-1, 1])
+def test_jsonl_report_refuses_n_windows_off_its_counts(skip_path_report, shift):
+    lines = render_report(skip_path_report, "jsonl").splitlines()
+    i = next(i for i, line in enumerate(lines[1:], 1) if "f1" in json.loads(line))
+    obj = json.loads(lines[i])
+    obj["n_windows"] += shift
+    lines[i] = json.dumps(obj, sort_keys=True)
+    with pytest.raises(DataError, match="but its counts and failures give"):
+        parse_report_jsonl("\n".join(lines) + "\n")
 
 
 def test_experiment_is_deterministic(skip_path_report):
