@@ -504,12 +504,12 @@ def _train(kind: str, windows: Sequence[TrajectoryWindow], cfg: NnConfig) -> NnM
     )
 
 
-def train_cnn(windows: Sequence[TrajectoryWindow], cfg: Optional[CnnConfig] = None) -> NnModel:
-    return _train("cnn", windows, cfg if cfg is not None else CnnConfig())
+def train_cnn(windows: Sequence[TrajectoryWindow], cfg: CnnConfig) -> NnModel:
+    return _train("cnn", windows, cfg)
 
 
-def train_lstm(windows: Sequence[TrajectoryWindow], cfg: Optional[LstmConfig] = None) -> NnModel:
-    return _train("lstm", windows, cfg if cfg is not None else LstmConfig())
+def train_lstm(windows: Sequence[TrajectoryWindow], cfg: LstmConfig) -> NnModel:
+    return _train("lstm", windows, cfg)
 
 
 def predict_nn_batch(

@@ -274,10 +274,12 @@ def cmd_run(args) -> int:
             transcript_path=transcript_path,
             dataset_csv=out / "dataset.csv" if generated is not None else None,
         )
-        _write_json(
-            {"seed": args.split_seed, "assignment": split.to_json_dict()},
-            out / "split.json",
-        )
+        # like the manifest, the split record names a seed only when this
+        # run computed the split
+        split_record = {"assignment": split.to_json_dict()}
+        if "split_seed" in manifest_extra:
+            split_record["seed"] = manifest_extra["split_seed"]
+        _write_json(split_record, out / "split.json")
         _write_json(report.manifest, out / "run_manifest.json")
         (out / "report.txt").write_text(render_report(report, "text"), encoding="utf-8")
         (out / "report.jsonl").write_text(

@@ -127,20 +127,18 @@ class CellResult:
 class EvalReport:
     """Cells keyed by (model id, scenario, split part), plus the manifest.
 
-    ``timings`` holds the wall-clock record of ``run_experiment``'s pool
-    (see ``_run_tasks``); it is never rendered and never enters the
-    manifest, so reruns stay byte-identical.
+    ``manifest_sha256`` is the ``canonical_digest`` of the run manifest,
+    which the rendered reports cite. ``manifest`` is the manifest itself,
+    or None on a report parsed back from JSONL, which carries only its
+    digest. ``timings`` holds the wall-clock record of
+    ``run_experiment``'s pool (see ``_run_tasks``); it is never rendered
+    and never enters the manifest, so reruns stay byte-identical.
     """
 
     cells: Mapping[tuple[str, Scenario, Part], CellResult]
-    manifest: dict
+    manifest_sha256: str
+    manifest: Optional[dict] = None
     timings: dict = field(default_factory=dict)
-
-    def manifest_digest(self) -> str:
-        if set(self.manifest) == {"sha256"}:
-            # reconstructed from JSONL output, which carries only the hash
-            return self.manifest["sha256"]
-        return canonical_digest(self.manifest)
 
 
 def canonical_digest(obj: dict) -> str:
@@ -426,10 +424,7 @@ def run_experiment(
         if model in BASELINES:
             trained = results[f"{model}/{scenario.value}"]
             labels = predict_baseline(model, trained, inputs_for(model, scenario, part))
-            return [
-                Prediction(window_id=w.id, label=lb, raw_text="", mode=None, provider=model)
-                for w, lb in zip(eval_full, labels)
-            ], 0
+            return [Prediction(w.id, lb) for w, lb in zip(eval_full, labels)], 0
         batch = classify_windows(
             [down[w.id] for w in eval_full],
             model,
@@ -474,7 +469,7 @@ def run_experiment(
     }
     if manifest_extra:
         manifest.update(manifest_extra)
-    return EvalReport(cells=cells, manifest=manifest, timings=timings)
+    return EvalReport(cells, canonical_digest(manifest), manifest, timings)
 
 
 # --------------------------------------------------------------------------
@@ -487,15 +482,14 @@ def _percent(value: float) -> str:
     return f"{q}%"
 
 
+# baselines first, in their table's order, then prompt models by id
+_MODEL_RANK = {kind: i for i, kind in enumerate(BASELINE_KINDS)}
+
+
 def _cell_sort_key(key: tuple[str, Scenario, Part]):
     model_id, scenario, part = key
-    try:
-        model_rank = (0, BASELINE_KINDS.index(model_id), model_id)
-    except ValueError:
-        model_rank = (1, 0, model_id)
-    scenarios = list(Scenario)
-    parts = [Part.SEEN_TEST, Part.UNSEEN_TEST]
-    return (model_rank, scenarios.index(scenario), parts.index(part))
+    rank = _MODEL_RANK.get(model_id, len(_MODEL_RANK))
+    return (rank, model_id, list(Scenario).index(scenario), list(_TEST_NAMES).index(part))
 
 
 def _sorted_cells(r: EvalReport):
@@ -533,73 +527,84 @@ def _render_text(r: EvalReport) -> str:
         lines.append("  ".join(row[i].ljust(widths[i]) for i in range(len(headers))).rstrip())
     lines.append("")
     lines.append(REFERENCE_FOOTER)
-    lines.append(f"Manifest sha256: {r.manifest_digest()}")
+    lines.append(f"Manifest sha256: {r.manifest_sha256}")
     return "\n".join(lines) + "\n"
 
 
+def _cell_line(key: tuple[str, Scenario, Part], cell: CellResult) -> dict:
+    """The JSONL line of one cell: its key, window and failure counts, and
+    either its skip reason or its counts with the metrics they give."""
+    model_id, scenario, part = key
+    obj: dict = {
+        "model": model_id,
+        "scenario": scenario.value,
+        "split": part.value,
+        "n_windows": cell.n_windows,
+        "n_failures": cell.n_failures,
+    }
+    if cell.skipped:
+        obj["skipped"] = cell.skipped_reason
+    else:
+        obj.update(asdict(cell.metrics))
+        obj["confusion"] = cell.confusion.counts.tolist()
+        obj["unparsed"] = cell.confusion.unparsed.tolist()
+    return obj
+
+
 def _render_jsonl(r: EvalReport) -> str:
-    lines = [json.dumps({"manifest_sha256": r.manifest_digest()}, sort_keys=True)]
-    for (model_id, scenario, part), cell in _sorted_cells(r):
-        obj: dict = {
-            "model": model_id,
-            "scenario": scenario.value,
-            "split": part.value,
-            "n_windows": cell.n_windows,
-            "n_failures": cell.n_failures,
-        }
-        if cell.skipped:
-            obj["skipped"] = cell.skipped_reason
-        else:
-            obj.update(asdict(cell.metrics))
-            obj["confusion"] = cell.confusion.counts.tolist()
-            obj["unparsed"] = cell.confusion.unparsed.tolist()
-        lines.append(json.dumps(obj, sort_keys=True))
+    lines = [json.dumps({"manifest_sha256": r.manifest_sha256}, sort_keys=True)]
+    for key, cell in _sorted_cells(r):
+        lines.append(json.dumps(_cell_line(key, cell), sort_keys=True))
     return "\n".join(lines) + "\n"
 
 
 def parse_report_jsonl(text: str) -> EvalReport:
     """Rebuild an EvalReport from its JSONL rendering.
 
-    A scored cell comes back as its confusion counts, and its metrics are
-    derived from them again. ``DataError`` refuses a second line for the
-    same cell, and a scored line whose precision, recall or F1 is not
-    exactly what its counts give, or whose ``n_windows`` is not its
-    counts' total plus its ``n_failures`` (as ``run_experiment`` writes
-    it). The manifest comes back as just its hash; rendering the parsed
-    report again reproduces the input bytes.
+    A scored cell is rebuilt from its ``confusion``, ``unparsed`` and
+    ``n_failures`` (``n_windows`` is their total), a skipped cell from its
+    ``skipped``, ``n_windows`` and ``n_failures``. ``DataError`` refuses a
+    line that is not exactly ``_cell_line`` of its rebuilt cell, unknown
+    and missing keys included, naming the first field that differs, and
+    a second line for the same cell. The report keeps only the manifest's
+    digest (``manifest`` is None); rendering it again gives the input bytes.
     """
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
         raise DataError("empty JSONL report")
     try:
-        head = json.loads(lines[0])
-        manifest = {"sha256": head["manifest_sha256"]}
+        digest = json.loads(lines[0])["manifest_sha256"]
     except (json.JSONDecodeError, KeyError, TypeError) as exc:
         raise DataError(f"malformed JSONL report header: {exc}")
     cells: dict[tuple[str, Scenario, Part], CellResult] = {}
     for line in lines[1:]:
         try:
             obj = json.loads(line)
-            key = (obj["model"], Scenario(obj["scenario"]), Part(obj["split"]))
-            cm = None
-            if "skipped" not in obj:
+            # values of the wrong type are coerced here and then refused
+            # below, as fields that differ from the rebuilt line
+            key = (str(obj["model"]), Scenario(obj["scenario"]), Part(obj["split"]))
+            if key[2] not in _TEST_NAMES:
+                raise ValueError(f"split {key[2].value!r} is not a test split")
+            n_failures = int(obj["n_failures"])
+            if "skipped" in obj:
+                cell = CellResult(None, str(obj["skipped"]), int(obj["n_windows"]), n_failures)
+            else:
                 cm = ConfusionMatrix(
                     counts=np.asarray(obj["confusion"], dtype=np.int64),
                     unparsed=np.asarray(obj["unparsed"], dtype=np.int64),
                 )
-                stored = Metrics(obj["precision"], obj["recall"], obj["f1"])
-            cell = CellResult(cm, obj.get("skipped"), obj["n_windows"], obj["n_failures"])
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+                cell = CellResult(cm, None, cm.total + n_failures, n_failures)
+            want = _cell_line(key, cell)
+        except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DataError(f"malformed JSONL report line: {exc}")
-        name = f"JSONL report cell {obj['model']!r}/{obj['scenario']}/{obj['split']}"
+        name = f"JSONL report cell {key[0]!r}/{key[1].value}/{key[2].value}"
+        for k in sorted(obj.keys() | want.keys()):
+            got, given = (json.dumps(d[k]) if k in d else "no such field" for d in (obj, want))
+            if got != given:
+                raise DataError(
+                    f"{name} field {k!r}: the line has {got}, but its counts give {given}"
+                )
         if key in cells:
             raise DataError(f"{name} appears on more than one line")
-        if cm is not None and stored != cell.metrics:
-            raise DataError(f"{name} gives {stored}, but its counts give {cell.metrics}")
-        if cm is not None and cell.n_windows != cm.total + cell.n_failures:
-            raise DataError(
-                f"{name} gives n_windows {cell.n_windows}, but its counts and "
-                f"failures give {cm.total + cell.n_failures}"
-            )
         cells[key] = cell
-    return EvalReport(cells=cells, manifest=manifest)
+    return EvalReport(cells, digest)

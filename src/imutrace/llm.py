@@ -113,20 +113,17 @@ class CompletionResult:
 
 @dataclass(frozen=True)
 class Prediction:
-    """One classified window.
+    """One classified window: its id and the label it was given.
 
     ``label`` is None when the response text yielded no usable label;
     evaluation scores such predictions as wrong and reports them in a
-    dedicated unparsed column instead of dropping them. ``mode`` is
-    None for predictions that did not go through a prompt (the trained
-    baselines reuse this type).
+    dedicated unparsed column instead of dropping them. The trained
+    baselines reuse this type. The response text is kept by the
+    transcript, and the mode and provider belong to the batch.
     """
 
     window_id: str
     label: Optional[TrajectoryLabel]
-    raw_text: str
-    mode: Optional[PromptMode]
-    provider: str
 
 
 @dataclass(frozen=True)
@@ -582,15 +579,7 @@ def classify_windows(
                 label: Optional[TrajectoryLabel] = parse_label(result.text, mode)
             except LabelParseError:
                 label = None
-            predictions.append(
-                Prediction(
-                    window_id=bundle.window_id,
-                    label=label,
-                    raw_text=result.text,
-                    mode=mode,
-                    provider=result.provider,
-                )
-            )
+            predictions.append(Prediction(bundle.window_id, label))
             row = {"text": result.text, "latency_s": result.latency_s}
         if transcript_path is not None:
             row = {"window_id": bundle.window_id, "bundle_sha256": bundle.digest(), **row}

@@ -123,7 +123,7 @@ class GeneratorConfig:
 
 
 def profile_for(
-    label: TrajectoryLabel, rng: np.random.Generator, duration: float = 10.0
+    label: TrajectoryLabel, rng: np.random.Generator, duration: float
 ) -> MotionProfile:
     """Draw a jittered motion profile realizing ``label``.
 
@@ -183,7 +183,7 @@ class YawTrack:
     the profile's segment sum to float precision.
     """
 
-    def __init__(self, profile: MotionProfile, ramp: float = YAW_RAMP_S):
+    def __init__(self, profile: MotionProfile):
         boundaries = np.cumsum([seg.duration for seg in profile.segments])
         total = boundaries[-1]
         rates = [seg.yaw_rate for seg in profile.segments]
@@ -195,7 +195,7 @@ class YawTrack:
             b = float(boundaries[j])
             left_gap = b - cursor
             right_gap = float(boundaries[j + 1]) - b
-            half = min(ramp / 2.0, left_gap / 2.0, right_gap / 2.0)
+            half = min(YAW_RAMP_S / 2.0, left_gap / 2.0, right_gap / 2.0)
             if rates[j] == rates[j + 1] or half <= 0:
                 continue
             pieces.append((cursor, b - half, rates[j], rates[j]))

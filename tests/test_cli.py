@@ -150,6 +150,21 @@ def test_run_outputs_and_rerun_identical(tmp_path, capsys):
     assert manifest["data_source"]["kind"] == "generated"
 
 
+def test_run_records_a_split_seed_only_for_a_split_it_made(tmp_path, capsys):
+    data = str(_generate(tmp_path, per_class=3) / "dataset.csv")
+    given = tmp_path / "s5.json"
+    assert main(["split", "--data", data, "--seed", "5", "--out", str(given)]) == 0
+    flags = ("--baselines", "rf", "--modes", "cot", "--data", data)
+    first, second = tmp_path / "r1", tmp_path / "r2"
+    assert main(["run", *flags, "--split", str(given), "--out", str(first)]) == 0
+    record = json.loads((first / "split.json").read_text())
+    # the split came from s5.json, not from the unused --split-seed default
+    assert record == {"assignment": json.loads(given.read_text())["assignment"]}
+    assert main(["run", *flags, "--split", str(first / "split.json"), "--out", str(second)]) == 0
+    assert (second / "split.json").read_bytes() == (first / "split.json").read_bytes()
+    assert (second / "report.jsonl").read_bytes() == (first / "report.jsonl").read_bytes()
+
+
 def test_run_refuses_duplicate_kinds_and_modes(tmp_path, capsys):
     assert _run(tmp_path / "r1", extra=("--baselines", "rf,rf")) == 2
     assert _run(tmp_path / "r2", extra=("--modes", "do,do")) == 2

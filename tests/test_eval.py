@@ -124,10 +124,10 @@ def test_unparsed_hits_recall_not_precision():
         for i in range(4)
     ]
     preds = [
-        Prediction(truths[0].id, TrajectoryLabel.STRAIGHT, "", None, "t"),
-        Prediction(truths[1].id, TrajectoryLabel.STRAIGHT, "", None, "t"),
-        Prediction(truths[2].id, None, "garbled", None, "t"),
-        Prediction(truths[3].id, None, "garbled", None, "t"),
+        Prediction(truths[0].id, TrajectoryLabel.STRAIGHT),
+        Prediction(truths[1].id, TrajectoryLabel.STRAIGHT),
+        Prediction(truths[2].id, None),
+        Prediction(truths[3].id, None),
     ]
     cm = confusion(preds, truths)
     assert cm.unparsed.tolist() == [2, 0, 0, 0]
@@ -140,7 +140,7 @@ def test_confusion_builder_properties():
     truths = tiny_windows(8, groups=2)
     rng = np.random.default_rng(3)
     preds = [
-        Prediction(w.id, LABELS[int(rng.integers(0, 4))], "", None, "t") for w in truths
+        Prediction(w.id, LABELS[int(rng.integers(0, 4))]) for w in truths
     ]
     cm1 = confusion(preds, truths)
     shuffled = [preds[i] for i in rng.permutation(len(preds))]
@@ -150,7 +150,7 @@ def test_confusion_builder_properties():
     assert cm1.total == 8
 
     with pytest.raises(DataError):  # prediction without a matching truth
-        confusion([Prediction("ghost", LABELS[0], "", None, "t")], truths)
+        confusion([Prediction("ghost", LABELS[0])], truths)
     unlabeled = [window_from_array(np.zeros((2, 9)), window_id="u0")]
     with pytest.raises(DataError):
         confusion([], unlabeled)
@@ -232,7 +232,7 @@ def test_run_experiment_cell_grid(skip_path_report):
     for key in ("dataset_sha256", "split_sha256", "template_sha256", "provider"):
         assert key in r.manifest
     assert r.manifest["provider"] == "mock"
-    assert r.manifest_digest() == canonical_digest(r.manifest)
+    assert r.manifest_sha256 == canonical_digest(r.manifest)
 
 
 def test_text_render_structure(skip_path_report):
@@ -244,7 +244,7 @@ def test_text_render_structure(skip_path_report):
     ]
     assert set(lines[1]) == {"-", " "}
     assert lines[-2] == "Reference targets: GPT4-CoT unseen F1 83.6% (indoor), 76.7% (outdoor)."
-    assert lines[-1] == f"Manifest sha256: {skip_path_report.manifest_digest()}"
+    assert lines[-1] == f"Manifest sha256: {skip_path_report.manifest_sha256}"
     # model blocks appear in the fixed order
     names = [line.split()[0] for line in lines[2:-3] if line]
     assert names == sorted(names, key=["RF", "SVM", "CNN", "LSTM", "mock-CoT", "mock-DO"].index)
@@ -257,7 +257,8 @@ def test_jsonl_round_trip(skip_path_report):
     jsonl = render_report(skip_path_report, "jsonl")
     back = parse_report_jsonl(jsonl)
     assert render_report(back, "jsonl") == jsonl
-    assert back.manifest_digest() == skip_path_report.manifest_digest()
+    assert back.manifest_sha256 == skip_path_report.manifest_sha256
+    assert back.manifest is None
     # parsed cells carry the same metric values
     key = ("svm", Scenario.OUTDOOR, Part.SEEN_TEST)
     assert back.cells[key].metrics == skip_path_report.cells[key].metrics
@@ -272,6 +273,9 @@ def test_jsonl_round_trip(skip_path_report):
         parse_report_jsonl("not json\n")
     with pytest.raises(DataError):
         parse_report_jsonl(jsonl + '{"model": "rf"}\n')
+    # a report cell is a test split's
+    with pytest.raises(DataError, match="'train' is not a test split"):
+        parse_report_jsonl(jsonl.replace('"split": "seen_test"', '"split": "train"', 1))
 
 
 _COUNTS = st.integers(0, 10**6)
@@ -312,7 +316,7 @@ _KEYS = st.tuples(
     st.data(),
 )
 def test_jsonl_report_is_its_counts(cells, digest, data):
-    report = EvalReport(cells=cells, manifest={"sha256": digest})
+    report = EvalReport(cells=cells, manifest_sha256=digest)
     jsonl = render_report(report, "jsonl")
     back = parse_report_jsonl(jsonl)
     assert render_report(back, "jsonl") == jsonl
@@ -336,6 +340,26 @@ def test_jsonl_report_is_its_counts(cells, digest, data):
         with pytest.raises(DataError, match="but its counts give"):
             parse_report_jsonl("\n".join(lines) + "\n")
 
+    # so is a line with one other field changed: n_windows off by one, an
+    # unknown key added or a derived key dropped; the refusal names it
+    lines = jsonl.splitlines()
+    i = data.draw(st.integers(1, len(lines) - 1))
+    obj = json.loads(lines[i])
+    derived = ["precision", "recall", "f1", "n_windows"] if "f1" in obj else []
+    change = data.draw(st.sampled_from(["added", *(["n_windows", "dropped"] if derived else [])]))
+    if change == "n_windows":
+        name = "n_windows"
+        obj[name] += data.draw(st.sampled_from([-1, 1]))
+    elif change == "added":
+        name = data.draw(st.text().filter(lambda k: k not in obj))
+        obj[name] = data.draw(st.one_of(st.none(), st.integers(), st.text()))
+    else:
+        name = data.draw(st.sampled_from(derived))
+        del obj[name]
+    lines[i] = json.dumps(obj, sort_keys=True)
+    with pytest.raises(DataError, match=re.escape(f"field {name!r}: the line has ")):
+        parse_report_jsonl("\n".join(lines) + "\n")
+
 
 def test_jsonl_report_refuses_a_repeated_cell(skip_path_report):
     jsonl = render_report(skip_path_report, "jsonl")
@@ -353,7 +377,7 @@ def test_jsonl_report_refuses_n_windows_off_its_counts(skip_path_report, shift):
     obj = json.loads(lines[i])
     obj["n_windows"] += shift
     lines[i] = json.dumps(obj, sort_keys=True)
-    with pytest.raises(DataError, match="but its counts and failures give"):
+    with pytest.raises(DataError, match="field 'n_windows'"):
         parse_report_jsonl("\n".join(lines) + "\n")
 
 
@@ -493,7 +517,7 @@ def test_pooled_and_inline_runs_agree(monkeypatch):
     inline = run_experiment(windows, split, configs=configs)
     assert inline.timings["workers"] == 1
     assert render_report(pooled, "jsonl") == render_report(inline, "jsonl")
-    assert pooled.manifest_digest() == inline.manifest_digest()
+    assert pooled.manifest_sha256 == inline.manifest_sha256
     # both ran the same tasks, longest first
     assert list(pooled.timings["tasks"]) == list(inline.timings["tasks"]) == [
         "dataset", "lstm/indoor", "lstm/outdoor", "cnn/indoor", "cnn/outdoor",
