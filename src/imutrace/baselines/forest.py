@@ -45,30 +45,18 @@ class RfConfig:
 
 @dataclass(frozen=True)
 class RandomForestModel:
+    """A trained forest; its fields are the keys of its model file."""
+
     kind: str
     config: RfConfig
     n_features: int
-    trees: tuple[dict, ...]
+    trees_data: tuple[dict, ...]
     manifest: dict
 
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "config": asdict(self.config),
-            "n_features": self.n_features,
-            "trees_data": list(self.trees),
-            "manifest": self.manifest,
-        }
-
-    @classmethod
-    def from_json_dict(cls, obj: dict, config: RfConfig) -> "RandomForestModel":
-        return cls(
-            kind="rf",
-            config=config,
-            n_features=int(obj["n_features"]),
-            trees=tuple(obj["trees_data"]),
-            manifest=dict(obj["manifest"]),
-        )
+    def __post_init__(self):
+        object.__setattr__(self, "n_features", int(self.n_features))
+        object.__setattr__(self, "trees_data", tuple(self.trees_data))
+        object.__setattr__(self, "manifest", dict(self.manifest))
 
 
 def _best_split(values: np.ndarray, labels: np.ndarray) -> tuple[int, float]:
@@ -185,7 +173,7 @@ def train_rf(x: np.ndarray, y: np.ndarray, cfg: RfConfig) -> RandomForestModel:
         "train_accuracy": float(np.mean(train_pred == y)),
     }
     return RandomForestModel(
-        kind="rf", config=cfg, n_features=d, trees=grown, manifest=manifest
+        kind="rf", config=cfg, n_features=d, trees_data=grown, manifest=manifest
     )
 
 
@@ -204,5 +192,5 @@ def predict_rf_batch(
     x = feature_rows(x, model.n_features)
     votes = np.zeros((x.shape[0], N_CLASSES))
     for i, row in enumerate(x):
-        votes[i] = _forest_votes(model.trees, row)
+        votes[i] = _forest_votes(model.trees_data, row)
     return argmax_labels(votes), votes / votes.sum(axis=1, keepdims=True)

@@ -1,16 +1,21 @@
 """Versioned model persistence and training-log export.
 
-Models save as a single JSON object: format version, kind tag, config,
-parameter arrays as nested lists, and the training manifest. JSON float
-rendering is shortest-round-trip, so float64 parameters survive a
-save/load cycle exactly.
+A model saves as one JSON object: the fields of its class, arrays as
+nested lists, plus the format version. Loading passes those fields back
+to the class's constructor, which casts them, so a file with an unknown
+or a missing key is refused. JSON float rendering is
+shortest-round-trip, so float64 parameters survive a save/load cycle
+exactly.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 from pathlib import Path
 from typing import Sequence
+
+import numpy as np
 
 from ..errors import DataError
 from . import BASELINES
@@ -19,10 +24,9 @@ FORMAT_VERSION = 1
 
 
 def save_model(model, path: str | Path) -> None:
-    obj = model.to_json_dict()
-    obj["format_version"] = FORMAT_VERSION
+    obj = {**asdict(model), "format_version": FORMAT_VERSION}
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, sort_keys=True)
+        json.dump(obj, fh, sort_keys=True, default=np.ndarray.tolist)
         fh.write("\n")
 
 
@@ -35,7 +39,7 @@ def load_model(path: str | Path):
         raise DataError(f"model file {path} is not valid JSON: {exc}")
     if not isinstance(obj, dict):
         raise DataError(f"model file {path} must hold a JSON object")
-    version = obj.get("format_version")
+    version = obj.pop("format_version", None)
     if version != FORMAT_VERSION:
         raise DataError(
             f"model file {path} has format_version {version!r}, expected {FORMAT_VERSION}"
@@ -45,7 +49,7 @@ def load_model(path: str | Path):
         raise DataError(f"model file {path} has unknown kind {kind!r}")
     spec = BASELINES[kind]
     try:
-        return spec.model.from_json_dict(obj, spec.config(**obj["config"]))
+        return spec.model(**{**obj, "config": spec.config(**obj["config"])})
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"model file {path} is malformed: {exc}")
 

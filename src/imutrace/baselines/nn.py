@@ -88,6 +88,8 @@ NnConfig = Union[CnnConfig, LstmConfig]
 
 @dataclass(frozen=True)
 class NnModel:
+    """A trained CNN or LSTM; its fields are the keys of its model file."""
+
     kind: str  # "cnn" or "lstm"
     config: NnConfig
     params: dict
@@ -97,35 +99,20 @@ class NnModel:
     history: tuple[tuple[int, float, float], ...]  # (epoch, loss, accuracy)
     manifest: dict
 
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "config": asdict(self.config),
-            "params": {name: arr.tolist() for name, arr in self.params.items()},
-            "channel_mean": self.channel_mean.tolist(),
-            "channel_scale": self.channel_scale.tolist(),
-            "input_length": self.input_length,
-            "history": [list(row) for row in self.history],
-            "manifest": self.manifest,
-        }
-
-    @classmethod
-    def from_json_dict(cls, obj: dict, config: NnConfig) -> "NnModel":
-        return cls(
-            kind=obj["kind"],
-            config=config,
-            params={
-                name: np.asarray(arr, dtype=np.float64)
-                for name, arr in obj["params"].items()
-            },
-            channel_mean=np.asarray(obj["channel_mean"], dtype=np.float64),
-            channel_scale=np.asarray(obj["channel_scale"], dtype=np.float64),
-            input_length=int(obj["input_length"]),
-            history=tuple(
-                (int(e), float(l), float(a)) for e, l, a in obj["history"]
-            ),
-            manifest=dict(obj["manifest"]),
+    def __post_init__(self):
+        params = {name: np.asarray(arr, dtype=np.float64) for name, arr in self.params.items()}
+        object.__setattr__(self, "params", params)
+        object.__setattr__(
+            self, "channel_mean", np.asarray(self.channel_mean, dtype=np.float64)
         )
+        object.__setattr__(
+            self, "channel_scale", np.asarray(self.channel_scale, dtype=np.float64)
+        )
+        object.__setattr__(self, "input_length", int(self.input_length))
+        object.__setattr__(
+            self, "history", tuple((int(e), float(l), float(a)) for e, l, a in self.history)
+        )
+        object.__setattr__(self, "manifest", dict(self.manifest))
 
 
 # --------------------------------------------------------------------------

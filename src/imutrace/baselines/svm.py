@@ -58,62 +58,45 @@ class BinarySvm:
     converged: bool
     sweeps: int
 
+    def __post_init__(self):
+        object.__setattr__(self, "sv", np.asarray(self.sv, dtype=np.float64))
+        object.__setattr__(self, "coef", np.asarray(self.coef, dtype=np.float64))
+        object.__setattr__(self, "bias", float(self.bias))
+        object.__setattr__(self, "converged", bool(self.converged))
+        object.__setattr__(self, "sweeps", int(self.sweeps))
+
 
 @dataclass(frozen=True)
 class SvmModel:
+    """A trained SVM; its fields are the keys of its model file.
+
+    ``machines`` may be given as dicts of ``BinarySvm`` fields, as a
+    model file holds them; their support vectors take the shape
+    (m, n_features), so a machine with none keeps its width.
+    """
+
     kind: str
     config: SvmConfig
     n_features: int
-    gamma: float
+    gamma_used: float
     mean: np.ndarray
     scale: np.ndarray
     machines: tuple[BinarySvm, ...]
     manifest: dict
 
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "config": asdict(self.config),
-            "n_features": self.n_features,
-            "gamma_used": self.gamma,
-            "mean": self.mean.tolist(),
-            "scale": self.scale.tolist(),
-            "machines": [
-                {
-                    "sv": m.sv.tolist(),
-                    "coef": m.coef.tolist(),
-                    "bias": m.bias,
-                    "converged": m.converged,
-                    "sweeps": m.sweeps,
-                }
-                for m in self.machines
-            ],
-            "manifest": self.manifest,
-        }
-
-    @classmethod
-    def from_json_dict(cls, obj: dict, config: SvmConfig) -> "SvmModel":
-        n_features = int(obj["n_features"])
+    def __post_init__(self):
+        n_features = int(self.n_features)
         machines = tuple(
-            BinarySvm(
-                sv=np.asarray(m["sv"], dtype=np.float64).reshape(-1, n_features),
-                coef=np.asarray(m["coef"], dtype=np.float64),
-                bias=float(m["bias"]),
-                converged=bool(m["converged"]),
-                sweeps=int(m["sweeps"]),
-            )
-            for m in obj["machines"]
+            m if isinstance(m, BinarySvm)
+            else BinarySvm(**{**m, "sv": np.reshape(m["sv"], (-1, n_features))})
+            for m in self.machines
         )
-        return cls(
-            kind="svm",
-            config=config,
-            n_features=n_features,
-            gamma=float(obj["gamma_used"]),
-            mean=np.asarray(obj["mean"], dtype=np.float64),
-            scale=np.asarray(obj["scale"], dtype=np.float64),
-            machines=machines,
-            manifest=dict(obj["manifest"]),
-        )
+        object.__setattr__(self, "n_features", n_features)
+        object.__setattr__(self, "gamma_used", float(self.gamma_used))
+        object.__setattr__(self, "mean", np.asarray(self.mean, dtype=np.float64))
+        object.__setattr__(self, "scale", np.asarray(self.scale, dtype=np.float64))
+        object.__setattr__(self, "machines", machines)
+        object.__setattr__(self, "manifest", dict(self.manifest))
 
 
 def rbf_kernel(a: np.ndarray, b: np.ndarray, gamma: float) -> np.ndarray:
@@ -295,7 +278,7 @@ def train_svm(x: np.ndarray, y: np.ndarray, cfg: SvmConfig) -> SvmModel:
         kind="svm",
         config=cfg,
         n_features=d,
-        gamma=gamma,
+        gamma_used=gamma,
         mean=mean,
         scale=scale,
         machines=tuple(machines),
@@ -316,7 +299,7 @@ def _decisions(xs: np.ndarray, machines: Sequence[BinarySvm], gamma: float) -> n
 def decision_matrix(model: SvmModel, x: np.ndarray) -> np.ndarray:
     """(n, 4) one-vs-rest decision values for raw (unstandardized) rows."""
     x = feature_rows(x, model.n_features)
-    return _decisions((x - model.mean) / model.scale, model.machines, model.gamma)
+    return _decisions((x - model.mean) / model.scale, model.machines, model.gamma_used)
 
 
 def predict_svm_batch(

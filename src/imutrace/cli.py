@@ -208,14 +208,13 @@ def cmd_run(args) -> int:
             "exactly one data source: pass --data CSV or --per-class N (generator)"
         )
 
-    # vet all flag-level configuration before touching any data
+    # vet all flag-level configuration before touching any data; the run
+    # is live exactly when it names an endpoint
     provider_cfg = None
     modes = _parse_modes(args.modes)
-    if args.providers == "none":
-        modes = []
-    elif args.providers == "live":
-        if not args.endpoint or not args.model:
-            raise ConfigError("--providers live requires --endpoint and --model")
+    if (args.endpoint is None) != (args.model is None):
+        raise ConfigError("--endpoint and --model each require the other")
+    if args.endpoint is not None:
         provider_cfg = ProviderConfig(
             endpoint=args.endpoint,
             model=args.model,
@@ -400,7 +399,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     r.add_argument("--gen-seed", type=int, default=0, help="generator seed")
     add_generator_flags(r)
     r.add_argument("--out", default="run", help="output directory")
-    r.add_argument("--providers", choices=["mock", "live", "none"], default="mock")
     r.add_argument("--modes", default="cot,do", help="comma list of prompt modes (cot, do) or none")
     r.add_argument(
         "--baselines",
@@ -416,7 +414,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     )
     r.add_argument("--template", default=None, help="directory overriding the prompt templates")
     r.add_argument("--transcript", action="store_true", help="write transcript.jsonl of provider calls")
-    r.add_argument("--endpoint", default=None, help="live provider: chat-completion URL")
+    r.add_argument("--endpoint", default=None, help="live provider: chat-completion URL; the mock when omitted")
     r.add_argument("--model", default=None, help="live provider: model id")
     # the live-provider defaults are ProviderConfig's own; none is built
     # here, so an offline run still never imports the HTTP client

@@ -114,6 +114,13 @@ class CellResult:
     n_windows: int = 0
     n_failures: int = 0
 
+    def __post_init__(self):
+        if not 0 <= self.n_failures <= self.n_windows:
+            raise DataError(
+                f"a cell's failures must be in [0, n_windows], got "
+                f"{self.n_failures} of {self.n_windows} windows"
+            )
+
     @property
     def skipped(self) -> bool:
         return self.skipped_reason is not None

@@ -87,6 +87,8 @@ class ProviderConfig:
             raise ConfigError("provider model id must be non-empty")
         if self.temperature < 0:
             raise ConfigError(f"temperature must be >= 0, got {self.temperature}")
+        if self.max_tokens < 1:
+            raise ConfigError(f"max_tokens must be >= 1, got {self.max_tokens}")
         if self.retries < 0:
             raise ConfigError(f"retries must be >= 0, got {self.retries}")
         if self.concurrency < 1:

@@ -64,9 +64,26 @@ class PromptBundle:
 
 @dataclass(frozen=True)
 class TemplateSet:
+    """The instruction and the two question templates of a prompt bundle.
+
+    A set is checked when it is built, so a bad template directory is
+    refused before a run reads any data: the instruction takes no
+    placeholder, each question only known ones and ``{{data}}``, and the
+    prompt of each mode, rendered with the channel header for its data,
+    must pass ``validate_bundle``. Sample lines hold only numbers, so
+    every prompt ``build_prompt`` renders from the set passes it too.
+    """
+
     instruction: str
     question_cot: str
     question_do: str
+
+    def __post_init__(self):
+        for mode in PromptMode:
+            validate_bundle(_bundle(self, mode, SOURCE_RATE_HZ, CHANNEL_HEADER, "template-check"))
+        for name in ("question_cot", "question_do"):
+            if "{{data}}" not in getattr(self, name):
+                raise ConfigError(f"template {name}.txt has no {{{{data}}}} placeholder")
 
     @classmethod
     def load_default(cls) -> "TemplateSet":
@@ -138,6 +155,24 @@ def validate_bundle(bundle: PromptBundle) -> None:
             raise ConfigError("direct-output prompt must not request step-by-step reasoning")
 
 
+def _bundle(
+    templates: TemplateSet, mode: PromptMode, sample_rate: float, data: str, window_id: str
+) -> PromptBundle:
+    question = templates.question_cot if mode is PromptMode.COT else templates.question_do
+    values = {
+        "source_rate": _format_rate(SOURCE_RATE_HZ),
+        "sample_rate": _format_rate(sample_rate),
+        "data": data,
+        "labels": candidate_label_list(),
+    }
+    return PromptBundle(
+        instruction=_render(templates.instruction, {}).strip(),
+        question=_render(question, values).strip(),
+        mode=mode,
+        window_id=window_id,
+    )
+
+
 def build_prompt(
     w: TrajectoryWindow,
     mode: PromptMode,
@@ -148,31 +183,16 @@ def build_prompt(
 
     The context sentence quotes ``SOURCE_RATE_HZ`` as the original
     logging rate and the window's own rate as the downsampled one.
-    Deterministic: identical inputs render identical text. A prompt
-    over ``MAX_PROMPT_CHARS`` is refused with ``ConfigError``.
+    Deterministic: identical inputs render identical text. The template
+    set was checked when it was built; a prompt over ``MAX_PROMPT_CHARS``
+    is refused with ``ConfigError``.
     """
     if templates is None:
         templates = TemplateSet.load_default()
-
-    question_template = (
-        templates.question_cot if mode is PromptMode.COT else templates.question_do
-    )
-    values = {
-        "source_rate": _format_rate(SOURCE_RATE_HZ),
-        "sample_rate": _format_rate(w.rate),
-        "data": serialize_window(w),
-        "labels": candidate_label_list(),
-    }
-    bundle = PromptBundle(
-        instruction=_render(templates.instruction, {}).strip(),
-        question=_render(question_template, values).strip(),
-        mode=mode,
-        window_id=w.id,
-    )
+    bundle = _bundle(templates, mode, w.rate, serialize_window(w), w.id)
     if len(bundle.text) > MAX_PROMPT_CHARS:
         raise ConfigError(
             f"prompt for window {w.id!r} is {len(bundle.text)} characters, "
             f"over the {MAX_PROMPT_CHARS} budget; shrink the window"
         )
-    validate_bundle(bundle)
     return bundle

@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -16,6 +17,7 @@ from imutrace.baselines import BASELINES
 from imutrace.baselines.model_io import load_model, save_model
 from imutrace.cli import main
 from imutrace.core import Scenario, dataset_hash, downsample, ingest_csv, serialize_csv
+from imutrace.errors import DataError
 from imutrace.evalreport import DEFAULT_TARGET_RATE_HZ, baseline_inputs
 from imutrace.llm import BatchResult
 from imutrace.synth import GeneratorConfig, ZERO_NOISE, generate_dataset, uniform_counts
@@ -125,6 +127,27 @@ def test_train_rf_and_nn_log(tmp_path, capsys, monkeypatch):
     assert rc == 0
 
 
+@pytest.mark.parametrize("kind", list(BASELINES))
+def test_model_file_refuses_an_added_or_a_missing_key(tmp_path, kind):
+    # a model file's keys are its class's fields: the constructor that
+    # load_model passes them to refuses any other set
+    data = _generate(tmp_path, per_class=3)
+    split_path = tmp_path / "split.json"
+    main(["split", "--data", str(data / "dataset.csv"), "--out", str(split_path)])
+    path, bad = tmp_path / "model.json", tmp_path / "bad.json"
+    rc = main(["train", "--data", str(data / "dataset.csv"), "--split", str(split_path),
+               "--model", kind, "--epochs", "1", "--out", str(path)])
+    assert rc == 0
+    obj = json.loads(path.read_text())
+    bad.write_text(json.dumps({**obj, "extra": 0}))
+    with pytest.raises(DataError, match="extra"):
+        load_model(bad)
+    for key in obj:
+        bad.write_text(json.dumps({k: v for k, v in obj.items() if k != key}))
+        with pytest.raises(DataError):
+            load_model(bad)
+
+
 def _run(out_dir, extra=()):
     return main(
         [
@@ -191,10 +214,38 @@ def test_run_requires_one_data_source(tmp_path, capsys):
 
 
 def test_run_live_requires_endpoint(tmp_path, capsys):
-    rc = main(["run", "--per-class", "2", "--out", str(tmp_path / "r"),
-               "--providers", "live"])
+    # a run is live exactly when it names an endpoint, and a live run
+    # needs both the endpoint and the model id
+    out = tmp_path / "r"
+    for half in (["--endpoint", "http://127.0.0.1:9/v1/chat/completions"], ["--model", "m"]):
+        rc = main(["run", "--per-class", "2", "--out", str(out), *half])
+        assert rc == 2
+        assert "--endpoint and --model each require the other" in capsys.readouterr().err
+        assert not out.exists()
+    # nor can a config file pick the provider: there is no key for it
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"providers": "bogus"}))
+    rc = main(["run", "--config", str(cfg), "--per-class", "2", "--out", str(out)])
     assert rc == 2
-    assert "requires --endpoint and --model" in capsys.readouterr().err
+    assert "unknown keys for 'run': providers" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "name, old, new",
+    [("question_cot.txt", "step-by-step", "stepwise"), ("question_do.txt", "{{data}}", "the data")],
+    ids=["cot-without-closer", "do-without-data"],
+)
+def test_run_refuses_bad_templates_before_writing(tmp_path, capsys, name, old, new):
+    templates = tmp_path / "templates"
+    shutil.copytree(Path(imutrace.__file__).parent / "templates", templates)
+    text = (templates / name).read_text(encoding="utf-8")
+    (templates / name).write_text(text.replace(old, new), encoding="utf-8")
+    out = tmp_path / "r"
+    rc = main(["run", "--per-class", "6", "--template", str(templates), "--out", str(out)])
+    assert rc == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -368,7 +419,7 @@ def test_run_hashes_the_dataset_it_writes_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(core, "_csv_chunks", counting)
     out = tmp_path / "r"
-    assert _run(out, extra=("--providers", "none")) == 0
+    assert _run(out, extra=("--modes", "none")) == 0
     calls = log.read_text(encoding="utf-8").split()
     assert len(calls) == 1
     monkeypatch.undo()

@@ -286,12 +286,12 @@ def _cells(draw):
     """A scored cell (non-negative counts, at least one) or a skipped one.
 
     A scored cell's n_windows is its counts' total plus its failures, as
-    run_experiment writes it.
+    run_experiment writes it; a skipped cell's failures are at most its
+    n_windows.
     """
     if draw(st.booleans()):
-        return CellResult(
-            None, draw(st.text()), draw(st.integers(0, 10**6)), draw(st.integers(0, 10**6))
-        )
+        n_windows = draw(st.integers(0, 10**6))
+        return CellResult(None, draw(st.text()), n_windows, draw(st.integers(0, n_windows)))
     cm = ConfusionMatrix(
         counts=draw(arrays(np.int64, (4, 4), elements=_COUNTS)),
         unparsed=draw(arrays(np.int64, (4,), elements=_COUNTS)),
@@ -378,6 +378,28 @@ def test_jsonl_report_refuses_n_windows_off_its_counts(skip_path_report, shift):
     obj["n_windows"] += shift
     lines[i] = json.dumps(obj, sort_keys=True)
     with pytest.raises(DataError, match="field 'n_windows'"):
+        parse_report_jsonl("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize(
+    "counts",
+    [{"n_windows": -3, "n_failures": -7}, {"n_windows": 2, "n_failures": 3},
+     {"n_windows": 0, "n_failures": -1}],
+)
+def test_jsonl_report_refuses_failures_outside_its_windows(skip_path_report, counts):
+    lines = render_report(skip_path_report, "jsonl").splitlines()
+    obj = {"model": "other", "scenario": "indoor", "split": "seen_test",
+           "skipped": "provider failures", **counts}
+    with pytest.raises(DataError, match=r"failures must be in \[0, n_windows\]"):
+        parse_report_jsonl("\n".join([*lines, json.dumps(obj, sort_keys=True)]) + "\n")
+    # a scored line's n_windows is its counts' total plus its failures, so
+    # negative failures take it below that total
+    i = next(i for i, line in enumerate(lines[1:], 1) if "f1" in json.loads(line))
+    obj = json.loads(lines[i])
+    obj["n_windows"] -= obj["n_failures"] + 1
+    obj["n_failures"] = -1
+    lines[i] = json.dumps(obj, sort_keys=True)
+    with pytest.raises(DataError, match=r"failures must be in \[0, n_windows\]"):
         parse_report_jsonl("\n".join(lines) + "\n")
 
 

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -57,7 +55,7 @@ def test_root_split_matches_brute_force_oracle():
     assert best == 1.5
 
     model = train_rf(x, y, RfConfig(trees=50, features_per_split=1, seed=3))
-    for tree in model.trees:
+    for tree in model.trees_data:
         if "label" in tree:  # degenerate bootstrap drew one class only
             continue
         assert tree["feature"] == 0
@@ -69,19 +67,19 @@ def test_root_split_matches_brute_force_oracle():
             assert tree["right"] == {"label": 1}
     # trees trained on the full sample (no bootstrap variance in labels) agree;
     # check the majority of roots sit at the oracle threshold
-    thresholds = [t.get("threshold") for t in model.trees if "threshold" in t]
+    thresholds = [t.get("threshold") for t in model.trees_data if "threshold" in t]
     assert np.median(thresholds) == 1.5
 
 
-def test_determinism_and_seed_dependence():
+def test_determinism_and_seed_dependence(tmp_path):
     x, y = _blobs(0)
     a = train_rf(x, y, RfConfig(trees=15, seed=7))
     b = train_rf(x, y, RfConfig(trees=15, seed=7))
-    assert json.dumps(a.to_json_dict(), sort_keys=True) == json.dumps(
-        b.to_json_dict(), sort_keys=True
-    )
+    save_model(a, tmp_path / "a.json")
+    save_model(b, tmp_path / "b.json")
+    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
     c = train_rf(x, y, RfConfig(trees=15, seed=8))
-    assert a.trees != c.trees
+    assert a.trees_data != c.trees_data
 
 
 def test_tie_break_constant_features():
@@ -114,7 +112,7 @@ def test_save_load_round_trip(tmp_path):
     back = load_model(path)
     assert isinstance(back, RandomForestModel)
     assert back.config == model.config
-    assert back.trees == model.trees
+    assert back.trees_data == model.trees_data
     assert back.manifest == model.manifest
     probe = np.array([[4.9, 5.1], [0.1, -0.2]])
     labels, shares = predict_rf_batch(back, probe)

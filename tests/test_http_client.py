@@ -234,6 +234,10 @@ def test_provider_config_validation():
         ProviderConfig(endpoint="http://x", model="m", concurrency=0)
     with pytest.raises(ConfigError):
         ProviderConfig(endpoint="http://x", model="m", temperature=-0.1)
+    for max_tokens in (0, -5):
+        with pytest.raises(ConfigError, match=f"max_tokens must be >= 1, got {max_tokens}"):
+            ProviderConfig(endpoint="http://x", model="m", max_tokens=max_tokens)
+    ProviderConfig(endpoint="http://x", model="m", max_tokens=1)
 
 
 def test_retries_free_the_slot_for_other_windows(stub):

@@ -1,4 +1,5 @@
 import hashlib
+import re
 import shutil
 from pathlib import Path
 
@@ -134,10 +135,29 @@ def test_unknown_placeholder_rejected(tmp_path, make_window):
     (tmp_path / "question_do.txt").write_text(
         bad.replace("{{data}}", "{{datum}}"), encoding="utf-8"
     )
-    templates = TemplateSet.from_dir(tmp_path)
-    w = make_window(np.zeros((30, 9)), rate=3.0)
+    # the set is checked when it is built, before any prompt renders
+    with pytest.raises(ConfigError, match=re.escape("unknown placeholder {{datum}}")):
+        TemplateSet.from_dir(tmp_path)
+
+
+@pytest.mark.parametrize(
+    "name, old, new",
+    [
+        ("instruction.txt", "9-axis IMU devices", "{{sample_rate}} Hz IMU devices"),
+        ("question_cot.txt", "{{data}}", "the samples"),
+        ("question_do.txt", "{{data}}", "the samples"),
+        ("question_cot.txt", "step-by-step", "stepwise"),
+        ("question_do.txt", "{{labels}}", "'straight'"),
+    ],
+)
+def test_template_set_is_checked_when_built(tmp_path, name, old, new):
+    for file in ("instruction.txt", "question_cot.txt", "question_do.txt"):
+        shutil.copy(TEMPLATE_DIR / file, tmp_path / file)
+    text = (tmp_path / name).read_text(encoding="utf-8")
+    assert old in text
+    (tmp_path / name).write_text(text.replace(old, new), encoding="utf-8")
     with pytest.raises(ConfigError):
-        build_prompt(w, PromptMode.DO, templates=templates)
+        TemplateSet.from_dir(tmp_path)
 
 
 def test_validate_bundle_rejections():

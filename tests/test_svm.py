@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -90,20 +88,20 @@ def test_duplication_invariance():
     assert np.array_equal(np.argmax(d1, axis=1), np.argmax(d2, axis=1))
 
 
-def test_training_is_deterministic():
+def test_training_is_deterministic(tmp_path):
     x, y = _blobs(5)
     a = train_svm(x, y, SvmConfig())
     b = train_svm(x, y, SvmConfig())
-    assert json.dumps(a.to_json_dict(), sort_keys=True) == json.dumps(
-        b.to_json_dict(), sort_keys=True
-    )
+    save_model(a, tmp_path / "a.json")
+    save_model(b, tmp_path / "b.json")
+    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
 
 def test_default_gamma_formula():
     x, y = _blobs(6)
     model = train_svm(x, y, SvmConfig(standardize=True))
     xs = (x - x.mean(axis=0)) / x.std(axis=0)
-    assert model.gamma == pytest.approx(1.0 / (x.shape[1] * xs.var()), rel=1e-12)
+    assert model.gamma_used == pytest.approx(1.0 / (x.shape[1] * xs.var()), rel=1e-12)
 
 
 def test_constant_column_scale_guard():
@@ -141,7 +139,7 @@ def test_save_load_round_trip(tmp_path):
     back = load_model(path)
     assert isinstance(back, SvmModel)
     assert back.config == model.config
-    assert back.gamma == model.gamma
+    assert back.gamma_used == model.gamma_used
     # float64 params survive JSON exactly, so decisions match to the bit
     assert np.array_equal(decision_matrix(back, x), decision_matrix(model, x))
     assert predict_svm_batch(back, x)[0] == predict_svm_batch(model, x)[0]
