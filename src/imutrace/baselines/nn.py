@@ -15,6 +15,19 @@ sized: that is small enough for single-threaded BLAS, while one GEMM
 over a whole batch gets split across threads and, on a small machine,
 costs more CPU time than it saves in wall time.
 
+Every forward and backward function takes a workspace: a dict of
+scratch arrays keyed by (name, shape), into which it writes its large
+intermediates (the unfolded conv inputs, the LSTM's gates and states,
+the backward's per-step derivatives) instead of allocating them. A
+training run keeps one workspace, so each batch shape (a full batch, the
+last smaller one, and the whole Train set for the per-epoch pass) gets
+its buffers once per run, not once per call: allocated per call, the
+larger ones go back to the OS on free and are page-faulted in again on
+the next call. Without a workspace a call gets a fresh one, through
+the same code. The cache a forward returns lives in the workspace, so
+it holds until the next forward of that shape through it; logits and
+gradients are always new arrays.
+
 Input tensors are (batch, 9 channels, time). Channels are z-scored by
 training-set statistics by default; raw accelerometer, gyro, and
 magnetometer units differ by two orders of magnitude, which a fixed
@@ -113,6 +126,21 @@ class NnModel:
             self, "history", tuple((int(e), float(l), float(a)) for e, l, a in self.history)
         )
         object.__setattr__(self, "manifest", dict(self.manifest))
+        if self.kind not in _NETS:
+            raise DataError(f"unknown network kind {self.kind!r}")
+        # the tensors init makes for this config and length, by name and shape
+        want = {
+            name: arr.shape
+            for name, arr in _NETS[self.kind].init(self.config, self.input_length).items()
+        }
+        got = {name: arr.shape for name, arr in params.items()}
+        if got != want:
+            raise DataError(f"{self.kind} params must have the shapes {want}, got {got}")
+        for name in ("channel_mean", "channel_scale"):
+            if getattr(self, name).shape != (N_CHANNELS,):
+                raise DataError(
+                    f"{name} must hold {N_CHANNELS} values, got shape {getattr(self, name).shape}"
+                )
 
 
 # --------------------------------------------------------------------------
@@ -187,134 +215,189 @@ def cross_entropy(logits: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]
     return loss, dlogits / n
 
 
-def _conv1d(x: np.ndarray, w: np.ndarray, b: np.ndarray):
+def _buffer(work: dict, name: str, shape: tuple, dtype=np.float64) -> np.ndarray:
+    # the workspace's array for (name, shape), made on first use and left
+    # uninitialized: every caller writes all of it before reading it
+    key = (name, shape)
+    if key not in work:
+        work[key] = np.empty(shape, dtype)
+    return work[key]
+
+
+def _conv1d(x: np.ndarray, w: np.ndarray, b: np.ndarray, work: dict, layer: str):
     # x (B,C,T), w (F,C,K), valid padding -> (B,F,T-K+1); one (F, C*K) GEMM
     # per sample on the unfolded input
     filters, channels, k = w.shape
     batch = x.shape[0]
     t_out = x.shape[2] - k + 1
-    cols = np.stack([x[:, :, j:j + t_out] for j in range(k)], axis=2)  # (B,C,K,t)
-    out = np.matmul(w.reshape(filters, channels * k), cols.reshape(batch, channels * k, t_out))
+    # the unfolded input follows x's axis order, taps innermost beside the
+    # channels, so a time-major x (as _window_tensor stacks (T, 9) windows)
+    # gives a column-major GEMM operand. The two layouts round differently,
+    # and the recorded model and report digests are this choice's bits
+    if x.strides[1] < x.strides[2]:
+        cols = _buffer(work, layer + ".cols_tmajor", (batch, t_out, channels, k))
+        cols = cols.transpose(0, 2, 3, 1)
+    else:
+        cols = _buffer(work, layer + ".cols", (batch, channels, k, t_out))
+    for j in range(k):
+        cols[:, :, j] = x[:, :, j:j + t_out]
+    out = _buffer(work, layer + ".out", (batch, filters, t_out))
+    np.matmul(
+        w.reshape(filters, channels * k), cols.reshape(batch, channels * k, t_out), out=out
+    )
     out += b[None, :, None]
     return out, cols
 
 
-def _conv1d_param_grads(dout: np.ndarray, cols: np.ndarray, w: np.ndarray):
+def _conv1d_param_grads(
+    dout: np.ndarray, cols: np.ndarray, w: np.ndarray, work: dict, layer: str
+):
     # the weight and bias grads only, for the first layer, whose input
     # takes no gradient
     batch, channels, k, t_out = cols.shape
     unfolded = cols.reshape(batch, channels * k, t_out)
-    dw = np.matmul(dout, unfolded.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
-    return dw, dout.sum(axis=(0, 2))
+    dw = _buffer(work, layer + ".dw", (batch, w.shape[0], channels * k))
+    np.matmul(dout, unfolded.transpose(0, 2, 1), out=dw)
+    return dw.sum(axis=0).reshape(w.shape), dout.sum(axis=(0, 2))
 
 
-def _conv1d_backward(dout: np.ndarray, cols: np.ndarray, w: np.ndarray):
+def _conv1d_backward(
+    dout: np.ndarray, cols: np.ndarray, w: np.ndarray, work: dict, layer: str
+):
     batch, channels, k, t_out = cols.shape
     filters = w.shape[0]
-    dcols = np.matmul(w.reshape(filters, channels * k).T, dout).reshape(cols.shape)
-    dx = np.zeros((batch, channels, t_out + k - 1))
+    dcols = _buffer(work, layer + ".dcols", (batch, channels * k, t_out))
+    np.matmul(w.reshape(filters, channels * k).T, dout, out=dcols)
+    dcols = dcols.reshape(cols.shape)
+    dx = _buffer(work, layer + ".dx", (batch, channels, t_out + k - 1))
+    dx.fill(0.0)
     for j in range(k):
         dx[:, :, j:j + t_out] += dcols[:, :, j]
-    return (*_conv1d_param_grads(dout, cols, w), dx)
+    return (*_conv1d_param_grads(dout, cols, w, work, layer), dx)
 
 
-def _maxpool(x: np.ndarray, pool: int):
+def _maxpool(x: np.ndarray, pool: int, work: dict):
     batch, filters, t = x.shape
     t_out = t // pool
     xr = x[:, :, : t_out * pool].reshape(batch, filters, t_out, pool)
-    arg = xr.argmax(axis=3)
+    arg = _buffer(work, "pool.arg", (batch, filters, t_out), np.intp)
+    np.argmax(xr, axis=3, out=arg)
     out = np.take_along_axis(xr, arg[..., None], axis=3)[..., 0]
     return out, arg
 
 
-def _maxpool_backward(dout: np.ndarray, arg: np.ndarray, pool: int, t_in: int):
+def _maxpool_backward(dout: np.ndarray, arg: np.ndarray, pool: int, t_in: int, work: dict):
     batch, filters, t_out = dout.shape
-    dxr = np.zeros((batch, filters, t_out, pool))
+    dxr = _buffer(work, "pool.dxr", (batch, filters, t_out, pool))
+    dxr.fill(0.0)
     np.put_along_axis(dxr, arg[..., None], dout[..., None], axis=3)
-    dx = np.zeros((batch, filters, t_in))
+    dx = _buffer(work, "pool.dx", (batch, filters, t_in))
     dx[:, :, : t_out * pool] = dxr.reshape(batch, filters, t_out * pool)
+    dx[:, :, t_out * pool:] = 0.0
     return dx
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # the two stable forms 1/(1+e) and e/(1+e), e = exp(-|x|), picked per
-    # element; minimum(x, -x) keeps a NaN's sign, so these are the bits of
-    # boolean-mask indexing
-    e = np.exp(np.minimum(x, -x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+def _sigmoid_terms(x: np.ndarray, num: np.ndarray, den: np.ndarray) -> None:
+    # writes the sigmoid of x as num / den: the two stable forms 1/(1+e) and
+    # e/(1+e), e = exp(-|x|), picked per element. minimum(x, -x) keeps a
+    # NaN's sign, and maximum(e, x >= 0) is 1 for x >= 0 (e <= 1 there) and
+    # e otherwise, NaN included, so these are the bits of boolean-mask
+    # indexing
+    np.negative(x, out=den)
+    np.minimum(x, den, out=den)
+    np.exp(den, out=den)
+    np.maximum(den, x >= 0, out=num)
+    den += 1.0
 
 
 # --------------------------------------------------------------------------
 # forward / backward
 
 
-def cnn_forward(cfg: CnnConfig, params: dict, x: np.ndarray):
-    z1, cols1 = _conv1d(x, params["w1"], params["b1"])
-    a1 = np.maximum(z1, 0.0)
-    p, arg = _maxpool(a1, cfg.pool)
-    z2, cols2 = _conv1d(p, params["w2"], params["b2"])
-    a2 = np.maximum(z2, 0.0)
+def cnn_forward(cfg: CnnConfig, params: dict, x: np.ndarray, work: Optional[dict] = None):
+    work = {} if work is None else work
+    a1, cols1 = _conv1d(x, params["w1"], params["b1"], work, "conv1")
+    # ReLU in place: a > 0 exactly where the pre-activation is > 0 (NaN and
+    # -0 included), so the backward masks by a
+    np.maximum(a1, 0.0, out=a1)
+    p, arg = _maxpool(a1, cfg.pool, work)
+    a2, cols2 = _conv1d(p, params["w2"], params["b2"], work, "conv2")
+    np.maximum(a2, 0.0, out=a2)
     g = a2.mean(axis=2)
     logits = g @ params["wd"].T + params["bd"]
-    cache = (z1, cols1, arg, a1.shape[2], cols2, z2, a2, g)
-    return logits, cache
+    return logits, (cols1, a1, arg, cols2, a2, g)
 
 
-def cnn_backward(cfg: CnnConfig, params: dict, cache, dlogits: np.ndarray) -> dict:
-    z1, cols1, arg, t1, cols2, z2, a2, g = cache
+def cnn_backward(
+    cfg: CnnConfig, params: dict, cache, dlogits: np.ndarray, work: Optional[dict] = None
+) -> dict:
+    work = {} if work is None else work
+    cols1, a1, arg, cols2, a2, g = cache
     grads = {}
     grads["wd"] = dlogits.T @ g
     grads["bd"] = dlogits.sum(axis=0)
     dg = dlogits @ params["wd"]
-    t2 = a2.shape[2]
-    da2 = np.repeat(dg[:, :, None], t2, axis=2) / t2
-    dz2 = da2 * (z2 > 0)
-    grads["w2"], grads["b2"], dp = _conv1d_backward(dz2, cols2, params["w2"])
-    da1 = _maxpool_backward(dp, arg, cfg.pool, t1)
-    dz1 = da1 * (z1 > 0)
-    grads["w1"], grads["b1"] = _conv1d_param_grads(dz1, cols1, params["w1"])
+    dz2 = _buffer(work, "conv2.dz", a2.shape)
+    np.divide(dg[:, :, None], a2.shape[2], out=dz2)
+    dz2 *= a2 > 0
+    grads["w2"], grads["b2"], dp = _conv1d_backward(dz2, cols2, params["w2"], work, "conv2")
+    dz1 = _maxpool_backward(dp, arg, cfg.pool, a1.shape[2], work)
+    dz1 *= a1 > 0
+    grads["w1"], grads["b1"] = _conv1d_param_grads(dz1, cols1, params["w1"], work, "conv1")
     return grads
 
 
-def lstm_forward(cfg: LstmConfig, params: dict, x: np.ndarray):
+def lstm_forward(cfg: LstmConfig, params: dict, x: np.ndarray, work: Optional[dict] = None):
+    work = {} if work is None else work
     # C-order copies: matmul with the transposed views is slower at these sizes
     wh_t = np.ascontiguousarray(params["wh"].T)
     hidden = cfg.hidden
-    batch, _, t_len = x.shape
-    xt = np.ascontiguousarray(x.transpose(2, 0, 1))  # (T,B,C)
+    batch, channels, t_len = x.shape
+    xt = _buffer(work, "lstm.xt", (t_len, batch, channels))
+    np.copyto(xt, x.transpose(2, 0, 1))
     # the input projection of every step at once, T GEMMs (B,C) x (C,4H);
     # step t adds h @ wh.T and overwrites its row with the gates i, f, g, o
-    gates = np.matmul(xt, np.ascontiguousarray(params["wx"].T))
+    gates = _buffer(work, "lstm.gates", (t_len, batch, 4 * hidden))
+    np.matmul(xt, np.ascontiguousarray(params["wx"].T), out=gates)
     gates += params["b"]
-    hs = np.zeros((t_len + 1, batch, hidden))  # hs[t], cs[t]: state before step t
-    cs = np.zeros((t_len + 1, batch, hidden))
-    tanh_cs = np.empty((t_len, batch, hidden))
+    # hs[t], cs[t]: state before step t
+    hs = _buffer(work, "lstm.hs", (t_len + 1, batch, hidden))
+    cs = _buffer(work, "lstm.cs", (t_len + 1, batch, hidden))
+    hs[0] = 0.0
+    cs[0] = 0.0
+    tanh_cs = _buffer(work, "lstm.tanh_cs", (t_len, batch, hidden))
+    num = _buffer(work, "lstm.num", (batch, 4 * hidden))
+    den = _buffer(work, "lstm.den", (batch, 4 * hidden))
+    gi, gf, gg, go = (gates[..., j * hidden:(j + 1) * hidden] for j in range(4))
     g = slice(2 * hidden, 3 * hidden)
     for t in range(t_len):
         act = gates[t]
         act += hs[t] @ wh_t
-        sig = _sigmoid(act)
-        np.tanh(act[:, g], out=sig[:, g])
-        act[...] = sig
-        gi, gf, gg, go = (act[:, j * hidden:(j + 1) * hidden] for j in range(4))
-        np.add(gf * cs[t], gi * gg, out=cs[t + 1])
+        _sigmoid_terms(act, num, den)
+        # the cell gate takes tanh instead: numerator tanh, denominator 1,
+        # which the division keeps exactly
+        np.tanh(act[:, g], out=num[:, g])
+        den[:, g] = 1.0
+        np.divide(num, den, out=act)
+        np.add(gf[t] * cs[t], gi[t] * gg[t], out=cs[t + 1])
         np.tanh(cs[t + 1], out=tanh_cs[t])
-        np.multiply(go, tanh_cs[t], out=hs[t + 1])
+        np.multiply(go[t], tanh_cs[t], out=hs[t + 1])
     logits = hs[t_len] @ params["wd"].T + params["bd"]
     return logits, (xt, gates, hs, cs, tanh_cs)
 
 
-def lstm_backward(cfg: LstmConfig, params: dict, cache, dlogits: np.ndarray) -> dict:
+def lstm_backward(
+    cfg: LstmConfig, params: dict, cache, dlogits: np.ndarray, work: Optional[dict] = None
+) -> dict:
+    work = {} if work is None else work
     xt, gates, hs, cs, tanh_cs = cache
     wx, wh = params["wx"], params["wh"]
     hidden = cfg.hidden
     t_len, batch, _ = gates.shape
     gi, gf, gg, go = (gates[..., j * hidden:(j + 1) * hidden] for j in range(4))
-    # the local derivatives of every step at once, built in place because
-    # (T,B,H) temporaries raise the peak heap, whose pages the allocator
-    # then returns and faults in again on the next call; step t scales
-    # them into dpre[t] = (dc, dc, dc, dh) * local[t]
-    dpre = np.empty((t_len, batch, 4, hidden))
+    # the local derivatives of every step at once, built in place in the
+    # workspace; step t scales them into dpre[t] = (dc, dc, dc, dh) * local[t]
+    dpre = _buffer(work, "lstm.dpre", (t_len, batch, 4, hidden))
     di, df, dg, do = (dpre[:, :, j] for j in range(4))
     for local, gate, partner in ((di, gi, gg), (df, gf, cs[:t_len]), (do, go, tanh_cs)):
         np.subtract(1.0, gate, out=local)
@@ -323,11 +406,13 @@ def lstm_backward(cfg: LstmConfig, params: dict, cache, dlogits: np.ndarray) -> 
     np.multiply(gg, gg, out=dg)
     np.subtract(1.0, dg, out=dg)
     dg *= gi
-    dc_from_dh = np.multiply(tanh_cs, tanh_cs)
+    dc_from_dh = _buffer(work, "lstm.dc_from_dh", tanh_cs.shape)
+    np.multiply(tanh_cs, tanh_cs, out=dc_from_dh)
     np.subtract(1.0, dc_from_dh, out=dc_from_dh)
     dc_from_dh *= go
-    # wx and wh grads sum per-step GEMMs as they go: one batched matmul
-    # after the loop would need a (T,4H,H) intermediate, about 1 MB
+    # wx and wh grads sum per-step GEMMs as they go; one batched matmul
+    # into the workspace after the loop, summed in the same order, gives
+    # the same bits but measured no faster
     grads = {
         "wx": np.zeros_like(wx),
         "wh": np.zeros_like(wh),
@@ -352,8 +437,8 @@ def lstm_backward(cfg: LstmConfig, params: dict, cache, dlogits: np.ndarray) -> 
 
 class _Net(NamedTuple):
     init: Callable  # (cfg, input length) -> params
-    forward: Callable  # (cfg, params, x) -> (logits, cache)
-    backward: Callable  # (cfg, params, cache, dlogits) -> grads
+    forward: Callable  # (cfg, params, x, work) -> (logits, cache)
+    backward: Callable  # (cfg, params, cache, dlogits, work) -> grads
 
 
 _NETS = {
@@ -363,16 +448,29 @@ _NETS = {
 
 
 def nn_loss_and_grads(
-    kind: str, cfg: NnConfig, params: dict, x: np.ndarray, y: np.ndarray
+    kind: str,
+    cfg: NnConfig,
+    params: dict,
+    x: np.ndarray,
+    y: np.ndarray,
+    work: Optional[dict] = None,
 ) -> tuple[float, dict]:
     net = _NETS[kind]
-    logits, cache = net.forward(cfg, params, x)
+    work = {} if work is None else work
+    logits, cache = net.forward(cfg, params, x, work)
     loss, dlogits = cross_entropy(logits, y)
-    return loss, net.backward(cfg, params, cache, dlogits)
+    return loss, net.backward(cfg, params, cache, dlogits, work)
 
 
-def nn_loss(kind: str, cfg: NnConfig, params: dict, x: np.ndarray, y: np.ndarray) -> float:
-    logits, _ = _NETS[kind].forward(cfg, params, x)
+def nn_loss(
+    kind: str,
+    cfg: NnConfig,
+    params: dict,
+    x: np.ndarray,
+    y: np.ndarray,
+    work: Optional[dict] = None,
+) -> float:
+    logits, _ = _NETS[kind].forward(cfg, params, x, work)
     loss, _ = cross_entropy(logits, y)
     return loss
 
@@ -402,7 +500,8 @@ def gradient_check(
     """
     if rng is None:
         rng = np.random.default_rng(0)
-    _, grads = nn_loss_and_grads(kind, cfg, params, x, y)
+    work: dict = {}
+    _, grads = nn_loss_and_grads(kind, cfg, params, x, y, work)
     worst = 0.0
     for name in sorted(params):
         tensor = params[name]
@@ -416,9 +515,9 @@ def gradient_check(
         for idx in indices:
             original = flat[idx]
             flat[idx] = original + h
-            loss_plus = nn_loss(kind, cfg, params, x, y)
+            loss_plus = nn_loss(kind, cfg, params, x, y, work)
             flat[idx] = original - h
-            loss_minus = nn_loss(kind, cfg, params, x, y)
+            loss_minus = nn_loss(kind, cfg, params, x, y, work)
             flat[idx] = original
             numeric = (loss_plus - loss_minus) / (2.0 * h)
             denom = max(abs(analytic[idx]) + abs(numeric), 1e-12)
@@ -451,15 +550,18 @@ def _train(kind: str, windows: Sequence[TrajectoryWindow], cfg: NnConfig) -> NnM
     params = net.init(cfg, t_len)
     velocity = {name: np.zeros_like(arr) for name, arr in params.items()}
     shuffle_rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 1)))
+    # one workspace for the run: a full batch, the last smaller one and the
+    # per-epoch pass over the whole set each get their buffers once
+    work: dict = {}
 
     history: list[tuple[int, float, float]] = []
     for epoch in range(1, cfg.epochs + 1):
         perm = shuffle_rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
             batch = perm[start : start + cfg.batch_size]
-            _, grads = nn_loss_and_grads(kind, cfg, params, xs[batch], y[batch])
+            _, grads = nn_loss_and_grads(kind, cfg, params, xs[batch], y[batch], work)
             sgd_step(params, velocity, grads, cfg.lr, cfg.momentum)
-        logits, _ = net.forward(cfg, params, xs)
+        logits, _ = net.forward(cfg, params, xs, work)
         loss, _ = cross_entropy(logits, y)
         if not np.isfinite(loss):
             raise TrainingDivergedError(

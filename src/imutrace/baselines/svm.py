@@ -64,6 +64,11 @@ class BinarySvm:
         object.__setattr__(self, "bias", float(self.bias))
         object.__setattr__(self, "converged", bool(self.converged))
         object.__setattr__(self, "sweeps", int(self.sweeps))
+        if self.coef.shape != self.sv.shape[:1]:
+            raise DataError(
+                f"a machine needs one coefficient per support vector, got "
+                f"{self.coef.shape} for support vectors of shape {self.sv.shape}"
+            )
 
 
 @dataclass(frozen=True)
@@ -97,6 +102,16 @@ class SvmModel:
         object.__setattr__(self, "scale", np.asarray(self.scale, dtype=np.float64))
         object.__setattr__(self, "machines", machines)
         object.__setattr__(self, "manifest", dict(self.manifest))
+        if len(machines) != N_CLASSES:
+            raise DataError(
+                f"one-vs-rest takes one machine per class ({N_CLASSES}), got {len(machines)}"
+            )
+        for name in ("mean", "scale"):
+            if getattr(self, name).shape != (n_features,):
+                raise DataError(
+                    f"{name} must hold n_features = {n_features} values, "
+                    f"got shape {getattr(self, name).shape}"
+                )
 
 
 def rbf_kernel(a: np.ndarray, b: np.ndarray, gamma: float) -> np.ndarray:

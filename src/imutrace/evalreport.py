@@ -284,11 +284,16 @@ def _adopt_tasks(tasks: list[Callable[[], object]]) -> None:
 
 
 def _timed(task: Callable[[], object]) -> tuple:
-    """``task()`` with the wall and CPU seconds it took, measured in the
-    process that ran it."""
-    wall, cpu = time.perf_counter(), time.process_time()
+    """``task()`` with the wall, CPU and system CPU seconds it took,
+    measured in the process that ran it."""
+    wall, cpu, system = time.perf_counter(), time.process_time(), os.times().system
     result = task()
-    return result, time.perf_counter() - wall, time.process_time() - cpu
+    return (
+        result,
+        time.perf_counter() - wall,
+        time.process_time() - cpu,
+        os.times().system - system,
+    )
 
 
 def _timed_task(index: int) -> tuple:
@@ -300,8 +305,9 @@ def _run_tasks(tasks: Mapping[str, Callable[[], object]]) -> tuple[dict, dict]:
     one worker per usable core (no more than there are tasks), or inline
     when that is one worker or the platform cannot fork. Returns the
     results by name, and timings: ``workers``, ``pool_s`` and each task's
-    ``wall_s`` and ``cpu_s``. A task's exception reaches the caller, and
-    every worker has been reaped when this returns.
+    ``wall_s``, ``cpu_s`` and ``sys_s`` (the part of ``cpu_s`` spent in
+    the kernel, where page faults land). A task's exception reaches the
+    caller, and every worker has been reaped when this returns.
 
     A worker inherits the tasks, and the data they close over, when it
     forks (the pool's initializer arguments are not pickled under
@@ -330,11 +336,11 @@ def _run_tasks(tasks: Mapping[str, Callable[[], object]]) -> tuple[dict, dict]:
         "workers": workers,
         "pool_s": time.perf_counter() - started,
         "tasks": {
-            name: {"wall_s": wall, "cpu_s": cpu}
-            for name, (_, wall, cpu) in zip(tasks, done)
+            name: {"wall_s": wall, "cpu_s": cpu, "sys_s": system}
+            for name, (_, wall, cpu, system) in zip(tasks, done)
         },
     }
-    return {name: result for name, (result, _, _) in zip(tasks, done)}, timings
+    return {name: result for name, (result, *_) in zip(tasks, done)}, timings
 
 
 def run_experiment(

@@ -148,6 +148,36 @@ def test_model_file_refuses_an_added_or_a_missing_key(tmp_path, kind):
             load_model(bad)
 
 
+@pytest.mark.parametrize(
+    "kind, edit",
+    [
+        ("cnn", lambda obj: obj["params"].pop("w1")),
+        ("lstm", lambda obj: obj.update(channel_mean=obj["channel_mean"][:8])),
+        ("svm", lambda obj: obj.update(machines=obj["machines"][:2])),
+        ("svm", lambda obj: obj.update(mean=obj["mean"][:3])),
+        ("svm", lambda obj: obj["machines"][0].update(coef=obj["machines"][0]["coef"][1:])),
+    ],
+    ids=["cnn-without-w1", "lstm-mean-of-8", "svm-2-machines", "svm-mean-of-3", "svm-coef-short"],
+)
+def test_model_file_refuses_wrong_tensor_names_or_shapes(tmp_path, kind, edit):
+    # a model whose tensors do not fit its own config is refused when it
+    # loads, not by a KeyError or a broadcast error when it predicts
+    data = _generate(tmp_path, per_class=3)
+    split_path = tmp_path / "split.json"
+    main(["split", "--data", str(data / "dataset.csv"), "--out", str(split_path)])
+    path, bad = tmp_path / "model.json", tmp_path / "bad.json"
+    rc = main(["train", "--data", str(data / "dataset.csv"), "--split", str(split_path),
+               "--model", kind, "--epochs", "1", "--out", str(path)])
+    assert rc == 0
+    obj = json.loads(path.read_text())
+    if kind == "svm":
+        assert obj["n_features"] == 48 and len(obj["machines"]) == 4
+    edit(obj)
+    bad.write_text(json.dumps(obj))
+    with pytest.raises(DataError):
+        load_model(bad)
+
+
 def _run(out_dir, extra=()):
     return main(
         [
@@ -447,5 +477,6 @@ def test_run_writes_timings_beside_the_same_outputs_pooled_or_inline(tmp_path, m
         assert set(timings) == {"workers", "pool_s", "tasks"}
         assert set(timings["tasks"]) == tasks
         assert all(t["wall_s"] >= 0 and t["cpu_s"] >= 0 for t in timings["tasks"].values())
+        assert all(0 <= t["sys_s"] for t in timings["tasks"].values())
     assert json.loads((inline / "timings.json").read_text())["workers"] == 1
     assert "wall_s" not in (pooled / "report.jsonl").read_text()

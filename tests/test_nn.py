@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +11,7 @@ from imutrace.baselines.nn import (
     CnnConfig,
     LstmConfig,
     NnModel,
-    _sigmoid,
+    _sigmoid_terms,
     cnn_backward,
     cnn_forward,
     cross_entropy,
@@ -74,7 +76,7 @@ def test_gradients_match_central_differences(kind):
 
 
 def _masked_sigmoid(x):
-    # the boolean-mask formulation _sigmoid replaced, kept as the reference
+    # the boolean-mask formulation _sigmoid_terms replaced, kept as the reference
     out = np.empty_like(x)
     pos = x >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
@@ -98,7 +100,9 @@ def test_sigmoid_matches_masked_formula_bit_for_bit(x):
     x = np.concatenate([x, EDGE_VALUES])
     with np.errstate(under="ignore"):
         want = _masked_sigmoid(x)
-        got = _sigmoid(x)
+        num, den = np.empty_like(x), np.empty_like(x)
+        _sigmoid_terms(x, num, den)
+        got = num / den
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
@@ -211,13 +215,13 @@ def test_cnn_kernels_match_einsum_reference(batch, extra, kernel, pool, filters,
     y = rng.integers(0, 4, size=batch)
     params = init_cnn_params(cfg, length)
     w, b = params["w1"], params["b1"]
-    out, cols = nn._conv1d(x, w, b)
+    out, cols = nn._conv1d(x, w, b, {}, "conv1")
     out_ref, cols_ref = _conv1d_ref(x, w, b)
     _assert_close(out, out_ref)
     assert np.array_equal(cols, cols_ref)
     dout = rng.standard_normal(out.shape)
     for got, want in zip(
-        nn._conv1d_backward(dout, cols, w), _conv1d_backward_ref(dout, cols, w)
+        nn._conv1d_backward(dout, cols, w, {}, "conv1"), _conv1d_backward_ref(dout, cols, w)
     ):
         _assert_close(got, want)
 
@@ -225,8 +229,11 @@ def test_cnn_kernels_match_einsum_reference(batch, extra, kernel, pool, filters,
     _, dlogits = cross_entropy(logits, y)
     grads = cnn_backward(cfg, params, cache, dlogits)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(nn, "_conv1d", _conv1d_ref)
-        mp.setattr(nn, "_conv1d_backward", _conv1d_backward_ref)
+        mp.setattr(nn, "_conv1d", lambda x, w, b, work, layer: _conv1d_ref(x, w, b))
+        mp.setattr(
+            nn, "_conv1d_backward",
+            lambda dout, cols, w, work, layer: _conv1d_backward_ref(dout, cols, w),
+        )
         logits_ref, cache_ref = cnn_forward(cfg, params, x)
         grads_ref = cnn_backward(cfg, params, cache_ref, dlogits)
     _assert_close(logits, logits_ref)
@@ -255,6 +262,83 @@ def test_lstm_kernels_match_per_step_reference(batch, length, hidden, seed, scal
     assert grads.keys() == grads_ref.keys()
     for name in grads:
         _assert_close(grads[name], grads_ref[name])
+
+
+def _fill_stale(work):
+    # what an earlier call might have left in every buffer
+    for buf in work.values():
+        buf.fill(-1 if buf.dtype.kind == "i" else np.nan)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    shapes=st.lists(
+        st.tuples(st.integers(1, 6), st.integers(8, 20)), min_size=2, max_size=2, unique=True
+    ),
+    hidden=st.integers(1, 8),
+    time_major=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_a_workspace_carries_no_state_between_calls(shapes, hidden, time_major, seed):
+    # forward and backward through one workspace on shape A, then B, then A
+    # again, on fresh data each time and with every buffer spoiled before
+    # each call, give exactly what a fresh workspace gives
+    rng = np.random.default_rng(seed)
+    nets = [
+        ("cnn", CnnConfig(filters1=3, filters2=4, kernel=3, pool=2), cnn_forward, cnn_backward),
+        ("lstm", LstmConfig(hidden=hidden), lstm_forward, lstm_backward),
+    ]
+    for kind, cfg, forward, backward in nets:
+        work = {}
+        for batch, length in (shapes[0], shapes[1], shapes[0]):
+            if time_major:  # the layout training and prediction stack
+                x = rng.standard_normal((batch, length, 9)).transpose(0, 2, 1)
+            else:
+                x = rng.standard_normal((batch, 9, length))
+            y = rng.integers(0, 4, size=batch)
+            params = init_cnn_params(cfg, length) if kind == "cnn" else init_lstm_params(cfg)
+            _fill_stale(work)
+            logits, cache = forward(cfg, params, x, work)
+            _, dlogits = cross_entropy(logits, y)
+            grads = backward(cfg, params, cache, dlogits, work)
+            logits_fresh, cache_fresh = forward(cfg, params, x)
+            grads_fresh = backward(cfg, params, cache_fresh, dlogits)
+            assert np.array_equal(logits, logits_fresh)
+            assert grads.keys() == grads_fresh.keys()
+            for name in grads:
+                assert np.array_equal(grads[name], grads_fresh[name]), (kind, name)
+
+
+def _model_digest(model):
+    h = hashlib.sha256()
+    for name in sorted(model.params):
+        h.update(name.encode())
+        h.update(model.params[name].tobytes())
+    h.update(repr(model.history).encode())
+    return h.hexdigest()
+
+
+# sha256 of the trained params and history for the window counts the
+# default run never trains on, with batch_size 8: fewer windows than a
+# batch, exactly one batch (the per-epoch pass then reuses the batch's
+# buffers) and one batch plus a 1-window batch. Recorded before training
+# kept its buffers in a workspace, so a workspace must not move a bit.
+# The bits are those of this float64 numpy and BLAS on x86-64; another
+# BLAS kernel may round a GEMM differently.
+TRAIN_DIGESTS = {
+    ("cnn", 5): "980abfbe074af3efac3aa6ee9ba3f59c2c5362adfbc1f4d1edaa0cfc0a931dc1",
+    ("cnn", 8): "7fa42ceeae8d1ec5a5f6b1b52f4da658870cdc36a901f3d2bf4422f723377b59",
+    ("cnn", 9): "2268ef0f2791c760f10a60c598ab4a9fe3aaa43a070af595c58daad14863430b",
+    ("lstm", 5): "3666a4e3b1c954b967cb3012009db10c7ee111e11763066e35674a118a120981",
+    ("lstm", 8): "79019f5fd9ee12b03d1b9adbc54c8b5155d34e323773d059e39e184cdcc2d659",
+    ("lstm", 9): "d2f64d7ebed52ffc9569e5f5eb219884ac2f4c80591e6d2da60ded101356c560",
+}
+
+
+@pytest.mark.parametrize("kind, n", sorted(TRAIN_DIGESTS))
+def test_training_bits_at_batch_edges(kind, n, clean_windows):
+    train, cfg = (train_cnn, SMALL_CNN) if kind == "cnn" else (train_lstm, SMALL_LSTM)
+    assert _model_digest(train(clean_windows[:n], cfg)) == TRAIN_DIGESTS[(kind, n)]
 
 
 def test_softmax_properties():
