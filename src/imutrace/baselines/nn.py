@@ -36,6 +36,7 @@ learning rate handles poorly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 from typing import Callable, NamedTuple, Optional, Sequence, Union
 
@@ -66,8 +67,8 @@ class CnnConfig:
         for name in ("filters1", "filters2", "kernel", "pool", "epochs", "batch_size"):
             if getattr(self, name) < 1:
                 raise DataError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.lr <= 0:
-            raise DataError(f"learning rate must be positive, got {self.lr}")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise DataError(f"learning rate must be positive and finite, got {self.lr}")
         if not 0 <= self.momentum < 1:
             raise DataError(f"momentum must be in [0, 1), got {self.momentum}")
         if self.seed < 0:
@@ -88,8 +89,8 @@ class LstmConfig:
         for name in ("hidden", "epochs", "batch_size"):
             if getattr(self, name) < 1:
                 raise DataError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.lr <= 0:
-            raise DataError(f"learning rate must be positive, got {self.lr}")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise DataError(f"learning rate must be positive and finite, got {self.lr}")
         if not 0 <= self.momentum < 1:
             raise DataError(f"momentum must be in [0, 1), got {self.momentum}")
         if self.seed < 0:

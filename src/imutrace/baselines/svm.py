@@ -14,6 +14,7 @@ be dominated by whichever axes happen to have the largest spread.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
@@ -38,12 +39,12 @@ class SvmConfig:
     standardize: bool = True
 
     def __post_init__(self):
-        if self.c <= 0:
-            raise DataError(f"C must be positive, got {self.c}")
-        if self.gamma is not None and self.gamma <= 0:
-            raise DataError(f"gamma must be positive or None, got {self.gamma}")
-        if self.tol <= 0:
-            raise DataError(f"tolerance must be positive, got {self.tol}")
+        if not (math.isfinite(self.c) and self.c > 0):
+            raise DataError(f"C must be positive and finite, got {self.c}")
+        if self.gamma is not None and not (math.isfinite(self.gamma) and self.gamma > 0):
+            raise DataError(f"gamma must be positive and finite or None, got {self.gamma}")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise DataError(f"tolerance must be positive and finite, got {self.tol}")
         if self.max_passes < 1:
             raise DataError(f"max_passes must be >= 1, got {self.max_passes}")
 

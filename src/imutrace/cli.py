@@ -111,11 +111,9 @@ def _parse_modes(text: str) -> list[PromptMode]:
     modes = []
     for token in text.split(","):
         token = token.strip().lower()
-        if token == "cot":
-            modes.append(PromptMode.COT)
-        elif token == "do":
-            modes.append(PromptMode.DO)
-        else:
+        try:
+            modes.append(PromptMode(token))
+        except ValueError:
             raise ConfigError(f"unknown prompt mode {token!r}, expected cot or do")
     return modes
 

@@ -378,7 +378,8 @@ def downsample(w: TrajectoryWindow, target_rate: float) -> TrajectoryWindow:
     its bucket, on the uniform target grid. A trailing partial bucket is
     dropped.
     """
-    if target_rate <= 0 or target_rate > w.rate:
+    # written so that NaN fails it too
+    if not 0 < target_rate <= w.rate:
         raise DataError(
             f"target rate {target_rate} must be in (0, {w.rate}] for window {w.id!r}"
         )

@@ -18,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import time
 from dataclasses import asdict, astuple, dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
@@ -579,16 +580,25 @@ def parse_report_jsonl(text: str) -> EvalReport:
     ``skipped``, ``n_windows`` and ``n_failures``. ``DataError`` refuses a
     line that is not exactly ``_cell_line`` of its rebuilt cell, unknown
     and missing keys included, naming the first field that differs, and
-    a second line for the same cell. The report keeps only the manifest's
-    digest (``manifest`` is None); rendering it again gives the input bytes.
+    a second line for the same cell, and a header line that is not
+    ``{"manifest_sha256": <64 lowercase hex digits>}``. The report keeps
+    only the manifest's digest (``manifest`` is None); rendering it again
+    gives the input bytes.
     """
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
         raise DataError("empty JSONL report")
     try:
-        digest = json.loads(lines[0])["manifest_sha256"]
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        header = json.loads(lines[0])
+    except json.JSONDecodeError as exc:
         raise DataError(f"malformed JSONL report header: {exc}")
+    digest = header.get("manifest_sha256") if isinstance(header, dict) else None
+    # a string digest means the header is a dict; it may hold nothing else
+    if not (isinstance(digest, str) and re.fullmatch("[0-9a-f]{64}", digest) and len(header) == 1):
+        raise DataError(
+            'JSONL report header must be {"manifest_sha256": <64 lowercase hex digits>}, '
+            f"got {lines[0]}"
+        )
     cells: dict[tuple[str, Scenario, Part], CellResult] = {}
     for line in lines[1:]:
         try:

@@ -85,6 +85,9 @@ class ProviderConfig:
             raise ConfigError("provider endpoint must be non-empty")
         if not self.model:
             raise ConfigError("provider model id must be non-empty")
+        for name in ("temperature", "timeout_s", "backoff_base_s"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.temperature < 0:
             raise ConfigError(f"temperature must be >= 0, got {self.temperature}")
         if self.max_tokens < 1:

@@ -14,7 +14,11 @@ symmetric ramp (:data:`YAW_RAMP_S`). The ramp is odd-symmetric about the
 segment boundary, so the net heading change of the window equals the
 profile's segment sum exactly, while the sampled gyro trace becomes
 smooth enough that a trapezoidal integral recovers the heading change to
-well under a milliradian at 100 Hz.
+well under a milliradian at 100 Hz. One function, ``_track``, locates
+each sample's ramp piece once and returns the yaw rate, its exact
+integral and the segment speed; :func:`simulate` turns them into the
+window's (n, 9) sensor array, and :func:`generate_dataset` wraps each
+array in a :class:`~imutrace.core.TrajectoryWindow`.
 
 Everything is reproducible: window ``i`` of a dataset draws from a
 ``numpy`` PCG64 generator seeded with ``SeedSequence((seed, i))``, and
@@ -27,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, fields
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 import numpy as np
 
@@ -89,8 +93,9 @@ class NoiseProfile:
 
     def __post_init__(self):
         for f in fields(self):
-            if getattr(self, f.name) < 0:
-                raise DataError(f"noise parameter {f.name} must be >= 0")
+            value = getattr(self, f.name)
+            if not (math.isfinite(value) and value >= 0):
+                raise DataError(f"noise parameter {f.name} must be finite and >= 0")
 
 
 # Indoor floors are flat; outdoor surfaces are rough enough that the
@@ -114,6 +119,9 @@ class GeneratorConfig:
     windows_per_group: int = 4   # windows sharing one simulated scene
 
     def __post_init__(self):
+        finite = (self.rate, self.duration, self.gravity, self.earth_field_h, self.earth_field_v)
+        if not all(math.isfinite(x) for x in finite):
+            raise DataError("rate, duration, gravity, and the earth field must be finite")
         if self.rate <= 0 or self.duration <= 0 or self.gravity <= 0:
             raise DataError("rate, duration, and gravity must be positive")
         if self.seed < 0:
@@ -171,8 +179,10 @@ def _smoothstep_integral(u: np.ndarray) -> np.ndarray:
     return u ** 3 - 0.5 * u ** 4
 
 
-class YawTrack:
-    """Yaw rate and exactly integrated heading for a ramped profile.
+def _track(
+    profile: MotionProfile, t: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Yaw rate, exactly integrated heading and speed at times ``t``.
 
     The profile's piecewise-constant yaw rate is replaced by a C^1
     curve: at every interior segment boundary the rate blends from the
@@ -180,89 +190,52 @@ class YawTrack:
     boundary. Ramp half-widths shrink where segments are short so ramps
     never overlap each other or the window edges; symmetry keeps every
     ramp's integral equal to the step's, so the final heading matches
-    the profile's segment sum to float precision.
+    the profile's segment sum to float precision. Speed stays
+    piecewise constant.
     """
+    boundaries = np.cumsum([seg.duration for seg in profile.segments])
+    rates = [seg.yaw_rate for seg in profile.segments]
 
-    def __init__(self, profile: MotionProfile):
-        boundaries = np.cumsum([seg.duration for seg in profile.segments])
-        total = boundaries[-1]
-        rates = [seg.yaw_rate for seg in profile.segments]
+    # Piece list: (t0, t1, w0, w1); w0 == w1 marks a constant piece.
+    pieces: list[tuple[float, float, float, float]] = []
+    cursor = 0.0
+    for j in range(len(rates) - 1):
+        b = float(boundaries[j])
+        left_gap = b - cursor
+        right_gap = float(boundaries[j + 1]) - b
+        half = min(YAW_RAMP_S / 2.0, left_gap / 2.0, right_gap / 2.0)
+        if rates[j] == rates[j + 1] or half <= 0:
+            continue
+        pieces.append((cursor, b - half, rates[j], rates[j]))
+        pieces.append((b - half, b + half, rates[j], rates[j + 1]))
+        cursor = b + half
+    pieces.append((cursor, float(boundaries[-1]), rates[-1], rates[-1]))
 
-        # Piece list: (t0, t1, w0, w1); w0 == w1 marks a constant piece.
-        pieces: list[tuple[float, float, float, float]] = []
-        cursor = 0.0
-        for j in range(len(rates) - 1):
-            b = float(boundaries[j])
-            left_gap = b - cursor
-            right_gap = float(boundaries[j + 1]) - b
-            half = min(YAW_RAMP_S / 2.0, left_gap / 2.0, right_gap / 2.0)
-            if rates[j] == rates[j + 1] or half <= 0:
-                continue
-            pieces.append((cursor, b - half, rates[j], rates[j]))
-            pieces.append((b - half, b + half, rates[j], rates[j + 1]))
-            cursor = b + half
-        pieces.append((cursor, float(total), rates[-1], rates[-1]))
-
-        self.pieces = pieces
-        self.starts = np.array([p[0] for p in pieces])
-        # Heading accumulated at the start of each piece.
-        theta = 0.0
-        theta_at = []
-        for t0, t1, w0, w1 in pieces:
-            theta_at.append(theta)
-            span = t1 - t0
-            if w0 == w1:
-                theta += w0 * span
-            else:
-                theta += w0 * span + (w1 - w0) * span * 0.5
-        self.theta_at = np.array(theta_at)
-
-    def _locate(self, t: np.ndarray) -> np.ndarray:
-        idx = np.searchsorted(self.starts, t, side="right") - 1
-        return np.clip(idx, 0, len(self.pieces) - 1)
-
-    def omega(self, t: np.ndarray) -> np.ndarray:
-        t = np.asarray(t, dtype=np.float64)
-        out = np.empty_like(t)
-        idx = self._locate(t)
-        for k, (t0, t1, w0, w1) in enumerate(self.pieces):
-            mask = idx == k
-            if not mask.any():
-                continue
-            if w0 == w1:
-                out[mask] = w0
-            else:
-                u = np.clip((t[mask] - t0) / (t1 - t0), 0.0, 1.0)
-                out[mask] = w0 + (w1 - w0) * _smoothstep(u)
-        return out
-
-    def theta(self, t: np.ndarray) -> np.ndarray:
-        t = np.asarray(t, dtype=np.float64)
-        out = np.empty_like(t)
-        idx = self._locate(t)
-        for k, (t0, t1, w0, w1) in enumerate(self.pieces):
-            mask = idx == k
-            if not mask.any():
-                continue
+    starts = np.array([p[0] for p in pieces])
+    idx = np.clip(np.searchsorted(starts, t, side="right") - 1, 0, len(pieces) - 1)
+    omega = np.empty_like(t)
+    theta = np.empty_like(t)
+    heading = 0.0  # heading at the start of the current piece
+    for k, (t0, t1, w0, w1) in enumerate(pieces):
+        span = t1 - t0
+        mask = idx == k
+        if mask.any():
             dt = t[mask] - t0
             if w0 == w1:
-                out[mask] = self.theta_at[k] + w0 * dt
+                omega[mask] = w0
+                theta[mask] = heading + w0 * dt
             else:
-                span = t1 - t0
                 u = np.clip(dt / span, 0.0, 1.0)
-                out[mask] = (
-                    self.theta_at[k]
-                    + w0 * dt
-                    + (w1 - w0) * span * _smoothstep_integral(u)
-                )
-        return out
+                omega[mask] = w0 + (w1 - w0) * _smoothstep(u)
+                theta[mask] = heading + w0 * dt + (w1 - w0) * span * _smoothstep_integral(u)
+        if w0 == w1:
+            heading += w0 * span
+        else:
+            heading += w0 * span + (w1 - w0) * span * 0.5
 
-
-def _segment_speeds(profile: MotionProfile, t: np.ndarray) -> np.ndarray:
-    starts = np.cumsum([0.0] + [seg.duration for seg in profile.segments])[:-1]
-    idx = np.clip(np.searchsorted(starts, t, side="right") - 1, 0, len(profile.segments) - 1)
-    speeds = np.array([seg.speed for seg in profile.segments])
-    return speeds[idx]
+    segment = np.minimum(np.searchsorted(boundaries, t, side="right"), len(rates) - 1)
+    speed = np.array([seg.speed for seg in profile.segments])[segment]
+    return omega, theta, speed
 
 
 def simulate(
@@ -270,14 +243,10 @@ def simulate(
     noise: NoiseProfile,
     cfg: GeneratorConfig,
     rng: np.random.Generator,
-    *,
-    window_id: str = "sim",
-    scenario: Scenario = Scenario.INDOOR,
-    recording_group: str = "sim",
-    label: Optional[TrajectoryLabel] = None,
-) -> TrajectoryWindow:
+) -> np.ndarray:
     """Sample the 9-axis sensors along ``profile`` at ``cfg.rate``.
 
+    Returns the (n, 9) array of accel, gyro and magnetometer columns.
     Noise draw order is fixed (gyro, accel, bump counts, bump signs,
     magnetometer) and zero-valued noise parameters skip their draws
     entirely, so a :data:`ZERO_NOISE` simulation never touches ``rng``.
@@ -291,11 +260,7 @@ def simulate(
     if n < 2:
         raise DataError("window would have fewer than 2 samples")
     t = np.arange(n, dtype=np.float64) / cfg.rate
-
-    track = YawTrack(profile)
-    omega = track.omega(t)
-    theta = track.theta(t)
-    speed = _segment_speeds(profile, t)
+    omega, theta, speed = _track(profile, t)
 
     gyro = np.zeros((n, 3))
     gyro[:, 2] = omega
@@ -317,15 +282,7 @@ def simulate(
         accel[:, 2] += counts * signs * noise.bump_amp
     if noise.mag_sigma > 0:
         mag += rng.normal(0.0, noise.mag_sigma, (n, 3))
-
-    return TrajectoryWindow(
-        id=window_id,
-        scenario=scenario,
-        recording_group=recording_group,
-        rate=cfg.rate,
-        data=np.column_stack((accel, gyro, mag)),
-        label=label,
-    )
+    return np.column_stack((accel, gyro, mag))
 
 
 def uniform_counts(per_class: int) -> dict[tuple[TrajectoryLabel, Scenario], int]:
@@ -375,18 +332,16 @@ def generate_dataset(
         for j, label in enumerate(sequence):
             rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, global_index)))
             profile = profile_for(label, rng, cfg.duration)
-            group = f"{scenario.value}-scene{j // cfg.windows_per_group:03d}"
-            window = simulate(
-                profile,
-                noise[scenario],
-                cfg,
-                rng,
-                window_id=f"{scenario.value}-w{j:04d}",
-                scenario=scenario,
-                recording_group=group,
-                label=label,
+            windows.append(
+                TrajectoryWindow(
+                    id=f"{scenario.value}-w{j:04d}",
+                    scenario=scenario,
+                    recording_group=f"{scenario.value}-scene{j // cfg.windows_per_group:03d}",
+                    rate=cfg.rate,
+                    data=simulate(profile, noise[scenario], cfg, rng),
+                    label=label,
+                )
             )
-            windows.append(window)
             global_index += 1
 
     manifest = {

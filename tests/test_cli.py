@@ -309,6 +309,38 @@ def test_negative_seed_exits_3_before_writing(tmp_path, argv):
     assert not out.exists()
 
 
+_LIVE = ("--endpoint", "http://127.0.0.1:9/v1", "--model", "m")
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        # a NaN backoff once queued its retry at a NaN due time, and the
+        # scheduler spun forever; the timeout below catches that
+        (["run", *_LIVE, "--backoff", "nan", "--retries", "1"], 2),
+        (["run", *_LIVE, "--timeout", "nan"], 2),
+        (["run", "--target-rate", "nan"], 3),
+        (["generate", "--rate", "nan"], 3),
+        (["generate", "--duration", "inf"], 3),
+    ],
+    ids=["backoff", "timeout", "target-rate", "rate", "duration"],
+)
+def test_non_finite_flag_exits_cleanly(tmp_path, argv, code):
+    src = str(Path(imutrace.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    out = tmp_path / "out"
+    argv = [*argv, "--per-class", "6", "--noise", "zero", "--out", str(out)]
+    proc = subprocess.run(
+        [sys.executable, "-m", "imutrace.cli", *argv],
+        capture_output=True, text=True, timeout=60,
+        # with a token the live run gets as far as its provider calls
+        env={**os.environ, "PYTHONPATH": path, "IMUTRACE_API_TOKEN": "t"},
+    )
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (out / "dataset.csv").exists()
+
+
 def test_report_round_trips(tmp_path, capsys):
     run_dir = tmp_path / "r"
     assert _run(run_dir) == 0

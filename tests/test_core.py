@@ -284,6 +284,8 @@ def test_downsample_rejections():
         downsample(w, 20.0)
     with pytest.raises(DataError):
         downsample(w, 1.0)  # only one output bucket
+    with pytest.raises(DataError):
+        downsample(w, math.nan)
 
 
 def test_largest_remainder_properties():

@@ -370,6 +370,24 @@ def test_jsonl_report_refuses_a_repeated_cell(skip_path_report):
         parse_report_jsonl(jsonl + line + "\n")
 
 
+@pytest.mark.parametrize(
+    "header",
+    [
+        lambda digest: {"manifest_sha256": digest, "extra": 1},
+        lambda digest: {"manifest_sha256": 5},
+        lambda digest: {"manifest_sha256": None},
+        lambda digest: {"manifest_sha256": digest.upper()},
+        lambda digest: {"manifest_sha256": digest[:-1]},
+    ],
+    ids=["extra-key", "int", "null", "uppercase", "63-digits"],
+)
+def test_jsonl_report_refuses_a_header_other_than_the_digest(skip_path_report, header):
+    lines = render_report(skip_path_report, "jsonl").splitlines()
+    lines[0] = json.dumps(header(skip_path_report.manifest_sha256), sort_keys=True)
+    with pytest.raises(DataError, match="JSONL report header must be"):
+        parse_report_jsonl("\n".join(lines) + "\n")
+
+
 @pytest.mark.parametrize("shift", [-1, 1])
 def test_jsonl_report_refuses_n_windows_off_its_counts(skip_path_report, shift):
     lines = render_report(skip_path_report, "jsonl").splitlines()

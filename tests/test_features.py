@@ -76,7 +76,7 @@ def test_quarter_turn_integral():
     ):
         rng = np.random.default_rng(3)
         profile = profile_for(label, rng, cfg.duration)
-        w = simulate(profile, ZERO_NOISE, cfg, rng, label=label)
+        w = window_from_array(simulate(profile, ZERO_NOISE, cfg, rng), rate=cfg.rate, label=label)
         f = extract_features(w)
         assert f[47] == pytest.approx(expected, abs=1e-3)
 

@@ -240,6 +240,13 @@ def test_provider_config_validation():
     ProviderConfig(endpoint="http://x", model="m", max_tokens=1)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("field", ["temperature", "timeout_s", "backoff_base_s"])
+def test_provider_config_refuses_non_finite(field, value):
+    with pytest.raises(ConfigError, match=f"{field} must be finite"):
+        ProviderConfig(endpoint="http://x", model="m", **{field: value})
+
+
 def test_retries_free_the_slot_for_other_windows(stub):
     # one worker: while the refused window backs off, the others go ahead
     server, url = stub([(503, b"busy"), (200, OK_PAYLOAD)])

@@ -471,3 +471,11 @@ def test_config_validation():
         LstmConfig(hidden=0)
     with pytest.raises(DataError):
         LstmConfig(momentum=-0.1)
+
+
+# momentum's range check, 0 <= momentum < 1, already fails for NaN and inf
+@pytest.mark.parametrize("lr", [np.nan, np.inf])
+@pytest.mark.parametrize("config", [CnnConfig, LstmConfig])
+def test_config_refuses_non_finite_lr(config, lr):
+    with pytest.raises(DataError, match="learning rate must be positive and finite"):
+        config(lr=lr)

@@ -165,3 +165,10 @@ def test_validation_errors():
         predict_svm_batch(model, np.zeros(2))
     with pytest.raises(DataError):
         decision_matrix(model, np.zeros((3, 5)))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("field", ["c", "gamma", "tol"])
+def test_config_refuses_non_finite(field, value):
+    with pytest.raises(DataError, match="positive and finite"):
+        SvmConfig(**{field: value})

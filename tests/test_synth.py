@@ -1,7 +1,9 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from imutrace.core import Scenario, TrajectoryLabel, serialize_csv
 from imutrace.errors import DataError
@@ -13,8 +15,11 @@ from imutrace.synth import (
     MotionSegment,
     NoiseProfile,
     OUTDOOR_NOISE,
-    YawTrack,
+    YAW_RAMP_S,
     ZERO_NOISE,
+    _smoothstep,
+    _smoothstep_integral,
+    _track,
     generate_dataset,
     profile_for,
     simulate,
@@ -24,13 +29,98 @@ from imutrace.synth import (
 ZERO = {s: ZERO_NOISE for s in Scenario}
 
 
+class YawTrack:
+    """Reference track: the simulator's former two-pass yaw evaluation,
+    kept to pin ``_track`` bit for bit."""
+
+    def __init__(self, profile: MotionProfile):
+        boundaries = np.cumsum([seg.duration for seg in profile.segments])
+        total = boundaries[-1]
+        rates = [seg.yaw_rate for seg in profile.segments]
+
+        # Piece list: (t0, t1, w0, w1); w0 == w1 marks a constant piece.
+        pieces: list[tuple[float, float, float, float]] = []
+        cursor = 0.0
+        for j in range(len(rates) - 1):
+            b = float(boundaries[j])
+            left_gap = b - cursor
+            right_gap = float(boundaries[j + 1]) - b
+            half = min(YAW_RAMP_S / 2.0, left_gap / 2.0, right_gap / 2.0)
+            if rates[j] == rates[j + 1] or half <= 0:
+                continue
+            pieces.append((cursor, b - half, rates[j], rates[j]))
+            pieces.append((b - half, b + half, rates[j], rates[j + 1]))
+            cursor = b + half
+        pieces.append((cursor, float(total), rates[-1], rates[-1]))
+
+        self.pieces = pieces
+        self.starts = np.array([p[0] for p in pieces])
+        # Heading accumulated at the start of each piece.
+        theta = 0.0
+        theta_at = []
+        for t0, t1, w0, w1 in pieces:
+            theta_at.append(theta)
+            span = t1 - t0
+            if w0 == w1:
+                theta += w0 * span
+            else:
+                theta += w0 * span + (w1 - w0) * span * 0.5
+        self.theta_at = np.array(theta_at)
+
+    def _locate(self, t: np.ndarray) -> np.ndarray:
+        idx = np.searchsorted(self.starts, t, side="right") - 1
+        return np.clip(idx, 0, len(self.pieces) - 1)
+
+    def omega(self, t: np.ndarray) -> np.ndarray:
+        t = np.asarray(t, dtype=np.float64)
+        out = np.empty_like(t)
+        idx = self._locate(t)
+        for k, (t0, t1, w0, w1) in enumerate(self.pieces):
+            mask = idx == k
+            if not mask.any():
+                continue
+            if w0 == w1:
+                out[mask] = w0
+            else:
+                u = np.clip((t[mask] - t0) / (t1 - t0), 0.0, 1.0)
+                out[mask] = w0 + (w1 - w0) * _smoothstep(u)
+        return out
+
+    def theta(self, t: np.ndarray) -> np.ndarray:
+        t = np.asarray(t, dtype=np.float64)
+        out = np.empty_like(t)
+        idx = self._locate(t)
+        for k, (t0, t1, w0, w1) in enumerate(self.pieces):
+            mask = idx == k
+            if not mask.any():
+                continue
+            dt = t[mask] - t0
+            if w0 == w1:
+                out[mask] = self.theta_at[k] + w0 * dt
+            else:
+                span = t1 - t0
+                u = np.clip(dt / span, 0.0, 1.0)
+                out[mask] = (
+                    self.theta_at[k]
+                    + w0 * dt
+                    + (w1 - w0) * span * _smoothstep_integral(u)
+                )
+        return out
+
+
+def _segment_speeds(profile: MotionProfile, t: np.ndarray) -> np.ndarray:
+    starts = np.cumsum([0.0] + [seg.duration for seg in profile.segments])[:-1]
+    idx = np.clip(np.searchsorted(starts, t, side="right") - 1, 0, len(profile.segments) - 1)
+    speeds = np.array([seg.speed for seg in profile.segments])
+    return speeds[idx]
+
+
 def test_straight_zero_noise_closed_form():
     cfg = GeneratorConfig(seed=0)
     rng = np.random.default_rng(0)
     profile = MotionProfile((MotionSegment(10.0, 1.0, 0.0),))
-    w = simulate(profile, ZERO_NOISE, cfg, rng, label=TrajectoryLabel.STRAIGHT)
-    data = w.data
-    assert len(w) == 1000
+    data = simulate(profile, ZERO_NOISE, cfg, rng)
+    assert data.shape == (1000, 9)
     # no rotation: gyro exactly zero, accel exactly (0, 0, g),
     # magnetometer exactly the unrotated earth field
     assert np.all(data[:, 3:6] == 0.0)
@@ -52,8 +142,7 @@ def test_turn_window_gyro_integral_recovers_heading():
         for trial in range(10):
             rng = np.random.default_rng(trial)
             profile = profile_for(label, rng, cfg.duration)
-            w = simulate(profile, ZERO_NOISE, cfg, rng, label=label)
-            gz = w.data[:, 5]
+            gz = simulate(profile, ZERO_NOISE, cfg, rng)[:, 5]
             dtheta = float(np.sum((gz[1:] + gz[:-1]) * 0.5) / cfg.rate)
             assert abs(dtheta - expected) < 1e-3
 
@@ -66,8 +155,7 @@ def test_turn_around_magnitude_pi():
         profile = profile_for(TrajectoryLabel.TURN_AROUND, rng, cfg.duration)
         assert abs(abs(profile.net_heading) - math.pi) < 1e-12
         seen_signs.add(math.copysign(1.0, profile.net_heading))
-        w = simulate(profile, ZERO_NOISE, cfg, rng)
-        gz = w.data[:, 5]
+        gz = simulate(profile, ZERO_NOISE, cfg, rng)[:, 5]
         dtheta = float(np.sum((gz[1:] + gz[:-1]) * 0.5) / cfg.rate)
         assert abs(abs(dtheta) - math.pi) < 1e-3
     assert seen_signs == {1.0, -1.0}  # both directions occur
@@ -79,8 +167,7 @@ def test_magnetometer_consistent_with_gyro_heading():
     cfg = GeneratorConfig(seed=0)
     rng = np.random.default_rng(4)
     profile = profile_for(TrajectoryLabel.TURN_LEFT, rng, cfg.duration)
-    w = simulate(profile, ZERO_NOISE, cfg, rng)
-    data = w.data
+    data = simulate(profile, ZERO_NOISE, cfg, rng)
     heading_mag = np.arctan2(-data[:, 7], data[:, 6])
     gz = data[:, 5]
     dt = 1.0 / cfg.rate
@@ -96,9 +183,38 @@ def test_yaw_track_exact_final_heading():
         rng = np.random.default_rng(trial)
         label = list(TrajectoryLabel)[trial % 4]
         profile = profile_for(label, rng, 10.0)
-        track = YawTrack(profile)
-        end = track.theta(np.array([profile.total_duration]))[0]
+        end = _track(profile, np.array([profile.total_duration]))[1][0]
         assert abs(end - profile.net_heading) < 1e-12
+
+
+# Segment durations straddle the ramp width, so some ramps shrink to fit
+# a short segment; a small pool of yaw rates makes equal adjacent rates
+# (no ramp at all) common.
+_segments = st.builds(
+    MotionSegment,
+    duration=st.one_of(st.floats(0.001, YAW_RAMP_S), st.floats(YAW_RAMP_S, 5.0)),
+    speed=st.floats(0.1, 2.0),
+    yaw_rate=st.one_of(st.sampled_from([0.0, 0.5, -1.25]), st.floats(-3.0, 3.0)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(_segments, min_size=1, max_size=5),
+    st.sampled_from([7.0, 30.0, 100.0 / 3.0, 100.0]),
+    st.integers(0, 20),
+)
+def test_track_matches_two_pass_reference(segments, rate, past_end):
+    profile = MotionProfile(tuple(segments))
+    n = round(profile.total_duration * rate) + past_end
+    boundaries = np.cumsum([seg.duration for seg in profile.segments])
+    # the sample grid, samples past the end, and every segment boundary
+    t = np.concatenate([np.arange(n, dtype=np.float64) / rate, boundaries])
+    omega, theta, speed = _track(profile, t)
+    track = YawTrack(profile)
+    assert np.array_equal(omega, track.omega(t))
+    assert np.array_equal(theta, track.theta(t))
+    assert np.array_equal(speed, _segment_speeds(profile, t))
 
 
 def test_profile_for_shapes():
@@ -206,13 +322,30 @@ def test_noise_profile_validation():
         GeneratorConfig(seed=0, windows_per_group=0)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("rate", math.nan), ("duration", math.inf), ("gravity", math.inf),
+     ("earth_field_h", math.nan), ("earth_field_v", -math.inf)],
+)
+def test_generator_config_refuses_non_finite(field, value):
+    with pytest.raises(DataError, match="must be finite"):
+        GeneratorConfig(seed=0, **{field: value})
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(NoiseProfile)])
+def test_noise_profile_refuses_non_finite(field, value):
+    with pytest.raises(DataError, match=f"noise parameter {field} must be finite"):
+        NoiseProfile(**{field: value})
+
+
 def test_noise_magnitudes_scale_with_profile():
     cfg = GeneratorConfig(seed=0)
     profile = MotionProfile((MotionSegment(10.0, 1.0, 0.0),))
     quiet = simulate(profile, INDOOR_NOISE, cfg, np.random.default_rng(7))
     loud = simulate(profile, OUTDOOR_NOISE, cfg, np.random.default_rng(7))
-    gz_quiet = np.std(quiet.data[:, 5])
-    gz_loud = np.std(loud.data[:, 5])
+    gz_quiet = np.std(quiet[:, 5])
+    gz_loud = np.std(loud[:, 5])
     assert gz_quiet < gz_loud
     assert 0.005 < gz_quiet < 0.02   # sigma 0.01 on a zero-rate track
     assert 0.025 < gz_loud < 0.1     # sigma 0.05
