@@ -44,7 +44,7 @@ from .evalreport import (
     validate_run,
 )
 from .llm import ProviderConfig
-from .prompting import PromptMode, TemplateSet
+from .prompting import PromptMode, TemplateSet, build_prompt
 from .synth import GeneratorConfig, ZERO_NOISE, generate_dataset, uniform_counts
 from .baselines.model_io import save_model, save_training_log
 
@@ -227,9 +227,9 @@ def cmd_run(args) -> int:
     baselines = _parse_baselines(args.baselines)
     configs = {kind: _baseline_config(kind, seed=args.seed) for kind in BASELINE_KINDS}
     validate_run(baselines, modes, configs)
-    templates = None
-    if args.template is not None:
-        templates = TemplateSet.from_dir(args.template)
+    templates = (
+        TemplateSet.load_default() if args.template is None else TemplateSet.from_dir(args.template)
+    )
 
     manifest_extra: dict = {"baseline_seed": args.seed}
     generated = None
@@ -247,6 +247,18 @@ def cmd_run(args) -> int:
     else:
         split = split_dataset(windows, args.split_seed)
         manifest_extra["split_seed"] = args.split_seed
+
+    # refuse, before --out exists, what run_experiment would refuse only
+    # after it is made: a split that does not fit the data, a target rate
+    # the data cannot take, and an unseen-test prompt over the budget
+    # (which it finds only after training every baseline)
+    split.validate(windows)
+    unseen = set(split.part_ids(Part.UNSEEN_TEST))
+    for w in windows:
+        down = downsample(w, args.target_rate)
+        if w.id in unseen:
+            for mode in modes:
+                build_prompt(down, mode, templates=templates)
 
     out = Path(args.out)
     transcript_path = out / "transcript.jsonl" if args.transcript else None

@@ -4,12 +4,12 @@ Three layers live here. `complete` is a thin provider-agnostic HTTP
 client for chat-completion endpoints, with bounded retries on transient
 failures; it and `classify_windows` run their calls through one small
 scheduler, in which a call waiting to retry holds no worker.
-`mock_complete` is an offline stand-in that re-parses the serialized
-window out of the prompt, integrates gyro-z, and writes a four-phase
-reasoning text (chain-of-thought) or a bare label (direct output); it
-doubles as the oracle generator for tests. `parse_label`
-recovers a TrajectoryLabel from free-form response text via a synonym
-lexicon shipped as a versioned data file.
+`mock_complete` is an offline stand-in that reads the serialized window
+back out of the prompt (``prompting.read_window``), integrates gyro-z,
+and writes a four-phase reasoning text (chain-of-thought) or a bare
+label (direct output); it doubles as the oracle generator for tests.
+`parse_label` recovers a TrajectoryLabel from free-form response text
+via a synonym lexicon shipped as a versioned data file.
 """
 
 from __future__ import annotations
@@ -37,14 +37,7 @@ from .errors import (
     TransportError,
     UnparseableLabelError,
 )
-from .prompting import (
-    CHANNEL_HEADER,
-    SAMPLE_DELIMITER,
-    PromptBundle,
-    PromptMode,
-    TemplateSet,
-    build_prompt,
-)
+from .prompting import PromptBundle, PromptMode, TemplateSet, build_prompt, read_window
 
 MOCK_PROVIDER_ID = "mock"
 
@@ -52,7 +45,6 @@ MOCK_PROVIDER_ID = "mock"
 STRAIGHT_MAX_RAD = math.pi / 4
 QUARTER_MAX_RAD = 3 * math.pi / 4
 
-_RATE_PATTERN = re.compile(r"downsampled\s+to\s+([0-9]+(?:\.[0-9]+)?)\s*Hz", re.IGNORECASE)
 _GZ_COLUMN = AXIS_NAMES.index("gz")
 
 
@@ -359,48 +351,6 @@ def _read_completion(
     )
 
 
-def _parse_embedded_window(question: str) -> tuple[list[list[float]], float]:
-    """Recover (sample rows, sample rate) from a rendered question.
-
-    Needs the exact ``CHANNEL_HEADER`` line that ``serialize_window``
-    writes, then one line per sample with nine numbers in ``AXIS_NAMES``
-    order joined by ``SAMPLE_DELIMITER``, and a context sentence quoting
-    the downsampled rate as "downsampled to <rate> Hz". A question
-    without that header is refused, since its columns cannot be trusted
-    to be in that order.
-    """
-    header_seen = False
-    rows: list[list[float]] = []
-    for line in question.splitlines():
-        line = line.strip()
-        if not header_seen:
-            header_seen = line == CHANNEL_HEADER
-            continue
-        tokens = line.split(SAMPLE_DELIMITER)
-        if len(tokens) != len(AXIS_NAMES):
-            continue
-        try:
-            rows.append([float(t) for t in tokens])
-        except ValueError:
-            continue
-    if not header_seen:
-        raise ProviderError(
-            f"mock provider found no channel header line {CHANNEL_HEADER!r}, "
-            "so it cannot tell which column is gz"
-        )
-    if len(rows) < 2:
-        raise ProviderError(
-            f"mock provider found {len(rows)} serialized sample lines, needs >= 2"
-        )
-    match = _RATE_PATTERN.search(question)
-    if match is None:
-        raise ProviderError("mock provider could not find the downsampled rate in the question")
-    rate = float(match.group(1))
-    if rate <= 0:
-        raise ProviderError(f"mock provider parsed a non-positive sample rate {rate}")
-    return rows, rate
-
-
 def _classify_heading(dtheta: float) -> TrajectoryLabel:
     if abs(dtheta) < STRAIGHT_MAX_RAD:
         return TrajectoryLabel.STRAIGHT
@@ -412,9 +362,9 @@ def _classify_heading(dtheta: float) -> TrajectoryLabel:
 def mock_complete(bundle: PromptBundle) -> CompletionResult:
     """Deterministic offline provider.
 
-    Re-parses the serialized window embedded in the question, integrates
-    its gz column by the trapezoid rule, and refuses a prompt without the
-    exact channel header ``serialize_window`` writes. It classifies the net
+    Reads the serialized window back out of the question with
+    ``read_window`` (refusing one it cannot read with ``ProviderError``),
+    integrates its gz column by the trapezoid rule, and classifies the net
     heading change: below pi/4 in magnitude is straight, up to 3pi/4 a
     quarter turn (sign picks the side, positive yaw is a left turn),
     beyond that a turn around. Chain-of-thought bundles get a four-phase
@@ -422,7 +372,10 @@ def mock_complete(bundle: PromptBundle) -> CompletionResult:
     bundles get the bare label.
     """
     started = time.perf_counter()
-    rows, rate = _parse_embedded_window(bundle.question)
+    try:
+        rows, rate = read_window(bundle.question)
+    except ValueError as exc:
+        raise ProviderError(f"mock provider {exc}") from None
     gz = [row[_GZ_COLUMN] for row in rows]
     dt = 1.0 / rate
     dtheta = sum((gz[i] + gz[i + 1]) * 0.5 * dt for i in range(len(gz) - 1))

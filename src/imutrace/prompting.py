@@ -1,10 +1,14 @@
-"""Render a trajectory window into the two-part classification prompt.
+"""Render a window into the two-part classification prompt, and read it back.
 
 A prompt bundle is an instruction (role-play preamble that primes IMU
 expertise) plus a question (acquisition context, the serialized sample
 lines, the four candidate labels, and a mode-specific closing request).
 Chain-of-thought bundles end with the verbatim step-by-step request;
 direct-output bundles ask for the bare label.
+
+Only this module knows a question's data layout (channel header, sample
+lines, rate sentence); ``read_window``, its inverse, is how the offline
+mock provider reads a prompt.
 
 Templates are plain-text files with ``{{placeholder}}`` slots, loaded
 from the packaged defaults or from a user directory, and hashed so a
@@ -22,7 +26,9 @@ from typing import Optional
 
 from importlib import resources
 
-from .core import AXIS_NAMES, LABEL_ORDER, TrajectoryWindow
+import numpy as np
+
+from .core import AXIS_NAMES, LABEL_ORDER, Scenario, TrajectoryWindow
 from .errors import ConfigError
 
 COT_CLOSER = "I would appreciate a step-by-step analysis of your reasoning process."
@@ -36,6 +42,8 @@ MAX_PROMPT_CHARS = 4000
 # the nine values in AXIS_NAMES order, 2 decimals, joined the same way.
 SAMPLE_DELIMITER = ", "
 CHANNEL_HEADER = SAMPLE_DELIMITER.join(AXIS_NAMES)
+# The context sentence that quotes the window's rate.
+_RATE_PATTERN = re.compile(r"downsampled\s+to\s+([0-9]+(?:\.[0-9]+)?)\s*Hz", re.IGNORECASE)
 
 TEMPLATE_FILES = ("instruction.txt", "question_cot.txt", "question_do.txt")
 _PLACEHOLDER = re.compile(r"\{\{(\w+)\}\}")
@@ -68,10 +76,12 @@ class TemplateSet:
 
     A set is checked when it is built, so a bad template directory is
     refused before a run reads any data: the instruction takes no
-    placeholder, each question only known ones and ``{{data}}``, and the
-    prompt of each mode, rendered with the channel header for its data,
-    must pass ``validate_bundle``. Sample lines hold only numbers, so
-    every prompt ``build_prompt`` renders from the set passes it too.
+    placeholder, each question only known ones, and the prompt of each
+    mode, rendered from a two-sample probe window, must pass
+    ``validate_bundle`` and give back the probe's samples and rate through
+    ``read_window``: each question needs ``{{data}}`` and the sentence
+    "downsampled to {{sample_rate}} Hz". Sample lines hold only numbers,
+    so every prompt ``build_prompt`` renders passes ``validate_bundle``.
     """
 
     instruction: str
@@ -80,10 +90,17 @@ class TemplateSet:
 
     def __post_init__(self):
         for mode in PromptMode:
-            validate_bundle(_bundle(self, mode, SOURCE_RATE_HZ, CHANNEL_HEADER, "template-check"))
-        for name in ("question_cot", "question_do"):
-            if "{{data}}" not in getattr(self, name):
-                raise ConfigError(f"template {name}.txt has no {{{{data}}}} placeholder")
+            bundle = _bundle(self, mode, _PROBE.rate, serialize_window(_PROBE), _PROBE.id)
+            validate_bundle(bundle)
+            try:
+                if read_window(bundle.question) != (_PROBE.data.tolist(), _PROBE.rate):
+                    raise ValueError("read back other samples or another rate")
+            except ValueError as exc:
+                raise ConfigError(
+                    f"the prompt of template question_{mode.value}.txt does not read back: "
+                    f"{exc}; a question needs {{{{data}}}} on lines of its own and the "
+                    f"sentence 'downsampled to {{{{sample_rate}}}} Hz'"
+                ) from None
 
     @classmethod
     def load_default(cls) -> "TemplateSet":
@@ -116,8 +133,44 @@ def serialize_window(w: TrajectoryWindow) -> str:
     return "\n".join(rows)
 
 
+def read_window(question: str) -> tuple[list[list[float]], float]:
+    """The sample rows and rate of the window a question serializes: the
+    sample lines right after the first ``CHANNEL_HEADER`` line, and the
+    rate of the first "downsampled to <rate> Hz". Raises ``ValueError``
+    without the header (the column order is then unknown), with fewer
+    than two sample lines, or without a positive rate."""
+    lines = [line.strip() for line in question.splitlines()]
+    if CHANNEL_HEADER not in lines:
+        raise ValueError(f"found no channel header line {CHANNEL_HEADER!r}")
+    rows: list[list[float]] = []
+    for line in lines[lines.index(CHANNEL_HEADER) + 1 :]:
+        tokens = line.split(SAMPLE_DELIMITER)
+        if len(tokens) != len(AXIS_NAMES):
+            break
+        try:
+            rows.append([float(t) for t in tokens])
+        except ValueError:
+            break
+    if len(rows) < 2:
+        raise ValueError(f"found {len(rows)} serialized sample lines, needs >= 2")
+    match = _RATE_PATTERN.search(question)
+    if match is None:
+        raise ValueError("found no sentence quoting the rate as 'downsampled to <rate> Hz'")
+    rate = float(match.group(1))
+    if rate <= 0:
+        raise ValueError(f"read a non-positive sample rate {rate}")
+    return rows, rate
+
+
 def _format_rate(rate: float) -> str:
     return f"{rate:g}"
+
+
+# The window a template set renders when it is built: distinct values that
+# 2 decimals hold exactly, at a rate no template would write out by itself.
+_PROBE = TrajectoryWindow(
+    "template-check", Scenario.INDOOR, "template-check", 2.5, np.arange(18).reshape(2, 9) / 4 - 2
+)
 
 
 def _render(template: str, values: dict[str, str]) -> str:

@@ -261,10 +261,19 @@ def test_run_live_requires_endpoint(tmp_path, capsys):
     assert not out.exists()
 
 
+_RATE_SENTENCE = "downsampled to {{sample_rate}} Hz"
+
+
 @pytest.mark.parametrize(
     "name, old, new",
-    [("question_cot.txt", "step-by-step", "stepwise"), ("question_do.txt", "{{data}}", "the data")],
-    ids=["cot-without-closer", "do-without-data"],
+    [
+        ("question_cot.txt", "step-by-step", "stepwise"),
+        ("question_do.txt", "{{data}}", "the data"),
+        # the mock provider would find no rate to read, and fail every call
+        ("question_cot.txt", _RATE_SENTENCE, "resampled to {{sample_rate}} Hz"),
+        ("question_do.txt", _RATE_SENTENCE, "resampled to {{sample_rate}} Hz"),
+    ],
+    ids=["cot-without-closer", "do-without-data", "cot-without-rate", "do-without-rate"],
 )
 def test_run_refuses_bad_templates_before_writing(tmp_path, capsys, name, old, new):
     templates = tmp_path / "templates"
@@ -339,6 +348,40 @@ def test_non_finite_flag_exits_cleanly(tmp_path, argv, code):
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr
     assert not (out / "dataset.csv").exists()
+
+
+@pytest.mark.parametrize("rate", ["nan", "200"])
+def test_run_refuses_a_target_rate_the_data_cannot_take_before_making_out(tmp_path, capsys, rate):
+    # the generated data is at 100 Hz
+    out = tmp_path / "r"
+    rc = main(["run", "--per-class", "6", "--noise", "zero", "--target-rate", rate, "--out", str(out)])
+    assert rc == 3
+    assert f"target rate {rate}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_refuses_a_split_of_other_data_before_making_out(tmp_path, capsys):
+    data = _generate(tmp_path, per_class=3)
+    split = tmp_path / "split.json"
+    assert main(["split", "--data", str(data / "dataset.csv"), "--out", str(split)]) == 0
+    out = tmp_path / "r"
+    rc = main(["run", "--per-class", "6", "--noise", "zero", "--split", str(split), "--out", str(out)])
+    assert rc == 3
+    assert "split does not cover" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_refuses_an_over_budget_prompt_before_training(tmp_path, capsys, monkeypatch):
+    # at 10 Hz a 6 s window serializes into a prompt over MAX_PROMPT_CHARS
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained a baseline")
+
+    monkeypatch.setattr(evalreport, "train_baseline", no_training)
+    out = tmp_path / "r"
+    rc = main(["run", "--per-class", "6", "--noise", "zero", "--target-rate", "10", "--out", str(out)])
+    assert rc == 2
+    assert "over the 4000 budget" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_report_round_trips(tmp_path, capsys):

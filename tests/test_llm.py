@@ -24,13 +24,12 @@ from imutrace.llm import (
     MOCK_PROVIDER_ID,
     ProviderConfig,
     _Retry,
-    _parse_embedded_window,
     _run_calls,
     classify_windows,
     mock_complete,
     parse_label,
 )
-from imutrace.prompting import PromptBundle, PromptMode, build_prompt
+from imutrace.prompting import PromptBundle, PromptMode, build_prompt, read_window
 from imutrace.synth import GeneratorConfig, ZERO_NOISE, generate_dataset, uniform_counts
 
 from conftest import window_from_array
@@ -149,11 +148,13 @@ _BOUNDED = st.floats(-1e3, 1e3, exclude_min=True, exclude_max=True)
         lambda n: st.lists(st.lists(_BOUNDED, min_size=9, max_size=9), min_size=n, max_size=n)
     ),
     mode=st.sampled_from(PromptMode),
+    rate=st.sampled_from([3.0, 100 / 3]),
 )
-def test_mock_reads_back_the_two_decimal_window(data, mode):
-    w = window_from_array(np.array(data), rate=3.0)
-    rows, rate = _parse_embedded_window(build_prompt(w, mode).question)
-    assert rate == 3.0
+def test_mock_reads_back_the_two_decimal_window(data, mode, rate):
+    w = window_from_array(np.array(data), rate=rate)
+    rows, read = read_window(build_prompt(w, mode).question)
+    # the prompt quotes the rate to 6 significant digits: 33.3333 Hz
+    assert read == float(f"{rate:g}")
     assert rows == [[float(f"{v:.2f}") for v in row] for row in data]
     gz = AXIS_NAMES.index("gz")
     assert [row[gz] for row in rows] == [float(f"{v:.2f}") for v in w.data[:, gz]]

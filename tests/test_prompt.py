@@ -148,6 +148,12 @@ def test_unknown_placeholder_rejected(tmp_path, make_window):
         ("question_do.txt", "{{data}}", "the samples"),
         ("question_cot.txt", "step-by-step", "stepwise"),
         ("question_do.txt", "{{labels}}", "'straight'"),
+        # the mock provider reads the rate from this sentence
+        ("question_cot.txt", "downsampled to {{sample_rate}} Hz", "resampled to {{sample_rate}} Hz"),
+        ("question_do.txt", "downsampled to {{sample_rate}} Hz", "resampled to {{sample_rate}} Hz"),
+        ("question_do.txt", "{{sample_rate}} Hz", "3 Hz"),
+        # text after the data on its last line would change the last sample
+        ("question_cot.txt", "{{data}}", "{{data}} (end of data)"),
     ],
 )
 def test_template_set_is_checked_when_built(tmp_path, name, old, new):
