@@ -55,7 +55,12 @@ def load_model(path: str | Path):
 
 
 def save_training_log(history: Sequence[tuple[int, float, float]], path: str | Path) -> None:
-    """Write per-epoch (epoch, loss, train accuracy) rows as CSV."""
+    """Write a network's history rows (epoch, loss, train accuracy) as CSV.
+
+    Each row is a mean over that epoch's batches, taken before each
+    batch's step; the trained model's own loss and accuracy on the whole
+    Train set are the manifest's ``final_loss`` and ``train_accuracy``.
+    """
     lines = ["epoch,loss,train_accuracy"]
     for epoch, loss, accuracy in history:
         lines.append(f"{epoch},{loss!r},{accuracy!r}")

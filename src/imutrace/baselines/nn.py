@@ -6,7 +6,12 @@ conv(16, k5) -> ReLU -> maxpool(2) -> conv(32, k5) -> ReLU -> global
 average pool -> dense(4); the LSTM feeds the final hidden state (size
 32) through dense(4). Both train by mini-batch SGD with momentum on
 mean cross-entropy, with seeded init and seeded epoch shuffles, so a
-(data, config, seed) triple always yields the same model.
+(data, config, seed) triple always yields the same model. A model's
+history has one row per epoch, made from that epoch's batch forward
+passes, each before its batch's step: the size-weighted mean of the
+batch losses and the share of windows the batch logits classify right.
+Its manifest's ``final_loss`` and ``train_accuracy`` come from the one
+pass over the whole Train set after the last epoch.
 
 The convolutions are GEMMs on the unfolded input, one per sample, and
 the LSTM projects the input of every step in one call, so only its
@@ -20,8 +25,8 @@ scratch arrays keyed by (name, shape), into which it writes its large
 intermediates (the unfolded conv inputs, the LSTM's gates and states,
 the backward's per-step derivatives) instead of allocating them. A
 training run keeps one workspace, so each batch shape (a full batch, the
-last smaller one, and the whole Train set for the per-epoch pass) gets
-its buffers once per run, not once per call: allocated per call, the
+last smaller one, and the whole Train set for the pass after training)
+gets its buffers once per run, not once per call: allocated per call, the
 larger ones go back to the OS on free and are page-faulted in again on
 the next call. Without a workspace a call gets a fresh one, through
 the same code. The cache a forward returns lives in the workspace, so
@@ -110,7 +115,7 @@ class NnModel:
     channel_mean: np.ndarray  # (9,)
     channel_scale: np.ndarray  # (9,)
     input_length: int
-    history: tuple[tuple[int, float, float], ...]  # (epoch, loss, accuracy)
+    history: tuple[tuple[int, float, float], ...]  # (epoch, batch-mean loss, accuracy)
     manifest: dict
 
     def __post_init__(self):
@@ -540,6 +545,13 @@ def _window_tensor(windows: Sequence[TrajectoryWindow]) -> np.ndarray:
     return np.stack([w.data.T for w in windows])  # (n, 9, T)
 
 
+def _check_finite(kind: str, loss: float, when: str) -> None:
+    if not np.isfinite(loss):
+        raise TrainingDivergedError(
+            f"{kind} training loss became non-finite {when}; try a lower learning rate"
+        )
+
+
 def _train(kind: str, windows: Sequence[TrajectoryWindow], cfg: NnConfig) -> NnModel:
     x = _window_tensor(windows)
     y = label_vector(windows)
@@ -552,27 +564,39 @@ def _train(kind: str, windows: Sequence[TrajectoryWindow], cfg: NnConfig) -> NnM
     velocity = {name: np.zeros_like(arr) for name, arr in params.items()}
     shuffle_rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 1)))
     # one workspace for the run: a full batch, the last smaller one and the
-    # per-epoch pass over the whole set each get their buffers once
+    # final pass over the whole set each get their buffers once
     work: dict = {}
 
+    # an epoch's row comes from the batch forwards that training makes
+    # anyway, each taken before its batch's step: the size-weighted mean of
+    # the batch losses and the share of windows the batch logits classify
+    # right. A batch loss is >= 0 or non-finite, so the mean is non-finite
+    # exactly when one of them is
     history: list[tuple[int, float, float]] = []
     for epoch in range(1, cfg.epochs + 1):
         perm = shuffle_rng.permutation(n)
+        loss_sum = 0.0
+        correct = 0
         for start in range(0, n, cfg.batch_size):
             batch = perm[start : start + cfg.batch_size]
-            _, grads = nn_loss_and_grads(kind, cfg, params, xs[batch], y[batch], work)
+            y_batch = y[batch]
+            logits, cache = net.forward(cfg, params, xs[batch], work)
+            loss, dlogits = cross_entropy(logits, y_batch)
+            loss_sum += loss * len(batch)
+            correct += int(np.count_nonzero(np.argmax(logits, axis=1) == y_batch))
+            grads = net.backward(cfg, params, cache, dlogits, work)
             sgd_step(params, velocity, grads, cfg.lr, cfg.momentum)
-        logits, _ = net.forward(cfg, params, xs, work)
-        loss, _ = cross_entropy(logits, y)
-        if not np.isfinite(loss):
-            raise TrainingDivergedError(
-                f"{kind} training loss became non-finite at epoch {epoch}; "
-                f"try a lower learning rate"
-            )
-        accuracy = float(np.mean(np.argmax(logits, axis=1) == y))
-        history.append((epoch, loss, accuracy))
+        loss = loss_sum / n
+        _check_finite(kind, loss, f"at epoch {epoch}")
+        history.append((epoch, loss, correct / n))
 
-    final_loss, final_accuracy = (history[-1][1], history[-1][2]) if history else (0.0, 0.0)
+    # the one pass over the whole Train set, with the trained params: it
+    # gives the manifest's loss and accuracy and checks the last step,
+    # which no batch loss saw
+    logits, _ = net.forward(cfg, params, xs, work)
+    final_loss, _ = cross_entropy(logits, y)
+    _check_finite(kind, final_loss, f"after epoch {cfg.epochs}")
+    final_accuracy = float(np.mean(np.argmax(logits, axis=1) == y))
     manifest = {
         "config": asdict(cfg),
         "seed": cfg.seed,

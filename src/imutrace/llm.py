@@ -190,7 +190,13 @@ def _complete_batch(
         raise ConfigError(
             f"auth token environment variable {cfg.token_env!r} is empty or unset"
         )
-    headers = {"Authorization": f"Bearer {token}"}
+
+    # the token goes in as auth=, not as a header: given no auth=, requests
+    # reads ~/.netrc and an entry for the host would replace the Bearer
+    # header with Basic auth. trust_env stays on, so proxies still apply
+    def bearer(request: "requests.PreparedRequest") -> "requests.PreparedRequest":
+        request.headers["Authorization"] = f"Bearer {token}"
+        return request
 
     def attempt(bundle: PromptBundle, session, number: int) -> CompletionResult:
         body = {
@@ -204,7 +210,7 @@ def _complete_batch(
         }
         started = time.perf_counter()
         try:
-            resp = session.post(cfg.endpoint, json=body, headers=headers, timeout=cfg.timeout_s)
+            resp = session.post(cfg.endpoint, json=body, auth=bearer, timeout=cfg.timeout_s)
         except (requests.Timeout, requests.ConnectionError):
             raise _Retry(None) from None
         except requests.RequestException as exc:

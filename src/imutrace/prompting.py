@@ -47,6 +47,7 @@ _RATE_PATTERN = re.compile(r"downsampled\s+to\s+([0-9]+(?:\.[0-9]+)?)\s*Hz", re.
 
 TEMPLATE_FILES = ("instruction.txt", "question_cot.txt", "question_do.txt")
 _PLACEHOLDER = re.compile(r"\{\{(\w+)\}\}")
+_DEFAULT_TEMPLATES: list["TemplateSet"] = []
 
 
 class PromptMode(Enum):
@@ -104,9 +105,12 @@ class TemplateSet:
 
     @classmethod
     def load_default(cls) -> "TemplateSet":
-        root = resources.files("imutrace").joinpath("templates")
-        texts = [root.joinpath(name).read_text(encoding="utf-8") for name in TEMPLATE_FILES]
-        return cls(*texts)
+        """The packaged set, read and checked once per process."""
+        if not _DEFAULT_TEMPLATES:
+            root = resources.files("imutrace").joinpath("templates")
+            texts = [root.joinpath(name).read_text(encoding="utf-8") for name in TEMPLATE_FILES]
+            _DEFAULT_TEMPLATES.append(cls(*texts))
+        return _DEFAULT_TEMPLATES[0]
 
     @classmethod
     def from_dir(cls, path: str | Path) -> "TemplateSet":

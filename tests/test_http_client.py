@@ -133,6 +133,19 @@ def test_success_request_shape(stub):
     ]
 
 
+def test_bearer_token_wins_over_a_netrc_entry(stub, monkeypatch, tmp_path):
+    # requests reads ~/.netrc for a host whenever a call gives no auth=,
+    # and an entry there used to replace the Bearer header with Basic auth
+    netrc = tmp_path / ".netrc"
+    netrc.write_text("machine 127.0.0.1 login user password secret\n")
+    netrc.chmod(0o600)
+    monkeypatch.setenv("HOME", str(tmp_path))
+    monkeypatch.delenv("NETRC", raising=False)
+    server, url = stub([(200, OK_PAYLOAD)])
+    assert complete(_cfg(url), BUNDLE).text == "turn left"
+    assert server.requests[0]["headers"]["Authorization"] == "Bearer sesame"
+
+
 def test_retries_past_429_then_succeeds(stub):
     server, url = stub([(429, b"slow down"), (429, b"slow down"), (200, OK_PAYLOAD)])
     result = complete(_cfg(url, retries=3), BUNDLE)

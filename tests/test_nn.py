@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from imutrace.baselines import nn
+from imutrace.baselines.features import label_vector
 from imutrace.baselines.model_io import load_model, save_model
 from imutrace.baselines.nn import (
     CnnConfig,
@@ -309,36 +310,124 @@ def test_a_workspace_carries_no_state_between_calls(shapes, hidden, time_major, 
                 assert np.array_equal(grads[name], grads_fresh[name]), (kind, name)
 
 
-def _model_digest(model):
+def _params_digest(model):
     h = hashlib.sha256()
     for name in sorted(model.params):
         h.update(name.encode())
         h.update(model.params[name].tobytes())
-    h.update(repr(model.history).encode())
     return h.hexdigest()
 
 
-# sha256 of the trained params and history for the window counts the
-# default run never trains on, with batch_size 8: fewer windows than a
-# batch, exactly one batch (the per-epoch pass then reuses the batch's
-# buffers) and one batch plus a 1-window batch. Recorded before training
-# kept its buffers in a workspace, so a workspace must not move a bit.
+def _history_digest(model):
+    return hashlib.sha256(repr(model.history).encode()).hexdigest()
+
+
+# sha256 of the trained params, and of the history rows, for the window
+# counts the default run never trains on, with batch_size 8: fewer windows
+# than a batch, exactly one batch (the final pass then reuses the batch's
+# buffers) and one batch plus a 1-window batch. The params digests were
+# recorded while a forward pass over the whole Train set still ran after
+# every epoch; dropping that pass changed no training step, so they must
+# not move a bit. The history digests were recorded when the rows became
+# means over each epoch's batches, which changed every row's numbers.
 # The bits are those of this float64 numpy and BLAS on x86-64; another
 # BLAS kernel may round a GEMM differently.
 TRAIN_DIGESTS = {
-    ("cnn", 5): "980abfbe074af3efac3aa6ee9ba3f59c2c5362adfbc1f4d1edaa0cfc0a931dc1",
-    ("cnn", 8): "7fa42ceeae8d1ec5a5f6b1b52f4da658870cdc36a901f3d2bf4422f723377b59",
-    ("cnn", 9): "2268ef0f2791c760f10a60c598ab4a9fe3aaa43a070af595c58daad14863430b",
-    ("lstm", 5): "3666a4e3b1c954b967cb3012009db10c7ee111e11763066e35674a118a120981",
-    ("lstm", 8): "79019f5fd9ee12b03d1b9adbc54c8b5155d34e323773d059e39e184cdcc2d659",
-    ("lstm", 9): "d2f64d7ebed52ffc9569e5f5eb219884ac2f4c80591e6d2da60ded101356c560",
+    ("cnn", 5): (
+        "cba2f352c43f3ac5c39586e47cd1a9df796fea6273401ff37a8d660ac471296e",
+        "f7bc1e7ba71b0cc58e26a4583a3334cdd79eed010ce9df9d256c9290455123f9",
+    ),
+    ("cnn", 8): (
+        "7d129984a42fb1cc02b2bfc0bd8dad84f3cac8637c6b03c6c58e3e78212bd7c0",
+        "139ef7e3205a4b296f1cf5b565dd6391842460f68417f2f9ab5925b5d9dc77de",
+    ),
+    ("cnn", 9): (
+        "d1e3829ce80d08373211a5d2feec3cd8390f1553be0f98eb6cf8af1b7c430f88",
+        "4f608550ee4ff1553d3ddc4ad82f7a158b15ad17069932e480154fa416f42f2a",
+    ),
+    ("lstm", 5): (
+        "00b34d114269a98b6d820246d6a209fd58ffdde3cf6a0a5b10ae543a8b365ed9",
+        "e8f8fda89c61ba8195140a185c9b036dfea439a39b6fce43d68a8719671f0185",
+    ),
+    ("lstm", 8): (
+        "c36349dd88a0b7127aa70ea52be57e6de20f3f35b7a072081e333afe03a7bd34",
+        "8f3b11aabb466bced49b10a54d05138c11ad89d744b424475b35b37b22a83366",
+    ),
+    ("lstm", 9): (
+        "8706c0aef8817593863291f03297a1aa2bbd154a5b78c94cd4f34aab402ce3f4",
+        "dc80b888f5950f400507f64feca3a429023ecf5eee824e6d322cd4ca73e0bf27",
+    ),
 }
 
 
 @pytest.mark.parametrize("kind, n", sorted(TRAIN_DIGESTS))
 def test_training_bits_at_batch_edges(kind, n, clean_windows):
     train, cfg = (train_cnn, SMALL_CNN) if kind == "cnn" else (train_lstm, SMALL_LSTM)
-    assert _model_digest(train(clean_windows[:n], cfg)) == TRAIN_DIGESTS[(kind, n)]
+    model = train(clean_windows[:n], cfg)
+    params_digest, history_digest = TRAIN_DIGESTS[(kind, n)]
+    assert _params_digest(model) == params_digest
+    assert _history_digest(model) == history_digest
+
+
+def _standardized_train_set(model, windows):
+    # the tensor _train trains on: stacked as it stacks them, scaled by
+    # the model's own channel statistics
+    x = nn._window_tensor(windows)
+    xs = (x - model.channel_mean[None, :, None]) / model.channel_scale[None, :, None]
+    return xs, label_vector(windows)
+
+
+def _accuracy(kind, cfg, params, xs, y):
+    logits, _ = nn._NETS[kind].forward(cfg, params, xs)
+    return float(np.mean(np.argmax(logits, axis=1) == y))
+
+
+@pytest.mark.parametrize(
+    "kind, train, cfg",
+    [
+        ("cnn", train_cnn, CnnConfig(filters1=4, filters2=6, epochs=1, batch_size=16)),
+        ("lstm", train_lstm, LstmConfig(hidden=8, epochs=1, batch_size=16)),
+    ],
+    ids=["cnn", "lstm"],
+)
+def test_one_batch_epoch_row_is_the_initial_params_on_the_train_set(
+    kind, train, cfg, clean_windows
+):
+    # one epoch of one batch: its row is the loss and accuracy of the
+    # params before the step, over every window (in shuffled order)
+    windows = clean_windows[:9]
+    model = train(windows, cfg)
+    xs, y = _standardized_train_set(model, windows)
+    initial = nn._NETS[kind].init(cfg, xs.shape[2])
+    ((epoch, loss, accuracy),) = model.history
+    assert epoch == 1
+    assert loss == pytest.approx(nn.nn_loss(kind, cfg, initial, xs, y), rel=1e-12)
+    assert accuracy == _accuracy(kind, cfg, initial, xs, y)
+
+
+@pytest.mark.parametrize(
+    "kind, train, cfg", [("cnn", train_cnn, SMALL_CNN), ("lstm", train_lstm, SMALL_LSTM)],
+    ids=["cnn", "lstm"],
+)
+def test_manifest_scores_the_trained_params_on_the_train_set(kind, train, cfg, clean_windows):
+    windows = clean_windows[:13]  # one full batch of 8 and one of 5
+    model = train(windows, cfg)
+    xs, y = _standardized_train_set(model, windows)
+    assert [row[0] for row in model.history] == list(range(1, cfg.epochs + 1))
+    assert model.manifest["final_loss"] == nn.nn_loss(kind, cfg, model.params, xs, y)
+    assert model.manifest["train_accuracy"] == _accuracy(kind, cfg, model.params, xs, y)
+
+
+def test_final_pass_catches_a_last_step_that_diverges(clean_windows):
+    # the only batch loss is taken before the step and is finite, so only
+    # the pass over the Train set after training can see the divergence.
+    # One step at lr 1e100 leaves the weights near 1e99 and the loss near
+    # 1e297, still finite; at 1e200 the logits overflow
+    cfg = CnnConfig(filters1=4, filters2=6, epochs=1, batch_size=16, lr=1e200)
+    with np.errstate(all="ignore"), pytest.raises(
+        TrainingDivergedError, match="after epoch 1"
+    ):
+        train_cnn(clean_windows[:9], cfg)
 
 
 def test_softmax_properties():

@@ -102,6 +102,18 @@ def test_default_budget_fits_30_sample_windows():
             assert len(bundle.text) < 4000
 
 
+def test_default_templates_are_loaded_once():
+    assert TemplateSet.load_default() is TemplateSet.load_default()
+
+
+def test_build_prompt_defaults_to_the_packaged_templates(make_window):
+    w = make_window(np.arange(27, dtype=float).reshape(3, 9), rate=3.0)
+    for mode in PromptMode:
+        assert build_prompt(w, mode) == build_prompt(
+            w, mode, templates=TemplateSet.from_dir(TEMPLATE_DIR)
+        )
+
+
 def test_over_budget_raises(make_window):
     w = make_window(np.zeros((1000, 9)), rate=100.0)
     with pytest.raises(ConfigError, match="over the 4000 budget"):
