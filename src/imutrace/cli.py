@@ -251,7 +251,6 @@ def cmd_run(args) -> int:
     # refuse, before --out exists, what run_experiment would refuse only
     # after it is made: a split that does not fit the data, a target rate
     # the data cannot take, and an unseen-test prompt over the budget
-    # (which it finds only after training every baseline)
     split.validate(windows)
     unseen = set(split.part_ids(Part.UNSEEN_TEST))
     for w in windows:

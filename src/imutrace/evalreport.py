@@ -40,7 +40,7 @@ from .core import (
 )
 from .errors import ConfigError, DataError
 from .llm import MOCK_PROVIDER_ID, Prediction, ProviderConfig, classify_windows
-from .prompting import PromptMode, TemplateSet
+from .prompting import PromptMode, TemplateSet, build_prompt
 from .baselines import BASELINES
 from .baselines.features import feature_matrix, label_vector
 
@@ -368,7 +368,9 @@ def run_experiment(
     is skipped before it runs when its scenario has no windows in its
     test part, or, for a baseline, no Train windows; a prompt cell is
     skipped after it runs, keeping its window and failure counts, when
-    more than ``MAX_FAILED_SHARE`` of its provider calls fail.
+    more than ``MAX_FAILED_SHARE`` of its provider calls fail. An
+    unseen-test prompt over the budget raises ConfigError before any
+    baseline trains.
 
     The trainings (one per kind and scenario with a cell that is not
     skipped before it runs) and one serialization of the dataset, which
@@ -389,6 +391,11 @@ def run_experiment(
     provider = MOCK_PROVIDER_ID if provider_cfg is None else provider_cfg.model
 
     down = {w.id: downsample(w, target_rate_hz) for w in windows}
+    # an unseen-test prompt over the budget is refused before any baseline trains
+    for w in windows:
+        if split.assignment[w.id] is Part.UNSEEN_TEST:
+            for mode in modes:
+                build_prompt(down[w.id], mode, templates=templates)
     by_part_scenario: dict[tuple[Part, Scenario], list[TrajectoryWindow]] = {}
     for w in windows:
         by_part_scenario.setdefault((split.assignment[w.id], w.scenario), []).append(w)

@@ -3,7 +3,9 @@
 Three layers live here. `complete` is a thin provider-agnostic HTTP
 client for chat-completion endpoints, with bounded retries on transient
 failures; it and `classify_windows` run their calls through one small
-scheduler, in which a call waiting to retry holds no worker.
+scheduler, in which a call waiting to retry holds no worker. Each
+worker posts over one persistent standard-library ``http.client``
+connection, which the package imports only when a live batch starts.
 `mock_complete` is an offline stand-in that reads the serialized window
 back out of the prompt (``prompting.read_window``), integrates gyro-z,
 and writes a four-phase reasoning text (chain-of-thought) or a bare
@@ -25,9 +27,11 @@ from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional, Sequence
+from urllib.parse import SplitResult, unquote, urlsplit, urlunsplit
 
 from importlib import resources
 
+from . import __version__
 from .core import AXIS_NAMES, TrajectoryLabel, TrajectoryWindow
 from .errors import (
     AmbiguousLabelError,
@@ -52,10 +56,11 @@ _GZ_COLUMN = AXIS_NAMES.index("gz")
 class ProviderConfig:
     """Connection settings for one chat-completion provider.
 
-    Building one imports ``requests``, the HTTP client ``complete`` uses.
-    The package does not import it otherwise, so an offline run with the
-    mock provider never loads it, and a live run loads it with its config
-    rather than inside its first provider call.
+    ``endpoint`` is the final ``http://`` or ``https://`` URL the chat
+    requests are posted to: a redirect fails the call. An endpoint the
+    transport cannot use (another scheme, no host, a port that is not a
+    number from 0 to 65535, or a character outside printable ASCII) is
+    refused here, before any data is read.
 
     ``concurrency`` is the most requests a batch has in flight at once.
     A call waiting out its backoff holds no slot, so the limit holds
@@ -75,6 +80,20 @@ class ProviderConfig:
     def __post_init__(self):
         if not self.endpoint:
             raise ConfigError("provider endpoint must be non-empty")
+        if re.search(r"[^\x21-\x7e]", self.endpoint):
+            raise ConfigError(
+                f"provider endpoint must be printable ASCII without spaces, got {self.endpoint!r}"
+            )
+        try:
+            url = urlsplit(self.endpoint)
+            url.port  # raises ValueError for a port that is not a number up to 65535
+        except ValueError as exc:
+            raise ConfigError(f"provider endpoint {self.endpoint!r} is unreadable: {exc}") from None
+        if url.scheme not in ("http", "https") or not url.hostname:
+            raise ConfigError(
+                f"provider endpoint must be an http:// or https:// URL with a host, "
+                f"got {self.endpoint!r}"
+            )
         if not self.model:
             raise ConfigError("provider model id must be non-empty")
         for name in ("temperature", "timeout_s", "backoff_base_s"):
@@ -92,7 +111,6 @@ class ProviderConfig:
             raise ConfigError(f"timeout must be positive, got {self.timeout_s}")
         if self.backoff_base_s < 0:
             raise ConfigError(f"backoff base must be >= 0, got {self.backoff_base_s}")
-        import requests  # noqa: F401  (see the class docstring)
 
 
 @dataclass(frozen=True)
@@ -144,7 +162,7 @@ def complete(cfg: ProviderConfig, bundle: PromptBundle) -> CompletionResult:
     5xx) with exponential backoff, ``backoff_base_s * 2**attempt``
     between attempts, for at most ``retries`` extra attempts. A 429 or
     503 whose ``Retry-After`` header gives a number of seconds waits at
-    least that long.
+    least that long. A redirect or another 4xx fails at once.
     """
     ((result, _attempts),) = _complete_batch(cfg, [bundle], workers=1)
     if isinstance(result, Exception):
@@ -163,42 +181,123 @@ class _Retry(Exception):
         self.retry_after_s = retry_after_s
 
 
-def _retry_after_s(resp: "requests.Response") -> float:
-    """Seconds a 429 or 503 asks the client to wait; 0 when the header is
-    absent, an HTTP-date, or not a non-negative number."""
+def _retry_after_s(value: Optional[str]) -> float:
+    """Seconds a 429 or 503's ``Retry-After`` header asks the client to
+    wait; 0 when the header is absent, an HTTP-date, or not a
+    non-negative number."""
     try:
-        seconds = float(resp.headers.get("Retry-After", ""))
+        seconds = float(value or "")
     except ValueError:
         return 0.0
     return seconds if math.isfinite(seconds) and seconds >= 0 else 0.0
+
+
+class _Connection:
+    """One worker's persistent connection to the provider's endpoint.
+
+    The proxy comes from the environment (``HTTP_PROXY``, ``HTTPS_PROXY``,
+    ``NO_PROXY``), read once when the worker opens its connection: an
+    ``http`` endpoint is posted to the proxy in absolute form, an
+    ``https`` one through a CONNECT tunnel, and credentials in the proxy
+    URL become a ``Proxy-Authorization`` header. ``http.client`` closes
+    the socket after a response that says it will close, and the next
+    request opens a new one.
+    """
+
+    def __init__(self, url: SplitResult, timeout_s: float, context, headers: dict):
+        import base64
+        import http.client
+        import urllib.request
+
+        self.headers = headers
+        self.target = urlunsplit(("", "", url.path or "/", url.query, ""))
+        https = url.scheme == "https"
+        host, port = url.hostname, url.port or (443 if https else 80)
+        proxy = urllib.request.getproxies().get(url.scheme)
+        if proxy and urllib.request.proxy_bypass(host):
+            proxy = None
+        connect_to = (host, port)
+        proxy_headers = {}
+        if proxy:
+            try:
+                via = urlsplit(proxy if "://" in proxy else "http://" + proxy)
+                connect_to = (via.hostname, via.port or 80)
+            except ValueError as exc:
+                raise ConfigError(f"{url.scheme} proxy {proxy!r} is unreadable: {exc}") from None
+            if not via.hostname:
+                raise ConfigError(f"{url.scheme} proxy {proxy!r} names no host")
+            if via.username is not None:
+                credentials = f"{unquote(via.username)}:{unquote(via.password or '')}"
+                proxy_headers["Proxy-Authorization"] = (
+                    "Basic " + base64.b64encode(credentials.encode()).decode("ascii")
+                )
+        if https:
+            self.conn = http.client.HTTPSConnection(*connect_to, timeout=timeout_s, context=context)
+            if proxy:
+                self.conn.set_tunnel(host, port, headers=proxy_headers)
+        else:
+            self.conn = http.client.HTTPConnection(*connect_to, timeout=timeout_s)
+            if proxy:
+                self.target = urlunsplit(("http", url.netloc, url.path or "/", url.query, ""))
+                self.headers = {**headers, **proxy_headers}
+
+    def post(self, body: bytes) -> tuple["http.client.HTTPResponse", bytes]:
+        """POST ``body`` and return the response and its whole body.
+
+        A reused keep-alive connection the server has dropped fails
+        before any status line arrives; the request then goes once more
+        on a new connection.
+        """
+        reused = self.conn.sock is not None
+        try:
+            self.conn.request("POST", self.target, body, self.headers)
+            resp = self.conn.getresponse()
+        except (ConnectionResetError, BrokenPipeError):  # RemoteDisconnected is the former
+            if not reused:
+                raise
+            self.conn.close()
+            self.conn.request("POST", self.target, body, self.headers)
+            resp = self.conn.getresponse()
+        return resp, resp.read()
+
+    def close(self) -> None:
+        self.conn.close()
 
 
 def _complete_batch(
     cfg: ProviderConfig, bundles: Sequence[PromptBundle], workers: int
 ) -> list[tuple[object, int]]:
     """Send every bundle to the provider through ``_run_calls``, each
-    worker on its own ``requests.Session``.
+    worker posting over its own persistent ``_Connection``.
 
     Raises ConfigError before any traffic when the auth token is
-    missing. One attempt raises ``_Retry`` on a transient failure and
-    TransportError or ProviderError on one that no retry can mend.
+    missing. One attempt raises ``_Retry`` on a timeout, a connection
+    error, HTTP 429 or 5xx; TransportError on a redirect or another 4xx
+    and ProviderError on a body without a completion, which no retry
+    can mend. HTTPS verifies the server against the system's CA
+    certificates (``ssl.create_default_context``). Redirects are not
+    followed, and responses are requested uncompressed.
     """
-    import requests  # loaded already by ProviderConfig, so only a lookup
+    import http.client
 
     token = os.environ.get(cfg.token_env, "")
     if not token:
         raise ConfigError(
             f"auth token environment variable {cfg.token_env!r} is empty or unset"
         )
+    url = urlsplit(cfg.endpoint)
+    context = None
+    if url.scheme == "https":
+        import ssl
 
-    # the token goes in as auth=, not as a header: given no auth=, requests
-    # reads ~/.netrc and an entry for the host would replace the Bearer
-    # header with Basic auth. trust_env stays on, so proxies still apply
-    def bearer(request: "requests.PreparedRequest") -> "requests.PreparedRequest":
-        request.headers["Authorization"] = f"Bearer {token}"
-        return request
+        context = ssl.create_default_context()
+    headers = {
+        "Authorization": f"Bearer {token}",
+        "Content-Type": "application/json",
+        "User-Agent": f"imutrace/{__version__}",
+    }
 
-    def attempt(bundle: PromptBundle, session, number: int) -> CompletionResult:
+    def attempt(bundle: PromptBundle, conn: _Connection, number: int) -> CompletionResult:
         body = {
             "model": cfg.model,
             "temperature": cfg.temperature,
@@ -210,21 +309,28 @@ def _complete_batch(
         }
         started = time.perf_counter()
         try:
-            resp = session.post(cfg.endpoint, json=body, auth=bearer, timeout=cfg.timeout_s)
-        except (requests.Timeout, requests.ConnectionError):
+            resp, payload = conn.post(json.dumps(body).encode())
+        except (OSError, http.client.HTTPException):  # timeouts are OSErrors
+            conn.close()  # a half-done exchange leaves the connection unusable
             raise _Retry(None) from None
-        except requests.RequestException as exc:
-            raise TransportError(f"request failed: {exc}", attempts=number)
-        status = resp.status_code
+        status = resp.status
         if status == 429 or status >= 500:
-            raise _Retry(status, _retry_after_s(resp) if status in (429, 503) else 0.0)
+            retry_after = resp.getheader("Retry-After") if status in (429, 503) else None
+            raise _Retry(status, _retry_after_s(retry_after))
+        if 300 <= status < 400:
+            raise TransportError(
+                f"provider redirected the request with HTTP {status} to "
+                f"{resp.getheader('Location')!r}; the endpoint must be the final URL",
+                status=status,
+                attempts=number,
+            )
         if status >= 400:
             raise TransportError(
                 f"provider rejected the request with HTTP {status}",
                 status=status,
                 attempts=number,
             )
-        return _read_completion(cfg, resp, time.perf_counter() - started)
+        return _read_completion(cfg, payload, time.perf_counter() - started)
 
     return _run_calls(
         bundles,
@@ -232,7 +338,7 @@ def _complete_batch(
         workers=workers,
         retries=cfg.retries,
         backoff_base_s=cfg.backoff_base_s,
-        open_session=requests.Session,
+        open_session=lambda: _Connection(url, cfg.timeout_s, context, headers),
     )
 
 
@@ -332,11 +438,9 @@ def _run_calls(
     return list(zip(outcomes, attempts))
 
 
-def _read_completion(
-    cfg: ProviderConfig, resp: "requests.Response", latency_s: float
-) -> CompletionResult:
+def _read_completion(cfg: ProviderConfig, body: bytes, latency_s: float) -> CompletionResult:
     try:
-        payload = resp.json()
+        payload = json.loads(body)
     except ValueError:
         raise ProviderError("provider returned a non-JSON response body")
     try:

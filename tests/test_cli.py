@@ -321,6 +321,21 @@ def test_negative_seed_exits_3_before_writing(tmp_path, argv):
 _LIVE = ("--endpoint", "http://127.0.0.1:9/v1", "--model", "m")
 
 
+@pytest.mark.parametrize("endpoint", ["localhost:8080/v1", "ftp://127.0.0.1/v1", "http://127.0.0.1:x/v1"])
+def test_run_refuses_an_endpoint_the_transport_cannot_use_before_reading_data(
+    tmp_path, capsys, monkeypatch, endpoint
+):
+    def no_data(*args, **kwargs):
+        raise AssertionError("read or generated data")
+
+    monkeypatch.setattr(cli, "_generate", no_data)
+    out = tmp_path / "r"
+    rc = main(["run", "--per-class", "6", "--endpoint", endpoint, "--model", "m", "--out", str(out)])
+    assert rc == 2
+    assert "provider endpoint" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv, code",
     [
@@ -474,20 +489,28 @@ def test_version_subprocess():
 
 
 # Runs an offline `imutrace run` through cli.main in a fresh interpreter,
-# pooled or pinned inline, then builds a ProviderConfig; prints whether
-# requests was loaded after each step.
-_REQUESTS_PROBE = """
+# pooled or pinned inline, then makes one live call to a port nothing
+# answers; prints which of the transport's modules were loaded after each.
+_TRANSPORT_PROBE = """
 import json, os, sys
 from imutrace import cli
+from imutrace.errors import TransportError
+modules = ("http.client", "urllib.request", "ssl", "requests")
 if sys.argv[2] == "inline":
     os.sched_getaffinity = lambda pid: {0}
 rc = cli.main(["run", "--per-class", "6", "--noise", "zero", "--out", sys.argv[1],
                "--baselines", "rf", "--modes", "cot"])
-after_run = "requests" in sys.modules
-from imutrace.llm import ProviderConfig
-ProviderConfig(endpoint="http://127.0.0.1:9/v1/chat/completions", model="m")
+after_run = [m for m in modules if m in sys.modules]
+from imutrace.llm import ProviderConfig, complete
+from imutrace.prompting import PromptBundle, PromptMode
+os.environ["IMUTRACE_API_TOKEN"] = "t"
+cfg = ProviderConfig(endpoint="http://127.0.0.1:9/v1/chat/completions", model="m", retries=0)
+try:
+    complete(cfg, PromptBundle(instruction="i", question="q", mode=PromptMode.DO, window_id="w"))
+except TransportError:
+    pass
 print(json.dumps({"rc": rc, "after_run": after_run,
-                  "after_config": "requests" in sys.modules}))
+                  "after_call": [m for m in modules if m in sys.modules]}))
 """
 
 
@@ -497,12 +520,15 @@ def test_offline_run_never_imports_the_http_client(tmp_path, how):
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     out = tmp_path / "r"
     proc = subprocess.run(
-        [sys.executable, "-c", _REQUESTS_PROBE, str(out), how],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+        [sys.executable, "-c", _TRANSPORT_PROBE, str(out), how],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0, proc.stderr
     probe = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert probe == {"rc": 0, "after_run": False, "after_config": True}
+    assert probe["rc"] == 0 and probe["after_run"] == []
+    # the live call loads the standard library's client, never requests
+    assert "http.client" in probe["after_call"] and "requests" not in probe["after_call"]
     workers = json.loads((out / "timings.json").read_text())["workers"]
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     assert (workers > 1) == (how == "pooled" and cores > 1)

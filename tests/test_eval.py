@@ -432,6 +432,19 @@ def test_experiment_is_deterministic(skip_path_report):
     assert render_report(a, "jsonl") == render_report(b, "jsonl")
 
 
+def test_an_over_budget_prompt_is_refused_before_any_baseline_trains(
+    monkeypatch, zero_noise_dataset
+):
+    # at 10 Hz a 6 s window serializes into a prompt over MAX_PROMPT_CHARS
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained a baseline")
+
+    monkeypatch.setattr(evalreport, "train_baseline", no_training)
+    windows, _ = zero_noise_dataset
+    with pytest.raises(ConfigError, match="over the 4000 budget"):
+        run_experiment(windows, split_dataset(windows, seed=1), target_rate_hz=10)
+
+
 def test_provider_failure_skips_cell(monkeypatch):
     cfg = GeneratorConfig(seed=4, windows_per_group=2)
     noise = {s: ZERO_NOISE for s in Scenario}
