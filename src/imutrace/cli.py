@@ -44,7 +44,7 @@ from .evalreport import (
     validate_run,
 )
 from .llm import ProviderConfig
-from .prompting import PromptMode, TemplateSet, build_prompt
+from .prompting import PromptMode, TemplateSet
 from .synth import GeneratorConfig, ZERO_NOISE, generate_dataset, uniform_counts
 from .baselines.model_io import save_model, save_training_log
 
@@ -248,26 +248,8 @@ def cmd_run(args) -> int:
         split = split_dataset(windows, args.split_seed)
         manifest_extra["split_seed"] = args.split_seed
 
-    # refuse, before --out exists, what run_experiment would refuse only
-    # after it is made: a split that does not fit the data, a target rate
-    # the data cannot take, and an unseen-test prompt over the budget
-    split.validate(windows)
-    unseen = set(split.part_ids(Part.UNSEEN_TEST))
-    for w in windows:
-        down = downsample(w, args.target_rate)
-        if w.id in unseen:
-            for mode in modes:
-                build_prompt(down, mode, templates=templates)
-
+    # run_experiment makes --out only once its own checks have passed
     out = Path(args.out)
-    transcript_path = out / "transcript.jsonl" if args.transcript else None
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-        if transcript_path is not None and transcript_path.exists():
-            transcript_path.unlink()
-    except OSError as exc:
-        raise ConfigError(f"cannot prepare output directory {out}: {exc}")
-
     try:
         report = run_experiment(
             windows,
@@ -279,7 +261,7 @@ def cmd_run(args) -> int:
             target_rate_hz=args.target_rate,
             templates=templates,
             manifest_extra=manifest_extra,
-            transcript_path=transcript_path,
+            transcript_path=out / "transcript.jsonl",
             dataset_csv=out / "dataset.csv" if generated is not None else None,
         )
         # like the manifest, the split record names a seed only when this
@@ -422,7 +404,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
         help="downsampled rate fed to prompts and neural nets, Hz",
     )
     r.add_argument("--template", default=None, help="directory overriding the prompt templates")
-    r.add_argument("--transcript", action="store_true", help="write transcript.jsonl of provider calls")
     r.add_argument("--endpoint", default=None, help="live provider: chat-completion URL; the mock when omitted")
     r.add_argument("--model", default=None, help="live provider: model id")
     # the live-provider defaults are ProviderConfig's own; none is built

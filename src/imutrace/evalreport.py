@@ -372,6 +372,10 @@ def run_experiment(
     unseen-test prompt over the budget raises ConfigError before any
     baseline trains.
 
+    Once every check has passed, and before any task runs, the parent
+    directories of ``dataset_csv`` and ``transcript_path`` are made and
+    the transcript is started empty: a refused run writes nothing.
+
     The trainings (one per kind and scenario with a cell that is not
     skipped before it runs) and one serialization of the dataset, which
     gives the manifest's ``dataset_sha256`` and is written to
@@ -432,6 +436,11 @@ def run_experiment(
         if any(skip_reason(kind, scenario, part) is None for part in test_parts)
     }
     tasks["dataset"] = partial(dataset_hash, windows, dataset_csv)
+    for path in (dataset_csv, transcript_path):
+        if path is not None:
+            Path(path).parent.mkdir(parents=True, exist_ok=True)
+    if transcript_path is not None:
+        Path(transcript_path).write_text("", encoding="utf-8")
     results, timings = _run_tasks(
         dict(sorted(tasks.items(), key=lambda t: _TASK_ORDER.index(t[0].split("/")[0])))
     )

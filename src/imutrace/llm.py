@@ -162,7 +162,8 @@ def complete(cfg: ProviderConfig, bundle: PromptBundle) -> CompletionResult:
     5xx) with exponential backoff, ``backoff_base_s * 2**attempt``
     between attempts, for at most ``retries`` extra attempts. A 429 or
     503 whose ``Retry-After`` header gives a number of seconds waits at
-    least that long. A redirect or another 4xx fails at once.
+    least that long. A redirect, another 4xx or a server certificate
+    that fails verification fails at once.
     """
     ((result, _attempts),) = _complete_batch(cfg, [bundle], workers=1)
     if isinstance(result, Exception):
@@ -173,12 +174,14 @@ def complete(cfg: ProviderConfig, bundle: PromptBundle) -> CompletionResult:
 class _Retry(Exception):
     """One attempt failed in a way a later attempt may not: a timeout, a
     connection error, HTTP 429 or 5xx. ``status`` is None for the first
-    two; ``retry_after_s`` is the wait the provider asked for, else 0."""
+    two, whose ``cause`` names them (``timeout`` or the exception's class);
+    ``retry_after_s`` is the wait the provider asked for, else 0."""
 
-    def __init__(self, status: Optional[int], retry_after_s: float = 0.0):
+    def __init__(self, status: Optional[int], retry_after_s: float = 0.0, cause: str = ""):
         super().__init__(status)
         self.status = status
         self.retry_after_s = retry_after_s
+        self.detail = f"HTTP {status}" if status is not None else cause
 
 
 def _retry_after_s(value: Optional[str]) -> float:
@@ -272,11 +275,12 @@ def _complete_batch(
 
     Raises ConfigError before any traffic when the auth token is
     missing. One attempt raises ``_Retry`` on a timeout, a connection
-    error, HTTP 429 or 5xx; TransportError on a redirect or another 4xx
-    and ProviderError on a body without a completion, which no retry
-    can mend. HTTPS verifies the server against the system's CA
-    certificates (``ssl.create_default_context``). Redirects are not
-    followed, and responses are requested uncompressed.
+    error, HTTP 429 or 5xx; TransportError on a redirect, another 4xx or
+    a server certificate that fails verification, and ProviderError on a
+    body without a completion, which no retry can mend. HTTPS verifies
+    the server against the system's CA certificates
+    (``ssl.create_default_context``). Redirects are not followed, and
+    responses are requested uncompressed.
     """
     import http.client
 
@@ -287,10 +291,12 @@ def _complete_batch(
         )
     url = urlsplit(cfg.endpoint)
     context = None
+    untrusted: tuple = ()  # the errors of a server certificate that fails verification
     if url.scheme == "https":
         import ssl
 
         context = ssl.create_default_context()
+        untrusted = (ssl.SSLCertVerificationError,)
     headers = {
         "Authorization": f"Bearer {token}",
         "Content-Type": "application/json",
@@ -310,9 +316,16 @@ def _complete_batch(
         started = time.perf_counter()
         try:
             resp, payload = conn.post(json.dumps(body).encode())
-        except (OSError, http.client.HTTPException):  # timeouts are OSErrors
+        except untrusted as exc:
+            conn.close()
+            raise TransportError(
+                f"provider's TLS certificate failed verification: {exc.verify_message}",
+                attempts=number,
+            ) from None
+        except (OSError, http.client.HTTPException) as exc:  # timeouts are OSErrors
             conn.close()  # a half-done exchange leaves the connection unusable
-            raise _Retry(None) from None
+            cause = "timeout" if isinstance(exc, TimeoutError) else type(exc).__name__
+            raise _Retry(None, cause=cause) from None
         status = resp.status
         if status == 429 or status >= 500:
             retry_after = resp.getheader("Retry-After") if status in (429, 503) else None
@@ -406,9 +419,8 @@ def _run_calls(
                             heapq.heappush(due, (time.monotonic() + delay, i))
                             cond.notify()
                         continue
-                    detail = f"HTTP {exc.status}" if exc.status is not None else "timeout"
                     outcome = TransportError(
-                        f"retries exhausted after {number} attempts (last failure: {detail})",
+                        f"retries exhausted after {number} attempts (last failure: {exc.detail})",
                         status=exc.status,
                         attempts=number,
                     )

@@ -399,6 +399,50 @@ def test_run_refuses_an_over_budget_prompt_before_training(tmp_path, capsys, mon
     assert not out.exists()
 
 
+def test_every_run_keeps_one_transcript_of_its_own_calls(tmp_path, capsys):
+    # a second run into the same --out starts the transcript again
+    out = tmp_path / "r"
+    argv = ["run", "--per-class", "6", "--noise", "zero", "--out", str(out)]
+    runs = []
+    for _ in range(2):
+        assert main(argv) == 0
+        lines = (out / "transcript.jsonl").read_text().splitlines()
+        # all but the latency is the same on every run
+        runs.append([{**json.loads(line), "latency_s": None} for line in lines])
+    rows = runs[1]
+    assert rows == runs[0]
+    unseen = sorted(
+        wid
+        for wid, part in json.loads((out / "split.json").read_text())["assignment"].items()
+        if part == "unseen_test"
+    )
+    # one line per unseen-test window and mode
+    assert len(rows) == 16
+    assert sorted(row["window_id"] for row in rows) == sorted(2 * unseen)
+    assert all(row["text"] for row in rows)
+
+
+def test_a_run_without_prompt_modes_writes_an_empty_transcript(tmp_path, capsys):
+    out = tmp_path / "r"
+    argv = ["run", "--per-class", "6", "--noise", "zero", "--baselines", "rf", "--modes", "none"]
+    assert main([*argv, "--out", str(out)]) == 0
+    assert (out / "transcript.jsonl").read_bytes() == b""
+
+
+def test_a_data_run_exits_2_on_an_out_it_cannot_make_before_training(tmp_path, capsys, monkeypatch):
+    data = str(_generate(tmp_path, per_class=3) / "dataset.csv")
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained a baseline")
+
+    monkeypatch.setattr(evalreport, "train_baseline", no_training)
+    blocker = tmp_path / "file"
+    blocker.write_text("not a directory")
+    rc = main(["run", "--data", data, "--out", str(blocker / "r")])
+    assert rc == 2
+    assert "cannot write run outputs" in capsys.readouterr().err
+
+
 def test_report_round_trips(tmp_path, capsys):
     run_dir = tmp_path / "r"
     assert _run(run_dir) == 0

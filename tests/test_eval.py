@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import multiprocessing
@@ -443,6 +444,40 @@ def test_an_over_budget_prompt_is_refused_before_any_baseline_trains(
     windows, _ = zero_noise_dataset
     with pytest.raises(ConfigError, match="over the 4000 budget"):
         run_experiment(windows, split_dataset(windows, seed=1), target_rate_hz=10)
+
+
+@pytest.fixture(scope="module")
+def tiny_run_inputs():
+    noise = {s: ZERO_NOISE for s in Scenario}
+    windows, _ = generate_dataset(GeneratorConfig(seed=4, windows_per_group=2), uniform_counts(3), noise)
+    return windows, split_dataset(windows, seed=1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    rate=st.one_of(
+        st.sampled_from([math.nan, math.inf, -1.0, 0.0, 0.1, 10.0, 200.0]),
+        st.floats(0.5, 5.0),
+    ),
+    modes=st.lists(st.sampled_from(list(PromptMode)), max_size=2),
+)
+def test_a_run_is_refused_with_nothing_written_or_writes_what_it_reports(
+    tiny_run_inputs, tmp_path_factory, rate, modes
+):
+    windows, split = tiny_run_inputs
+    out = tmp_path_factory.mktemp("run") / "out"
+    csv, transcript = out / "data" / "dataset.csv", out / "log" / "transcript.jsonl"
+    try:
+        r = run_experiment(
+            windows, split, baselines=(), modes=modes, target_rate_hz=rate,
+            dataset_csv=csv, transcript_path=transcript,
+        )
+    except (ConfigError, DataError):
+        assert not out.exists()
+        return
+    assert hashlib.sha256(csv.read_bytes()).hexdigest() == r.manifest["dataset_sha256"]
+    n_unseen = len(split.part_ids(Part.UNSEEN_TEST))
+    assert len(transcript.read_text().splitlines()) == n_unseen * len(modes)
 
 
 def test_provider_failure_skips_cell(monkeypatch):

@@ -4,6 +4,7 @@ import base64
 import json
 import os
 import socket
+import ssl
 import subprocess
 import sys
 import threading
@@ -87,16 +88,20 @@ def stub(monkeypatch):
     monkeypatch.setenv(TOKEN_ENV, "sesame")
     servers = []
 
-    def make(script, sleep_s=0.0, handler=_Handler):
+    def make(script, sleep_s=0.0, handler=_Handler, tls=None):
         server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
         server.script = script
         server.requests = []
         server.sleep_s = sleep_s
         server.lock = threading.Lock()
         server.inflight = server.peak_inflight = 0
+        if tls is not None:
+            # the handshake runs in accept(); its failure drops only that connection
+            server.socket = tls.wrap_socket(server.socket, server_side=True)
         threading.Thread(target=server.serve_forever, daemon=True).start()
         servers.append(server)
-        url = f"http://127.0.0.1:{server.server_address[1]}/v1/chat/completions"
+        scheme = "http" if tls is None else "https"
+        url = f"{scheme}://127.0.0.1:{server.server_address[1]}/v1/chat/completions"
         return server, url
 
     yield make
@@ -226,6 +231,7 @@ def test_timeout_is_transport_error(stub):
     assert time.perf_counter() - started < 0.9
     assert info.value.attempts == 1
     assert info.value.status is None
+    assert str(info.value) == "retries exhausted after 1 attempts (last failure: timeout)"
 
 
 def test_connection_refused_retries_then_fails(monkeypatch):
@@ -238,6 +244,32 @@ def test_connection_refused_retries_then_fails(monkeypatch):
     with pytest.raises(TransportError) as info:
         complete(cfg, BUNDLE)
     assert info.value.attempts == 2
+    # the failure names its cause, not always "timeout"
+    assert str(info.value) == (
+        "retries exhausted after 2 attempts (last failure: ConnectionRefusedError)"
+    )
+
+
+def test_untrusted_certificate_fails_at_once(stub, monkeypatch):
+    # a self-signed certificate for localhost and 127.0.0.1, made once with
+    # openssl req -x509 -newkey ec -pkeyopt ec_paramgen_curve:prime256v1
+    # -nodes -days 36500 -subj /CN=localhost
+    # -addext subjectAltName=DNS:localhost,IP:127.0.0.1
+    data = Path(__file__).parent / "data"
+    monkeypatch.delenv("SSL_CERT_FILE", raising=False)
+    monkeypatch.delenv("SSL_CERT_DIR", raising=False)
+    tls = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+    tls.load_cert_chain(data / "untrusted_cert.pem", data / "untrusted_key.pem")
+    server, url = stub([(200, OK_PAYLOAD)], tls=tls)
+    started = time.perf_counter()
+    with pytest.raises(TransportError) as info:
+        complete(_cfg(url, retries=3, backoff_base_s=5.0), BUNDLE)
+    assert time.perf_counter() - started < 1.0
+    # no retry and no backoff: a certificate check fails the same way every time
+    assert info.value.attempts == 1
+    assert info.value.status is None
+    assert "TLS certificate failed verification" in str(info.value)
+    assert server.requests == []
 
 
 def test_provider_config_validation():
