@@ -20,13 +20,15 @@ import numpy as np
 from ..core import AXIS_NAMES, LABEL_ORDER, TrajectoryLabel, TrajectoryWindow
 from ..errors import DataError
 
-FEATURE_DIM = 48
-
 _STAT_NAMES = ("mean", "std", "min", "max", "rms")
+
+# the gyroscope x/y/z columns of a window's data
+_GYRO = slice(AXIS_NAMES.index("gx"), AXIS_NAMES.index("gz") + 1)
 
 FEATURE_NAMES: tuple[str, ...] = tuple(
     f"{axis}_{stat}" for axis in AXIS_NAMES for stat in _STAT_NAMES
-) + ("gx_int", "gy_int", "gz_int")
+) + tuple(f"{axis}_int" for axis in AXIS_NAMES[_GYRO])
+FEATURE_DIM = len(FEATURE_NAMES)
 
 
 def _trapezoid(y: np.ndarray, dt: float) -> np.ndarray:
@@ -37,14 +39,13 @@ def _trapezoid(y: np.ndarray, dt: float) -> np.ndarray:
 def extract_features(w: TrajectoryWindow) -> np.ndarray:
     """48 features for one window, ordered per FEATURE_NAMES."""
     data = w.data
-    stats = np.empty((9, len(_STAT_NAMES)))
+    stats = np.empty((len(AXIS_NAMES), len(_STAT_NAMES)))
     stats[:, 0] = data.mean(axis=0)
     stats[:, 1] = data.std(axis=0)
     stats[:, 2] = data.min(axis=0)
     stats[:, 3] = data.max(axis=0)
     stats[:, 4] = np.sqrt(np.mean(data**2, axis=0))
-    gyro = data[:, 3:6]
-    integrals = _trapezoid(gyro, 1.0 / w.rate)
+    integrals = _trapezoid(data[:, _GYRO], 1.0 / w.rate)
     features = np.concatenate([stats.ravel(), integrals])
     if not np.all(np.isfinite(features)):
         raise DataError(f"non-finite feature values for window {w.id!r}")

@@ -16,11 +16,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..core import LABEL_ORDER, TrajectoryLabel
+from ..core import N_CLASSES, TrajectoryLabel
 from ..errors import DataError
 from .features import argmax_labels, data_digest, feature_rows, training_set
-
-N_CLASSES = len(LABEL_ORDER)
 
 
 @dataclass(frozen=True)

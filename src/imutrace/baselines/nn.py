@@ -47,12 +47,11 @@ from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from ..core import LABEL_ORDER, TrajectoryLabel, TrajectoryWindow
+from ..core import AXIS_NAMES, N_CLASSES, TrajectoryLabel, TrajectoryWindow
 from ..errors import DataError, TrainingDivergedError
 from .features import argmax_labels, data_digest, label_vector, standardizer
 
-N_CLASSES = len(LABEL_ORDER)
-N_CHANNELS = 9
+N_CHANNELS = len(AXIS_NAMES)
 
 
 @dataclass(frozen=True)
@@ -112,8 +111,8 @@ class NnModel:
     kind: str  # "cnn" or "lstm"
     config: NnConfig
     params: dict
-    channel_mean: np.ndarray  # (9,)
-    channel_scale: np.ndarray  # (9,)
+    channel_mean: np.ndarray  # (N_CHANNELS,)
+    channel_scale: np.ndarray  # (N_CHANNELS,)
     input_length: int
     history: tuple[tuple[int, float, float], ...]  # (epoch, batch-mean loss, accuracy)
     manifest: dict
@@ -542,7 +541,7 @@ def _window_tensor(windows: Sequence[TrajectoryWindow]) -> np.ndarray:
     if len(lengths) != 1:
         raise DataError(f"all training windows must share one length, got {sorted(lengths)}")
     # window data is finite by TrajectoryWindow validation, no re-check here
-    return np.stack([w.data.T for w in windows])  # (n, 9, T)
+    return np.stack([w.data.T for w in windows])  # (n, N_CHANNELS, T)
 
 
 def _check_finite(kind: str, loss: float, when: str) -> None:

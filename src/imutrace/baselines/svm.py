@@ -20,11 +20,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..core import LABEL_ORDER, TrajectoryLabel
+from ..core import N_CLASSES, TrajectoryLabel
 from ..errors import DataError
 from .features import argmax_labels, data_digest, feature_rows, standardizer, training_set
-
-N_CLASSES = len(LABEL_ORDER)
 
 # Duals below this are treated as zero when extracting support vectors.
 ALPHA_EPS = 1e-12

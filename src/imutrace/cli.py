@@ -164,7 +164,7 @@ def cmd_train(args) -> int:
     windows = _load_windows(args.data)
     split = _load_split(args.split)
     split.validate(windows)
-    scenario = Scenario.from_string(args.scenario)
+    scenario = Scenario(args.scenario)
     train_ids = set(split.part_ids(Part.TRAIN))
     train_windows = [w for w in windows if w.id in train_ids and w.scenario is scenario]
     if not train_windows:
@@ -452,6 +452,14 @@ def _apply_config_file(
                 f"config file {config_path} sets unknown keys for "
                 f"{probe.command!r}: {', '.join(unknown)}"
             )
+        # argparse checks choices only on the command line, not on defaults
+        for action in sub._actions:
+            value = config.get(action.dest)
+            if action.choices is not None and action.dest in config and value not in action.choices:
+                raise ConfigError(
+                    f"config file {config_path} sets {action.dest} to {value!r}, "
+                    f"expected one of {', '.join(action.choices)}"
+                )
         sub.set_defaults(**config)
     return parser.parse_args(argv)
 

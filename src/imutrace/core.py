@@ -47,13 +47,10 @@ TIMESTAMP_TOLERANCE_S = 1e-6
 RATE_SIGNIFICANT_DIGITS = 12
 MAX_RATE_SIGNIFICANT_DIGITS = 17
 
-CSV_COLUMNS = (
-    "recording_id", "scenario", "label", "t",
-    "ax", "ay", "az", "gx", "gy", "gz", "mx", "my", "mz",
-)
-
 # Axis order used everywhere a window is flattened to a (n, 9) array.
 AXIS_NAMES = ("ax", "ay", "az", "gx", "gy", "gz", "mx", "my", "mz")
+
+CSV_COLUMNS = ("recording_id", "scenario", "label", "t", *AXIS_NAMES)
 
 
 class TrajectoryLabel(Enum):
@@ -64,40 +61,22 @@ class TrajectoryLabel(Enum):
     TURN_LEFT = "turn left"
     TURN_AROUND = "turn around"
 
-    @classmethod
-    def from_string(cls, text: str) -> "TrajectoryLabel":
-        for label in cls:
-            if label.value == text:
-                return label
-        raise DataError(f"unknown trajectory label: {text!r}")
-
     @property
     def index(self) -> int:
         return LABEL_ORDER.index(self)
 
 
-LABEL_ORDER = (
-    TrajectoryLabel.STRAIGHT,
-    TrajectoryLabel.TURN_RIGHT,
-    TrajectoryLabel.TURN_LEFT,
-    TrajectoryLabel.TURN_AROUND,
-)
+LABEL_ORDER = tuple(TrajectoryLabel)
+N_CLASSES = len(LABEL_ORDER)
 
 
 class Scenario(Enum):
     INDOOR = "indoor"
     OUTDOOR = "outdoor"
 
-    @classmethod
-    def from_string(cls, text: str) -> "Scenario":
-        for scenario in cls:
-            if scenario.value == text:
-                return scenario
-        raise DataError(f"unknown scenario: {text!r}")
-
 
 class Part(Enum):
-    """The four dataset partitions."""
+    """The four dataset partitions, in split order."""
 
     TRAIN = "train"
     VALIDATION = "validation"
@@ -105,7 +84,6 @@ class Part(Enum):
     UNSEEN_TEST = "unseen_test"
 
 
-PART_ORDER = (Part.TRAIN, Part.VALIDATION, Part.SEEN_TEST, Part.UNSEEN_TEST)
 SPLIT_WEIGHTS = {Part.TRAIN: 3, Part.VALIDATION: 1, Part.SEEN_TEST: 1, Part.UNSEEN_TEST: 1}
 
 
@@ -132,7 +110,9 @@ class TrajectoryWindow:
     def __post_init__(self):
         data = np.array(self.data, dtype=np.float64)
         if data.ndim != 2 or data.shape[1] != len(AXIS_NAMES):
-            raise DataError(f"window {self.id!r} data must be (n, 9), got {data.shape}")
+            raise DataError(
+                f"window {self.id!r} data must be (n, {len(AXIS_NAMES)}), got {data.shape}"
+            )
         if data.shape[0] < 2:
             raise DataError(f"window {self.id!r} needs at least 2 samples")
         if not (self.rate > 0 and math.isfinite(self.rate)):
@@ -161,7 +141,7 @@ class SplitAssignment:
         return sorted(wid for wid, p in self.assignment.items() if p is part)
 
     def counts(self) -> dict[Part, int]:
-        out = {part: 0 for part in PART_ORDER}
+        out = {part: 0 for part in Part}
         for part in self.assignment.values():
             out[part] += 1
         return out
@@ -177,7 +157,7 @@ class SplitAssignment:
         n = len(ids)
         total_weight = sum(SPLIT_WEIGHTS.values())
         counts = self.counts()
-        for part in PART_ORDER:
+        for part in Part:
             exact = n * SPLIT_WEIGHTS[part] / total_weight
             if abs(counts[part] - exact) > 1:
                 raise DataError(
@@ -198,11 +178,10 @@ class SplitAssignment:
 
     @classmethod
     def from_json_dict(cls, data: Mapping[str, str]) -> "SplitAssignment":
-        by_value = {part.value: part for part in Part}
         try:
-            return cls({wid: by_value[v] for wid, v in data.items()})
-        except KeyError as exc:
-            raise DataError(f"unknown split part {exc.args[0]!r}") from exc
+            return cls({wid: Part(v) for wid, v in data.items()})
+        except ValueError as exc:
+            raise DataError(f"unknown split part ({exc})") from exc
 
 
 def _csv_prefix(*fields: str) -> str:
@@ -316,11 +295,11 @@ def ingest_csv(stream: Iterable[str]) -> list[TrajectoryWindow]:
             )
         recording_id, scenario_text, label_text = row[0], row[1], row[2]
         try:
+            scenario = Scenario(scenario_text)
+            label = TrajectoryLabel(label_text) if label_text else None
             numbers = [float(v) for v in row[3:]]
         except ValueError as exc:
-            raise DataError(f"line {line_no}: non-numeric field ({exc})") from exc
-        scenario = Scenario.from_string(scenario_text)
-        label = TrajectoryLabel.from_string(label_text) if label_text else None
+            raise DataError(f"line {line_no}: {exc}") from exc
         if recording_id not in rows:
             rows[recording_id] = []
             meta[recording_id] = (scenario, label)
@@ -389,7 +368,7 @@ def downsample(w: TrajectoryWindow, target_rate: float) -> TrajectoryWindow:
         raise DataError(
             f"window {w.id!r} too short to downsample to {target_rate} Hz"
         )
-    pooled = w.data[: n_out * bucket].reshape(n_out, bucket, 9).mean(axis=1)
+    pooled = w.data[: n_out * bucket].reshape(n_out, bucket, len(AXIS_NAMES)).mean(axis=1)
     return TrajectoryWindow(
         id=w.id,
         scenario=w.scenario,
@@ -424,8 +403,9 @@ def split_dataset(windows: Sequence[TrajectoryWindow], seed: int) -> SplitAssign
 
     Unseen groups are drawn per scenario so every scenario contributes
     unseen windows; the remaining windows are shuffled globally and cut
-    into train/validation/seen-test by largest-remainder allocation,
-    nudged so every part lands within one window of its exact share.
+    into train/validation/seen-test by largest-remainder allocation.
+    With the unseen count within one window of n/6, that allocation puts
+    every part within one window of its exact share of n.
     """
     if seed < 0:
         raise DataError("seed must be a nonnegative integer")
@@ -494,16 +474,6 @@ def split_dataset(windows: Sequence[TrajectoryWindow], seed: int) -> SplitAssign
     rest = [rest[i] for i in rng.permutation(len(rest))]
 
     alloc = largest_remainder(len(rest), [3, 1, 1])
-    exact = [n * 3 / 6, n / 6, n / 6]
-    # Nudge so each part is within one window of its exact global share.
-    for _ in range(2 * n):
-        deviations = [alloc[i] - exact[i] for i in range(3)]
-        hi = max(range(3), key=lambda i: deviations[i])
-        lo = min(range(3), key=lambda i: deviations[i])
-        if (deviations[hi] <= 1 and deviations[lo] >= -1) or hi == lo:
-            break
-        alloc[hi] -= 1
-        alloc[lo] += 1
 
     assignment: dict[str, Part] = {wid: Part.UNSEEN_TEST for wid in unseen_ids}
     cursor = 0

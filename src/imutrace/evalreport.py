@@ -29,7 +29,7 @@ from typing import Callable, Mapping, Optional, Sequence
 import numpy as np
 
 from .core import (
-    LABEL_ORDER,
+    N_CLASSES,
     Part,
     Scenario,
     SplitAssignment,
@@ -43,8 +43,6 @@ from .llm import MOCK_PROVIDER_ID, Prediction, ProviderConfig, classify_windows
 from .prompting import PromptMode, TemplateSet, build_prompt
 from .baselines import BASELINES
 from .baselines.features import feature_matrix, label_vector
-
-N_CLASSES = len(LABEL_ORDER)
 
 BASELINE_KINDS = tuple(BASELINES)
 
@@ -368,9 +366,12 @@ def run_experiment(
     is skipped before it runs when its scenario has no windows in its
     test part, or, for a baseline, no Train windows; a prompt cell is
     skipped after it runs, keeping its window and failure counts, when
-    more than ``MAX_FAILED_SHARE`` of its provider calls fail. An
-    unseen-test prompt over the budget raises ConfigError before any
-    baseline trains.
+    more than ``MAX_FAILED_SHARE`` of its provider calls fail.
+
+    Before any baseline trains, a live run whose auth token is unset and
+    an unseen-test prompt over the budget raise ConfigError, and a window
+    without a label that a cell scores or a baseline trains on raises
+    DataError.
 
     Once every check has passed, and before any task runs, the parent
     directories of ``dataset_csv`` and ``transcript_path`` are made and
@@ -388,6 +389,8 @@ def run_experiment(
     configs = dict(configs or {})
     validate_run(baselines, modes, configs)
     split.validate(windows)
+    if provider_cfg is not None and modes:
+        provider_cfg.token()
     if templates is None:
         templates = TemplateSet.load_default()
     for kind, spec in BASELINES.items():
@@ -427,6 +430,18 @@ def run_experiment(
     # each scenario's (model, part) cells: a baseline kind or a prompt mode
     grid = [(kind, part) for kind in baselines for part in test_parts]
     grid += [(mode, Part.UNSEEN_TEST) for mode in modes]
+    # the (part, scenario) groups some cell scores or some baseline trains on
+    used = {
+        (p, scenario)
+        for scenario in Scenario
+        for model, part in grid
+        if skip_reason(model, scenario, part) is None
+        for p in ((part, Part.TRAIN) if model in BASELINES else (part,))
+    }
+    for w in windows:
+        part = split.assignment[w.id]
+        if w.label is None and (part, w.scenario) in used:
+            raise DataError(f"{part.value} window {w.id!r} is unlabeled")
     tasks = {
         f"{kind}/{scenario.value}": partial(
             train_baseline, kind, inputs_for(kind, scenario, Part.TRAIN), configs[kind]

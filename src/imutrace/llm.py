@@ -112,6 +112,16 @@ class ProviderConfig:
         if self.backoff_base_s < 0:
             raise ConfigError(f"backoff base must be >= 0, got {self.backoff_base_s}")
 
+    def token(self) -> str:
+        """The auth token from the ``token_env`` environment variable;
+        ConfigError when that is empty or unset."""
+        token = os.environ.get(self.token_env, "")
+        if not token:
+            raise ConfigError(
+                f"auth token environment variable {self.token_env!r} is empty or unset"
+            )
+        return token
+
 
 @dataclass(frozen=True)
 class CompletionResult:
@@ -284,11 +294,7 @@ def _complete_batch(
     """
     import http.client
 
-    token = os.environ.get(cfg.token_env, "")
-    if not token:
-        raise ConfigError(
-            f"auth token environment variable {cfg.token_env!r} is empty or unset"
-        )
+    token = cfg.token()
     url = urlsplit(cfg.endpoint)
     context = None
     untrusted: tuple = ()  # the errors of a server certificate that fails verification
@@ -546,7 +552,10 @@ class LabelLexicon:
             raise ConfigError("lexicon must carry a non-empty 'labels' object")
         compiled: list[tuple[TrajectoryLabel, "re.Pattern[str]"]] = []
         for key, phrases in labels.items():
-            label = TrajectoryLabel.from_string(key)
+            try:
+                label = TrajectoryLabel(key)
+            except ValueError:
+                raise ConfigError(f"lexicon key {key!r} is not a trajectory label") from None
             if not isinstance(phrases, list) or not phrases:
                 raise ConfigError(f"lexicon entry {key!r} must list at least one phrase")
             for phrase in phrases:

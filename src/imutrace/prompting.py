@@ -173,7 +173,8 @@ def _format_rate(rate: float) -> str:
 # The window a template set renders when it is built: distinct values that
 # 2 decimals hold exactly, at a rate no template would write out by itself.
 _PROBE = TrajectoryWindow(
-    "template-check", Scenario.INDOOR, "template-check", 2.5, np.arange(18).reshape(2, 9) / 4 - 2
+    "template-check", Scenario.INDOOR, "template-check", 2.5,
+    np.arange(2 * len(AXIS_NAMES)).reshape(2, -1) / 4 - 2,
 )
 
 

@@ -263,7 +263,7 @@ def test_criterion_8_parser_corpus():
         entry["text"][:50]
         for entry in corpus
         if parse_label(entry["text"], PromptMode.COT)
-        is not TrajectoryLabel.from_string(entry["label"])
+        is not TrajectoryLabel(entry["label"])
     ]
     has_required = any(
         "most likely a 'turn-left' trajectory" in entry["text"] for entry in corpus

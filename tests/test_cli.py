@@ -399,6 +399,49 @@ def test_run_refuses_an_over_budget_prompt_before_training(tmp_path, capsys, mon
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [("--baselines", "none"), ("--baselines", "cnn", "--modes", "none")],
+    ids=["scored", "trained"],
+)
+def test_run_refuses_an_unlabeled_window_before_making_out(tmp_path, capsys, monkeypatch, flags):
+    data = _generate(tmp_path, per_class=6)
+    lines = (data / "dataset.csv").read_text().splitlines(keepends=True)
+    unlabeled = tmp_path / "u.csv"
+    with open(unlabeled, "w", encoding="utf-8") as fh:
+        fh.write(lines[0])
+        for line in lines[1:]:
+            fields = line.split(",", 3)
+            fh.write(",".join([*fields[:2], "", fields[3]]))
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained a baseline")
+
+    monkeypatch.setattr(evalreport, "train_baseline", no_training)
+    out = tmp_path / "r"
+    rc = main(["run", "--data", str(unlabeled), *flags, "--out", str(out)])
+    assert rc == 3
+    assert "is unlabeled" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_live_run_without_a_token_exits_2_before_training(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("IMUTRACE_API_TOKEN", raising=False)
+    argv = ["run", "--per-class", "6", "--noise", "zero", *_LIVE]
+    # a live run with no prompt mode makes no provider call and needs no token
+    out = tmp_path / "baselines-only"
+    assert main([*argv, "--baselines", "rf", "--modes", "none", "--out", str(out)]) == 0
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained a baseline")
+
+    monkeypatch.setattr(evalreport, "train_baseline", no_training)
+    out = tmp_path / "nt"
+    assert main([*argv, "--out", str(out)]) == 2
+    assert "'IMUTRACE_API_TOKEN' is empty or unset" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_every_run_keeps_one_transcript_of_its_own_calls(tmp_path, capsys):
     # a second run into the same --out starts the transcript again
     out = tmp_path / "r"
@@ -505,6 +548,24 @@ def test_config_file_precedence(tmp_path, capsys):
     rc = main(["generate", "--config", str(bad), "--out", str(out)])
     assert rc == 2
     assert "per_klass" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, config, message",
+    [
+        (["train", "--model", "rf", "--data", "d.csv", "--split", "s.json"],
+         {"scenario": "underwater"}, "sets scenario to 'underwater'"),
+        (["generate"], {"noise": "loud"}, "sets noise to 'loud'"),
+        (["report", "--input", "r.jsonl"], {"format": ["text"]}, "sets format to ['text']"),
+    ],
+    ids=["train", "generate", "report"],
+)
+def test_config_file_values_must_be_among_the_flag_choices(tmp_path, capsys, argv, config, message):
+    # argparse checks choices only for flags given on the command line
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(config))
+    assert main([*argv, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_help_shows_defaults(capsys):

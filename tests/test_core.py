@@ -13,8 +13,8 @@ from imutrace.core import (
     AXIS_NAMES,
     CSV_COLUMNS,
     LABEL_ORDER,
+    N_CLASSES,
     Part,
-    PART_ORDER,
     Scenario,
     SplitAssignment,
     TrajectoryLabel,
@@ -31,21 +31,22 @@ from conftest import window_from_array
 
 def test_label_round_trip_and_order():
     for label in TrajectoryLabel:
-        assert TrajectoryLabel.from_string(label.value) is label
+        assert TrajectoryLabel(label.value) is label
     assert [l.value for l in LABEL_ORDER] == [
         "straight", "turn right", "turn left", "turn around",
     ]
+    assert N_CLASSES == 4
     for i, label in enumerate(LABEL_ORDER):
         assert label.index == i
-    with pytest.raises(DataError):
-        TrajectoryLabel.from_string("sideways")
+    with pytest.raises(ValueError):
+        TrajectoryLabel("sideways")
 
 
 def test_scenario_round_trip():
-    assert Scenario.from_string("indoor") is Scenario.INDOOR
-    assert Scenario.from_string("outdoor") is Scenario.OUTDOOR
-    with pytest.raises(DataError):
-        Scenario.from_string("underwater")
+    assert Scenario("indoor") is Scenario.INDOOR
+    assert Scenario("outdoor") is Scenario.OUTDOOR
+    with pytest.raises(ValueError):
+        Scenario("underwater")
 
 
 def test_window_validation():
@@ -246,6 +247,19 @@ def test_ingest_rejects_malformed():
     rows = [header] + [f"g/w,indoor,straight,{t},0,0,0,0,0,0,0,0,0" for t in times]
     with pytest.raises(DataError, match="off the 10 Hz grid"):
         ingest_csv(io.StringIO("\n".join(rows) + "\n"))
+    # an unknown scenario or label (values are case-sensitive), by line
+    for scenario, label, message in [
+        ("underwater", "straight", "'underwater' is not a valid Scenario"),
+        ("indoor", "sideways", "'sideways' is not a valid TrajectoryLabel"),
+        ("indoor", "Straight", "'Straight' is not a valid TrajectoryLabel"),
+    ]:
+        rows = [
+            header,
+            "g/w,indoor,straight,0.0,0,0,0,0,0,0,0,0,0",
+            f"g/w,{scenario},{label},0.1,0,0,0,0,0,0,0,0,0",
+        ]
+        with pytest.raises(DataError, match=f"^line 3: {message}$"):
+            ingest_csv(io.StringIO("\n".join(rows) + "\n"))
 
 
 def test_downsample_mean_pool_oracle():
@@ -302,6 +316,18 @@ def test_largest_remainder_properties():
             assert math.floor(exact) <= a <= math.ceil(exact)
 
 
+def test_split_allocation_lands_within_one_window_of_every_share():
+    # split_dataset holds out u unseen windows with |u - n/6| <= 1, then
+    # cuts the rest 3:1:1 by largest remainder with no further adjustment;
+    # the deviations from n/2, n/6 and n/6 repeat with period 30 in n, so
+    # n = 6..35 covers every dataset size
+    for n in range(6, 36):
+        for u in range(math.ceil(n / 6 - 1), math.floor(n / 6 + 1) + 1):
+            alloc = largest_remainder(n - u, [3, 1, 1])
+            for count, exact in zip(alloc, (n / 2, n / 6, n / 6)):
+                assert abs(count - exact) <= 1, (n, u, alloc)
+
+
 def test_largest_remainder_position_tie_break():
     assert largest_remainder(1, [1, 1]) == [1, 0]
     assert largest_remainder(2, [1, 1, 1, 1]) == [1, 1, 0, 0]
@@ -356,4 +382,5 @@ def test_split_assignment_validate_catches_violations():
 
 def test_axis_names_match_row_layout():
     assert AXIS_NAMES == ("ax", "ay", "az", "gx", "gy", "gz", "mx", "my", "mz")
-    assert PART_ORDER[0] is Part.TRAIN
+    assert CSV_COLUMNS == ("recording_id", "scenario", "label", "t", *AXIS_NAMES)
+    assert [part.value for part in Part] == ["train", "validation", "seen_test", "unseen_test"]

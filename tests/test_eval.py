@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -451,6 +452,38 @@ def tiny_run_inputs():
     noise = {s: ZERO_NOISE for s in Scenario}
     windows, _ = generate_dataset(GeneratorConfig(seed=4, windows_per_group=2), uniform_counts(3), noise)
     return windows, split_dataset(windows, seed=1)
+
+
+@pytest.mark.parametrize(
+    "part, baselines, modes, refused",
+    [
+        (Part.VALIDATION, ("rf",), (PromptMode.DO,), False),  # nothing reads Validation
+        (Part.SEEN_TEST, (), (PromptMode.DO,), False),  # only baselines score SeenTest
+        (Part.SEEN_TEST, ("rf",), (), True),
+        (Part.TRAIN, ("cnn",), (), True),
+        (Part.UNSEEN_TEST, (), (PromptMode.DO,), True),
+    ],
+)
+def test_a_run_needs_labels_only_where_it_scores_or_trains(
+    tiny_run_inputs, monkeypatch, tmp_path, part, baselines, modes, refused
+):
+    windows, split = tiny_run_inputs
+    unlabeled = set(split.part_ids(part))
+    windows = [dataclasses.replace(w, label=None) if w.id in unlabeled else w for w in windows]
+    if not refused:
+        run_experiment(windows, split, baselines=baselines, modes=modes)
+        return
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained a baseline")
+
+    monkeypatch.setattr(evalreport, "train_baseline", no_training)
+    out = tmp_path / "out"
+    with pytest.raises(DataError, match=f"^{part.value} window '.+' is unlabeled$"):
+        run_experiment(
+            windows, split, baselines=baselines, modes=modes, transcript_path=out / "t.jsonl"
+        )
+    assert not out.exists()
 
 
 @settings(max_examples=40, deadline=None)

@@ -4,6 +4,7 @@ import base64
 import json
 import os
 import socket
+import socketserver
 import ssl
 import subprocess
 import sys
@@ -250,17 +251,28 @@ def test_connection_refused_retries_then_fails(monkeypatch):
     )
 
 
-def test_untrusted_certificate_fails_at_once(stub, monkeypatch):
-    # a self-signed certificate for localhost and 127.0.0.1, made once with
-    # openssl req -x509 -newkey ec -pkeyopt ec_paramgen_curve:prime256v1
-    # -nodes -days 36500 -subj /CN=localhost
-    # -addext subjectAltName=DNS:localhost,IP:127.0.0.1
-    data = Path(__file__).parent / "data"
-    monkeypatch.delenv("SSL_CERT_FILE", raising=False)
+# a self-signed certificate for localhost and 127.0.0.1, made once with
+# openssl req -x509 -newkey ec -pkeyopt ec_paramgen_curve:prime256v1
+# -nodes -days 36500 -subj /CN=localhost
+# -addext subjectAltName=DNS:localhost,IP:127.0.0.1
+CERT = Path(__file__).parent / "data" / "untrusted_cert.pem"
+
+
+def _tls(monkeypatch, trusted):
+    """The stub's server context; the client trusts its certificate, through
+    ``SSL_CERT_FILE``, only when ``trusted``."""
     monkeypatch.delenv("SSL_CERT_DIR", raising=False)
+    if trusted:
+        monkeypatch.setenv("SSL_CERT_FILE", str(CERT))
+    else:
+        monkeypatch.delenv("SSL_CERT_FILE", raising=False)
     tls = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
-    tls.load_cert_chain(data / "untrusted_cert.pem", data / "untrusted_key.pem")
-    server, url = stub([(200, OK_PAYLOAD)], tls=tls)
+    tls.load_cert_chain(CERT, CERT.parent / "untrusted_key.pem")
+    return tls
+
+
+def test_untrusted_certificate_fails_at_once(stub, monkeypatch):
+    server, url = stub([(200, OK_PAYLOAD)], tls=_tls(monkeypatch, trusted=False))
     started = time.perf_counter()
     with pytest.raises(TransportError) as info:
         complete(_cfg(url, retries=3, backoff_base_s=5.0), BUNDLE)
@@ -445,6 +457,70 @@ def test_no_proxy_bypasses_the_proxy(stub, monkeypatch, no_env_proxy):
     assert proxy.requests == []
     assert [r["path"] for r in server.requests] == ["/v1/chat/completions"]
     assert "Proxy-Authorization" not in server.requests[0]["headers"]
+
+
+def test_https_call_to_a_trusted_server_succeeds(stub, monkeypatch, no_env_proxy):
+    server, url = stub([(200, OK_PAYLOAD)], tls=_tls(monkeypatch, trusted=True))
+    assert url.startswith("https://")
+    assert complete(_cfg(url), BUNDLE).text == "turn left"
+    (req,) = server.requests
+    assert req["headers"]["Authorization"] == "Bearer sesame"
+
+
+class _ConnectProxy(socketserver.BaseRequestHandler):
+    """A CONNECT-only proxy: records each request's head lines, then relays
+    bytes both ways between the client and the host it names."""
+
+    def handle(self):
+        head = b""
+        while b"\r\n\r\n" not in head:
+            chunk = self.request.recv(4096)
+            if not chunk:
+                return
+            head += chunk
+        head, _, early = head.partition(b"\r\n\r\n")
+        lines = head.decode("latin-1").split("\r\n")
+        self.server.heads.append(lines)
+        host, _, port = lines[0].split(" ")[1].rpartition(":")
+        with socket.create_connection((host, int(port))) as upstream:
+            self.request.sendall(b"HTTP/1.1 200 Connection established\r\n\r\n")
+            upstream.sendall(early)
+            back = threading.Thread(target=self._relay, args=(upstream, self.request))
+            back.start()
+            self._relay(self.request, upstream)
+            back.join(timeout=30)
+
+    @staticmethod
+    def _relay(src, dst):
+        try:
+            while data := src.recv(65536):
+                dst.sendall(data)
+            dst.shutdown(socket.SHUT_WR)
+        except OSError:
+            pass
+
+
+def test_https_proxy_tunnels_the_call_with_credentials(stub, monkeypatch, no_env_proxy):
+    server, url = stub([(200, OK_PAYLOAD)], tls=_tls(monkeypatch, trusted=True))
+    proxy = socketserver.ThreadingTCPServer(("127.0.0.1", 0), _ConnectProxy)
+    proxy.daemon_threads = True
+    proxy.heads = []
+    threading.Thread(target=proxy.serve_forever, daemon=True).start()
+    try:
+        monkeypatch.setenv("HTTPS_PROXY", f"http://u:p@127.0.0.1:{proxy.server_address[1]}")
+        assert complete(_cfg(url), BUNDLE).text == "turn left"
+    finally:
+        proxy.shutdown()
+        proxy.server_close()
+    (head,) = proxy.heads
+    assert head[0].startswith(f"CONNECT 127.0.0.1:{server.server_address[1]} ")
+    credentials = base64.b64encode(b"u:p").decode("ascii")
+    assert f"Proxy-Authorization: Basic {credentials}" in head[1:]
+    # the provider sees the call through the tunnel, without the proxy's credentials
+    (req,) = server.requests
+    assert req["path"] == "/v1/chat/completions"
+    assert req["headers"]["Authorization"] == "Bearer sesame"
+    assert "Proxy-Authorization" not in req["headers"]
 
 
 class _DropsIdleHandler(_KeepAliveHandler):

@@ -221,6 +221,8 @@ def test_lexicon_validation():
         LabelLexicon.from_json_dict({"version": 1, "labels": {"straight": []}})
     with pytest.raises(ConfigError):
         LabelLexicon.from_json_dict({"version": 1, "labels": {"straight": ["  "]}})
+    with pytest.raises(ConfigError, match="lexicon key 'sideways' is not a trajectory label"):
+        LabelLexicon.from_json_dict({"version": 1, "labels": {"sideways": ["x"]}})
 
 
 def test_parser_corpus_all_correct():
@@ -228,7 +230,7 @@ def test_parser_corpus_all_correct():
     assert len(entries) >= 40
     by_label = {}
     for entry in entries:
-        expected = TrajectoryLabel.from_string(entry["label"])
+        expected = TrajectoryLabel(entry["label"])
         got = parse_label(entry["text"], PromptMode.COT)
         assert got is expected, entry["text"]
         by_label[expected] = by_label.get(expected, 0) + 1
