@@ -84,8 +84,6 @@ def _load_split(path: str) -> SplitAssignment:
 
 def _generate(args, seed: int):
     """The windows and manifest that the generator flags in ``args`` give."""
-    if args.noise not in ("default", "zero"):
-        raise ConfigError(f"unknown noise profile {args.noise!r}")
     cfg = GeneratorConfig(
         seed=seed,
         rate=args.rate,
@@ -452,6 +450,8 @@ def _apply_config_file(
                 f"config file {config_path} sets unknown keys for "
                 f"{probe.command!r}: {', '.join(unknown)}"
             )
+        # null keeps the flag's built-in default
+        config = {dest: value for dest, value in config.items() if value is not None}
         # argparse checks choices only on the command line, not on defaults
         for action in sub._actions:
             value = config.get(action.dest)
@@ -460,7 +460,14 @@ def _apply_config_file(
                     f"config file {config_path} sets {action.dest} to {value!r}, "
                     f"expected one of {', '.join(action.choices)}"
                 )
-        sub.set_defaults(**config)
+        # argparse runs a string default through the flag's type, so every
+        # value goes on as text: a string as is, anything else as its JSON
+        sub.set_defaults(
+            **{
+                dest: value if isinstance(value, str) else json.dumps(value)
+                for dest, value in config.items()
+            }
+        )
     return parser.parse_args(argv)
 
 

@@ -11,7 +11,7 @@ back out of the prompt (``prompting.read_window``), integrates gyro-z,
 and writes a four-phase reasoning text (chain-of-thought) or a bare
 label (direct output); it doubles as the oracle generator for tests.
 `parse_label` recovers a TrajectoryLabel from free-form response text
-via a synonym lexicon shipped as a versioned data file.
+by matching the phrases of ``LABEL_PHRASES``.
 """
 
 from __future__ import annotations
@@ -28,8 +28,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 from urllib.parse import SplitResult, unquote, urlsplit, urlunsplit
-
-from importlib import resources
 
 from . import __version__
 from .core import AXIS_NAMES, TrajectoryLabel, TrajectoryWindow
@@ -533,74 +531,103 @@ def mock_complete(bundle: PromptBundle) -> CompletionResult:
     )
 
 
-@dataclass(frozen=True)
-class LabelLexicon:
-    """Compiled synonym table mapping phrases to trajectory labels."""
+# The phrases a response may name each label by. Matching ignores case,
+# and whitespace or hyphens may stand between a phrase's words.
+LABEL_PHRASES: dict[TrajectoryLabel, tuple[str, ...]] = {
+    TrajectoryLabel.STRAIGHT: (
+        "straight",
+        "go straight",
+        "goes straight",
+        "going straight",
+        "went straight",
+        "moving straight",
+        "straight line",
+        "straight ahead",
+    ),
+    TrajectoryLabel.TURN_RIGHT: (
+        "turn right",
+        "turns right",
+        "turning right",
+        "turned right",
+        "right turn",
+        "right hand turn",
+        "rightward turn",
+        "clockwise turn",
+        "veer right",
+        "veering right",
+    ),
+    TrajectoryLabel.TURN_LEFT: (
+        "turn left",
+        "turns left",
+        "turning left",
+        "turned left",
+        "left turn",
+        "left hand turn",
+        "leftward turn",
+        "counterclockwise turn",
+        "counter clockwise turn",
+        "anticlockwise turn",
+        "anti clockwise turn",
+        "veer left",
+        "veering left",
+    ),
+    TrajectoryLabel.TURN_AROUND: (
+        "turn around",
+        "turns around",
+        "turning around",
+        "turned around",
+        "turnaround",
+        "u turn",
+        "about face",
+        "180 degree turn",
+        "full reversal",
+    ),
+}
 
-    version: int
-    patterns: tuple[tuple[TrajectoryLabel, "re.Pattern[str]"], ...]
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "LabelLexicon":
-        if not isinstance(obj, dict):
-            raise ConfigError("lexicon must be a JSON object")
-        version = obj.get("version")
-        if not isinstance(version, int) or version < 1:
-            raise ConfigError(f"lexicon version must be a positive integer, got {version!r}")
-        labels = obj.get("labels")
-        if not isinstance(labels, dict) or not labels:
-            raise ConfigError("lexicon must carry a non-empty 'labels' object")
-        compiled: list[tuple[TrajectoryLabel, "re.Pattern[str]"]] = []
-        for key, phrases in labels.items():
-            try:
-                label = TrajectoryLabel(key)
-            except ValueError:
-                raise ConfigError(f"lexicon key {key!r} is not a trajectory label") from None
-            if not isinstance(phrases, list) or not phrases:
-                raise ConfigError(f"lexicon entry {key!r} must list at least one phrase")
-            for phrase in phrases:
-                if not isinstance(phrase, str) or not phrase.strip():
-                    raise ConfigError(f"lexicon entry {key!r} holds an empty phrase")
-                compiled.append((label, _compile_phrase(phrase)))
-        return cls(version=version, patterns=tuple(compiled))
+LabelPatterns = tuple[tuple[TrajectoryLabel, "re.Pattern[str]"], ...]
 
 
 def _compile_phrase(phrase: str) -> "re.Pattern[str]":
     # Whitespace or hyphens between words both match, so "turn left",
-    # "turn-left", and "turn  left" are one entry.
-    words = phrase.split()
-    body = r"[\s\-]+".join(re.escape(word) for word in words)
-    return re.compile(rf"\b{body}\b", re.IGNORECASE)
+    # "turn-left", and "turn  left" are one entry. No phrase starts right
+    # after "counter" or "anti" and a space or hyphen, so "clockwise turn"
+    # does not match the tail of "counter-clockwise turn". That guard
+    # follows the first word so it runs only where a phrase starts: at
+    # every position of the text it would double the parse time.
+    first, *rest = (re.escape(word) for word in phrase.split())
+    tail = "".join(rf"[\s\-]+{word}" for word in rest)
+    return re.compile(
+        rf"\b{first}(?<!counter[\s\-]{first})(?<!anti[\s\-]{first}){tail}\b", re.IGNORECASE
+    )
 
 
-_LEXICON_CACHE: list[LabelLexicon] = []
+def compile_phrases(phrases: dict[TrajectoryLabel, Sequence[str]]) -> LabelPatterns:
+    """One (label, pattern) pair per phrase, in the table's order."""
+    return tuple(
+        (label, _compile_phrase(phrase)) for label, group in phrases.items() for phrase in group
+    )
 
 
-def _default_lexicon() -> LabelLexicon:
-    if not _LEXICON_CACHE:
-        text = resources.files("imutrace").joinpath("lexicon.json").read_text("utf-8")
-        _LEXICON_CACHE.append(LabelLexicon.from_json_dict(json.loads(text)))
-    return _LEXICON_CACHE[0]
+_LABEL_PATTERNS = compile_phrases(LABEL_PHRASES)
 
 
 def parse_label(
-    text: str, mode: PromptMode, lexicon: Optional[LabelLexicon] = None
+    text: str, mode: PromptMode, patterns: LabelPatterns = _LABEL_PATTERNS
 ) -> TrajectoryLabel:
     """Extract a TrajectoryLabel from free-form response text.
 
-    Case-insensitive lexicon match; when several distinct labels match,
-    the one closest to the end of the text wins, because chain-of-thought
-    responses state their conclusion last. Direct-output responses are
-    bare labels, which the same rule handles trivially, so ``mode`` only
-    flavors error messages. Two different labels ending at the same
-    position raise AmbiguousLabelError; no match raises
-    UnparseableLabelError.
+    Case-insensitive match of the ``LABEL_PHRASES`` phrases, or of the
+    ``compile_phrases`` result given as ``patterns``; when several
+    distinct labels match, the one closest to the end of the text wins,
+    because chain-of-thought responses state their conclusion last.
+    Direct-output responses are bare labels, which the same rule handles
+    trivially, so ``mode`` only flavors error messages. Two different
+    labels ending at the same position raise AmbiguousLabelError; no
+    match raises UnparseableLabelError.
     """
-    if lexicon is None:
-        lexicon = _default_lexicon()
     best_end = -1
     best_labels: set[TrajectoryLabel] = set()
-    for label, pattern in lexicon.patterns:
+    for label, pattern in patterns:
         for match in pattern.finditer(text):
             end = match.end()
             if end > best_end:

@@ -375,6 +375,13 @@ def test_run_refuses_a_target_rate_the_data_cannot_take_before_making_out(tmp_pa
     assert not out.exists()
 
 
+def test_run_on_an_empty_dataset_exits_3_before_making_out(tmp_path, capsys):
+    out = tmp_path / "r"
+    assert main(["run", "--per-class", "0", "--out", str(out)]) == 3
+    assert "the dataset is empty" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_refuses_a_split_of_other_data_before_making_out(tmp_path, capsys):
     data = _generate(tmp_path, per_class=3)
     split = tmp_path / "split.json"
@@ -566,6 +573,28 @@ def test_config_file_values_must_be_among_the_flag_choices(tmp_path, capsys, arg
     path.write_text(json.dumps(config))
     assert main([*argv, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
     assert message in capsys.readouterr().err
+
+
+def test_config_file_values_go_through_the_flag_type(tmp_path, capsys):
+    # as on the command line, where --per-class 1.5 exits 2
+    frac = tmp_path / "frac.json"
+    frac.write_text(json.dumps({"per_class": 1.5, "noise": "zero"}))
+    out = tmp_path / "d"
+    with pytest.raises(SystemExit) as exc:
+        main(["generate", "--config", str(frac), "--out", str(out)])
+    assert exc.value.code == 2
+    assert "invalid int value: '1.5'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_file_null_keeps_the_flag_default(tmp_path, capsys):
+    cfg = tmp_path / "null.json"
+    cfg.write_text(json.dumps({"per_class": 2, "noise": "zero", "rate": None}))
+    out = tmp_path / "d"
+    assert main(["generate", "--config", str(cfg), "--out", str(out)]) == 0
+    assert "wrote 16 windows" in capsys.readouterr().out
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["rate"] == 100.0
 
 
 def test_help_shows_defaults(capsys):

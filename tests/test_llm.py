@@ -20,12 +20,13 @@ from imutrace.errors import (
 from imutrace.llm import (
     BatchResult,
     CompletionResult,
-    LabelLexicon,
+    LABEL_PHRASES,
     MOCK_PROVIDER_ID,
     ProviderConfig,
     _Retry,
     _run_calls,
     classify_windows,
+    compile_phrases,
     mock_complete,
     parse_label,
 )
@@ -195,34 +196,45 @@ def test_parse_label_unparseable():
 
 def test_parse_label_ambiguous_with_custom_lexicon():
     # two labels whose phrases end at the same text position
-    lexicon = LabelLexicon.from_json_dict(
+    patterns = compile_phrases(
         {
-            "version": 1,
-            "labels": {
-                "turn right": ["sharp turn"],
-                "turn around": ["turn"],
-            },
+            TrajectoryLabel.TURN_RIGHT: ("sharp turn",),
+            TrajectoryLabel.TURN_AROUND: ("turn",),
         }
     )
     with pytest.raises(AmbiguousLabelError) as info:
-        parse_label("the robot made a sharp turn", PromptMode.COT, lexicon=lexicon)
+        parse_label("the robot made a sharp turn", PromptMode.COT, patterns)
     assert "turn around" in str(info.value)
     assert "turn right" in str(info.value)
 
 
-def test_lexicon_validation():
-    with pytest.raises(ConfigError):
-        LabelLexicon.from_json_dict({"labels": {"straight": ["x"]}})
-    with pytest.raises(ConfigError):
-        LabelLexicon.from_json_dict({"version": 0, "labels": {"straight": ["x"]}})
-    with pytest.raises(ConfigError):
-        LabelLexicon.from_json_dict({"version": 1, "labels": {}})
-    with pytest.raises(ConfigError):
-        LabelLexicon.from_json_dict({"version": 1, "labels": {"straight": []}})
-    with pytest.raises(ConfigError):
-        LabelLexicon.from_json_dict({"version": 1, "labels": {"straight": ["  "]}})
-    with pytest.raises(ConfigError, match="lexicon key 'sideways' is not a trajectory label"):
-        LabelLexicon.from_json_dict({"version": 1, "labels": {"sideways": ["x"]}})
+def test_every_label_has_phrases():
+    assert list(LABEL_PHRASES) == list(TrajectoryLabel)
+    for label, phrases in LABEL_PHRASES.items():
+        assert isinstance(phrases, tuple) and phrases, label
+        assert all(isinstance(p, str) and p.strip() for p in phrases), label
+
+
+@pytest.mark.parametrize(
+    "text, label",
+    [
+        ("a counterclockwise turn", TrajectoryLabel.TURN_LEFT),
+        ("a counter-clockwise turn", TrajectoryLabel.TURN_LEFT),
+        ("a counter clockwise turn", TrajectoryLabel.TURN_LEFT),
+        ("a Counter-Clockwise turn", TrajectoryLabel.TURN_LEFT),
+        ("an anticlockwise turn", TrajectoryLabel.TURN_LEFT),
+        ("an anti-clockwise turn", TrajectoryLabel.TURN_LEFT),
+        ("an anti clockwise turn", TrajectoryLabel.TURN_LEFT),
+        ("a clockwise turn", TrajectoryLabel.TURN_RIGHT),
+        # a hyphen before a phrase is not in itself a prefix
+        ("a sharp-right turn", TrajectoryLabel.TURN_RIGHT),
+        ("a hard-left turn", TrajectoryLabel.TURN_LEFT),
+    ],
+)
+def test_clockwise_turns_by_every_spelling(text, label):
+    # "clockwise turn" is a right turn, but not as the tail of
+    # "counter-clockwise turn" or "anti clockwise turn"
+    assert parse_label(text, PromptMode.COT) is label
 
 
 def test_parser_corpus_all_correct():

@@ -215,6 +215,28 @@ def test_validate_bundle_rejections():
         validate_bundle(no_closer)
 
 
+def test_validate_bundle_rejects_a_direct_output_prompt_without_its_directive():
+    labels = f"The candidate trajectories are {candidate_label_list()}."
+    no_directive = PromptBundle(
+        instruction="inst", question=labels, mode=PromptMode.DO, window_id="w"
+    )
+    with pytest.raises(ConfigError, match="must contain the answer-only directive"):
+        validate_bundle(no_directive)
+    asks_for_steps = PromptBundle(
+        instruction="inst",
+        question=f"{labels} {DO_CLOSER} {COT_CLOSER}",
+        mode=PromptMode.DO,
+        window_id="w",
+    )
+    with pytest.raises(ConfigError, match="must not request step-by-step reasoning"):
+        validate_bundle(asks_for_steps)
+    validate_bundle(
+        PromptBundle(
+            instruction="inst", question=f"{labels} {DO_CLOSER}", mode=PromptMode.DO, window_id="w"
+        )
+    )
+
+
 def test_templates_keep_label_words_out_of_prose():
     # labels must reach the prompt only through the {{labels}} slot,
     # otherwise the exactly-once check cannot hold

@@ -85,6 +85,15 @@ def test_split_rejects_degenerate_inputs():
         split_dataset(big + small, seed=0)
 
 
+def test_split_refuses_to_hold_out_every_group_of_a_scenario():
+    # indoor's groups of 3 and 2 windows are both too big for its 5/6
+    # share, so outdoor's two single-window groups would both go unseen
+    windows = _mixed_windows(5, 2, 2, 2)
+    for seed in range(5):
+        with pytest.raises(DataError, match="scenario 'outdoor' would have every group held out"):
+            split_dataset(windows, seed=seed)
+
+
 def test_split_duplicate_ids_rejected():
     windows = tiny_windows(12, groups=4)
     with pytest.raises(DataError):
