@@ -13,6 +13,7 @@ import argparse
 import dataclasses
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import __version__
@@ -61,20 +62,26 @@ def _write_json(obj: dict, path: Path) -> None:
     )
 
 
-def _load_windows(path: str):
+@contextmanager
+def _reading(path: str, what: str, error: type[ImutraceError]):
+    """``path`` open as UTF-8 text; a file that cannot be read or is not
+    UTF-8 raises ``error`` naming ``what``."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return ingest_csv(fh)
-    except OSError as exc:
-        raise DataError(f"cannot read dataset {path}: {exc}")
+            yield fh
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"cannot read {what} {path}: {exc}") from None
+
+
+def _load_windows(path: str):
+    with _reading(path, "dataset", DataError) as fh:
+        return ingest_csv(fh)
 
 
 def _load_split(path: str) -> SplitAssignment:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with _reading(path, "split file", DataError) as fh:
             obj = json.load(fh)
-    except OSError as exc:
-        raise DataError(f"cannot read split file {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise DataError(f"split file {path} is not valid JSON: {exc}")
     if not isinstance(obj, dict) or "assignment" not in obj:
@@ -291,10 +298,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_report(args) -> int:
-    try:
-        text = Path(args.input).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot read report {args.input}: {exc}")
+    with _reading(args.input, "report", DataError) as fh:
+        text = fh.read()
     report = parse_report_jsonl(text)
     rendered = render_report(report, args.format)
     if args.out is not None:
@@ -434,10 +439,8 @@ def _apply_config_file(
     config_path = getattr(probe, "config", None)
     if config_path:
         try:
-            with open(config_path, "r", encoding="utf-8") as fh:
+            with _reading(config_path, "config file", ConfigError) as fh:
                 config = json.load(fh)
-        except OSError as exc:
-            raise ConfigError(f"cannot read config file {config_path}: {exc}")
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file {config_path} is not valid JSON: {exc}")
         if not isinstance(config, dict):

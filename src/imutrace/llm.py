@@ -10,8 +10,9 @@ connection, which the package imports only when a live batch starts.
 back out of the prompt (``prompting.read_window``), integrates gyro-z,
 and writes a four-phase reasoning text (chain-of-thought) or a bare
 label (direct output); it doubles as the oracle generator for tests.
-`parse_label` recovers a TrajectoryLabel from free-form response text
-by matching the phrases of ``LABEL_PHRASES``.
+`parse_label` recovers a TrajectoryLabel from free-form response text:
+it reads the text once as words and looks each word up among the first
+words of the ``LABEL_PHRASES`` phrases.
 """
 
 from __future__ import annotations
@@ -531,8 +532,8 @@ def mock_complete(bundle: PromptBundle) -> CompletionResult:
     )
 
 
-# The phrases a response may name each label by. Matching ignores case,
-# and whitespace or hyphens may stand between a phrase's words.
+# The phrases a response may name each label by, each in lower-case words
+# joined by single spaces; `parse_label` says how a response matches them.
 LABEL_PHRASES: dict[TrajectoryLabel, tuple[str, ...]] = {
     TrajectoryLabel.STRAIGHT: (
         "straight",
@@ -584,67 +585,59 @@ LABEL_PHRASES: dict[TrajectoryLabel, tuple[str, ...]] = {
     ),
 }
 
-LabelPatterns = tuple[tuple[TrajectoryLabel, "re.Pattern[str]"], ...]
-
-
-def _compile_phrase(phrase: str) -> "re.Pattern[str]":
-    # Whitespace or hyphens between words both match, so "turn left",
-    # "turn-left", and "turn  left" are one entry. No phrase starts right
-    # after "counter" or "anti" and a space or hyphen, so "clockwise turn"
-    # does not match the tail of "counter-clockwise turn". That guard
-    # follows the first word so it runs only where a phrase starts: at
-    # every position of the text it would double the parse time.
-    first, *rest = (re.escape(word) for word in phrase.split())
-    tail = "".join(rf"[\s\-]+{word}" for word in rest)
-    return re.compile(
-        rf"\b{first}(?<!counter[\s\-]{first})(?<!anti[\s\-]{first}){tail}\b", re.IGNORECASE
-    )
-
-
-def compile_phrases(phrases: dict[TrajectoryLabel, Sequence[str]]) -> LabelPatterns:
-    """One (label, pattern) pair per phrase, in the table's order."""
-    return tuple(
-        (label, _compile_phrase(phrase)) for label, group in phrases.items() for phrase in group
-    )
-
-
-_LABEL_PATTERNS = compile_phrases(LABEL_PHRASES)
-
 
 def parse_label(
-    text: str, mode: PromptMode, patterns: LabelPatterns = _LABEL_PATTERNS
+    text: str, mode: PromptMode, phrases: dict[TrajectoryLabel, tuple[str, ...]] = LABEL_PHRASES
 ) -> TrajectoryLabel:
     """Extract a TrajectoryLabel from free-form response text.
 
-    Case-insensitive match of the ``LABEL_PHRASES`` phrases, or of the
-    ``compile_phrases`` result given as ``patterns``; when several
-    distinct labels match, the one closest to the end of the text wins,
-    because chain-of-thought responses state their conclusion last.
+    The text is read once as words, maximal runs of ``\\w`` compared
+    after ``casefold()``. A phrase of ``phrases`` matches where its words
+    follow one another joined only by whitespace, hyphens, dashes
+    (U+2010 to U+2015) or minus signs (U+2212), but never where its first
+    word follows the word "counter" or "anti" joined that way: "a
+    counter-clockwise turn" is no "clockwise turn". When several
+    distinct labels match, the one ending closest to the end of the text
+    wins, because chain-of-thought responses state their conclusion last.
     Direct-output responses are bare labels, which the same rule handles
     trivially, so ``mode`` only flavors error messages. Two different
     labels ending at the same position raise AmbiguousLabelError; no
     match raises UnparseableLabelError.
     """
+    by_first: dict[str, list[tuple[list[str], TrajectoryLabel]]] = {}
+    for label, group in phrases.items():
+        for phrase in group:
+            first, *rest = phrase.split()
+            by_first.setdefault(first, []).append((rest, label))
+    # None marks a run of non-word characters that are not separators: no phrase spans it
+    words: list[Optional[str]] = []
+    ends: list[int] = []
+    for match in re.finditer(r"(\w+)|[^\w\s\-\u2010-\u2015\u2212]+", text):
+        words.append(match[1] and match[1].casefold())
+        ends.append(match.end())
+
     best_end = -1
     best_labels: set[TrajectoryLabel] = set()
-    for label, pattern in patterns:
-        for match in pattern.finditer(text):
-            end = match.end()
+    for i, word in enumerate(words):
+        if i and words[i - 1] in ("counter", "anti"):
+            continue
+        for rest, label in by_first.get(word, ()):
+            stop = i + 1 + len(rest)
+            if words[i + 1 : stop] != rest:
+                continue
+            end = ends[stop - 1]
             if end > best_end:
                 best_end = end
                 best_labels = {label}
             elif end == best_end:
                 best_labels.add(label)
     if not best_labels:
-        snippet = text[:80]
         raise UnparseableLabelError(
-            f"no trajectory label found in {mode.value} response: {snippet!r}"
+            f"no trajectory label found in {mode.value} response: {text[:80]!r}"
         )
     if len(best_labels) > 1:
         names = ", ".join(sorted(lb.value for lb in best_labels))
-        raise AmbiguousLabelError(
-            f"labels {{{names}}} tie at text position {best_end}"
-        )
+        raise AmbiguousLabelError(f"labels {{{names}}} tie at text position {best_end}")
     return next(iter(best_labels))
 
 

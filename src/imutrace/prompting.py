@@ -120,7 +120,10 @@ class TemplateSet:
             file = base / name
             if not file.is_file():
                 raise ConfigError(f"template directory is missing {name}: {base}")
-            texts.append(file.read_text(encoding="utf-8"))
+            try:
+                texts.append(file.read_text(encoding="utf-8"))
+            except (OSError, UnicodeDecodeError) as exc:
+                raise ConfigError(f"cannot read template {file}: {exc}") from None
         return cls(*texts)
 
     def digest(self) -> str:

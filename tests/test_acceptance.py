@@ -39,7 +39,7 @@ from imutrace.evalreport import (
     per_class_metrics,
     run_experiment,
 )
-from imutrace.llm import classify_windows, compile_phrases, parse_label
+from imutrace.llm import classify_windows, parse_label
 from imutrace.prompting import PromptMode
 from imutrace.synth import (
     GeneratorConfig,
@@ -272,9 +272,7 @@ def test_criterion_8_parser_corpus():
         parse_label("", PromptMode.COT)
     with pytest.raises(UnparseableLabelError):
         parse_label("the sensors recorded a maneuver", PromptMode.COT)
-    overlapping = compile_phrases(
-        {TrajectoryLabel.TURN_RIGHT: ("sharp turn",), TrajectoryLabel.TURN_AROUND: ("turn",)}
-    )
+    overlapping = {TrajectoryLabel.TURN_RIGHT: ("sharp turn",), TrajectoryLabel.TURN_AROUND: ("turn",)}
     with pytest.raises(AmbiguousLabelError):
         parse_label("the robot made a sharp turn", PromptMode.COT, overlapping)
     ok = len(corpus) >= 40 and not wrong and has_required

@@ -288,6 +288,33 @@ def test_run_refuses_bad_templates_before_writing(tmp_path, capsys, name, old, n
 
 
 @pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["split", "--data", "{bad}"], 3),
+        (["run", "--data", "{bad}"], 3),
+        (["train", "--model", "rf", "--data", "{bad}", "--split", "{bad}"], 3),
+        (["run", "--per-class", "3", "--windows-per-group", "2", "--split", "{bad}"], 3),
+        (["report", "--input", "{bad}"], 3),
+        (["generate", "--config", "{bad}"], 2),
+        (["run", "--per-class", "3", "--template", "{templates}"], 2),
+    ],
+    ids=["split-data", "run-data", "train-data", "run-split", "report", "config", "template"],
+)
+def test_an_input_file_that_is_not_utf8_exits_cleanly_before_writing(tmp_path, capsys, argv, code):
+    bad = tmp_path / "bad"
+    bad.write_bytes(b"\xff\xfe\n")
+    templates = tmp_path / "templates"
+    shutil.copytree(Path(imutrace.__file__).parent / "templates", templates)
+    with open(templates / "instruction.txt", "ab") as fh:
+        fh.write(b"\xff")
+    out = tmp_path / "out"
+    argv = [arg.format(bad=bad, templates=templates) for arg in argv]
+    assert main([*argv, "--out", str(out)]) == code
+    assert "imutrace: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["split", "--seed", "-1"],

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import sys
 import threading
 import time
@@ -26,7 +27,6 @@ from imutrace.llm import (
     _Retry,
     _run_calls,
     classify_windows,
-    compile_phrases,
     mock_complete,
     parse_label,
 )
@@ -196,14 +196,12 @@ def test_parse_label_unparseable():
 
 def test_parse_label_ambiguous_with_custom_lexicon():
     # two labels whose phrases end at the same text position
-    patterns = compile_phrases(
-        {
-            TrajectoryLabel.TURN_RIGHT: ("sharp turn",),
-            TrajectoryLabel.TURN_AROUND: ("turn",),
-        }
-    )
+    phrases = {
+        TrajectoryLabel.TURN_RIGHT: ("sharp turn",),
+        TrajectoryLabel.TURN_AROUND: ("turn",),
+    }
     with pytest.raises(AmbiguousLabelError) as info:
-        parse_label("the robot made a sharp turn", PromptMode.COT, patterns)
+        parse_label("the robot made a sharp turn", PromptMode.COT, phrases)
     assert "turn around" in str(info.value)
     assert "turn right" in str(info.value)
 
@@ -213,6 +211,10 @@ def test_every_label_has_phrases():
     for label, phrases in LABEL_PHRASES.items():
         assert isinstance(phrases, tuple) and phrases, label
         assert all(isinstance(p, str) and p.strip() for p in phrases), label
+        # parse_label compares casefolded words, so a phrase in any other
+        # form could never match
+        for phrase in phrases:
+            assert re.fullmatch(r"\w+( \w+)*", phrase) and phrase == phrase.casefold(), phrase
 
 
 @pytest.mark.parametrize(
@@ -225,6 +227,11 @@ def test_every_label_has_phrases():
         ("an anticlockwise turn", TrajectoryLabel.TURN_LEFT),
         ("an anti-clockwise turn", TrajectoryLabel.TURN_LEFT),
         ("an anti clockwise turn", TrajectoryLabel.TURN_LEFT),
+        ("a counter\u2013clockwise turn", TrajectoryLabel.TURN_LEFT),
+        ("a counter\u2014clockwise turn", TrajectoryLabel.TURN_LEFT),
+        ("a counter  clockwise turn", TrajectoryLabel.TURN_LEFT),
+        ("a counter -clockwise turn", TrajectoryLabel.TURN_LEFT),
+        ("an anti - clockwise turn", TrajectoryLabel.TURN_LEFT),
         ("a clockwise turn", TrajectoryLabel.TURN_RIGHT),
         # a hyphen before a phrase is not in itself a prefix
         ("a sharp-right turn", TrajectoryLabel.TURN_RIGHT),
@@ -235,6 +242,31 @@ def test_clockwise_turns_by_every_spelling(text, label):
     # "clockwise turn" is a right turn, but not as the tail of
     # "counter-clockwise turn" or "anti clockwise turn"
     assert parse_label(text, PromptMode.COT) is label
+
+
+# runs of what parse_label takes to join a phrase's words: whitespace,
+# hyphens, the dashes U+2010 to U+2015 and the minus sign
+SEPARATOR_RUNS = st.text(
+    " \t\n\u00a0\u3000-\u2010\u2011\u2012\u2013\u2014\u2015\u2212", min_size=1, max_size=4
+)
+
+
+@settings(deadline=None)
+@given(
+    response=st.sampled_from(
+        [json.loads(line)["text"] for line in CORPUS.read_text("utf-8").splitlines() if line]
+    ),
+    phrase=st.sampled_from([(label, p) for label, group in LABEL_PHRASES.items() for p in group]),
+    data=st.data(),
+)
+def test_a_phrase_in_any_case_and_joined_any_way_concludes_a_response(response, phrase, data):
+    label, text = phrase
+    words = [
+        "".join(data.draw(st.sampled_from((c.lower(), c.upper()))) for c in word)
+        for word in text.split()
+    ]
+    spelt = words[0] + "".join(data.draw(SEPARATOR_RUNS) + word for word in words[1:])
+    assert parse_label(response + ". " + spelt, PromptMode.COT) is label
 
 
 def test_parser_corpus_all_correct():
