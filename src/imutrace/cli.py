@@ -84,7 +84,7 @@ def _load_split(path: str) -> SplitAssignment:
             obj = json.load(fh)
     except json.JSONDecodeError as exc:
         raise DataError(f"split file {path} is not valid JSON: {exc}")
-    if not isinstance(obj, dict) or "assignment" not in obj:
+    if not isinstance(obj, dict) or not isinstance(obj.get("assignment"), dict):
         raise DataError(f"split file {path} must carry an 'assignment' object")
     return SplitAssignment.from_json_dict(obj["assignment"])
 

@@ -586,6 +586,11 @@ LABEL_PHRASES: dict[TrajectoryLabel, tuple[str, ...]] = {
 }
 
 
+# A word of a response (group 1), or a run of other characters that are
+# not separators, which no phrase spans (group 1 is None).
+_TOKEN = re.compile(r"(\w+)|[^\w\s\-\u2010-\u2015\u2212]+")
+
+
 def parse_label(
     text: str, mode: PromptMode, phrases: dict[TrajectoryLabel, tuple[str, ...]] = LABEL_PHRASES
 ) -> TrajectoryLabel:
@@ -609,27 +614,22 @@ def parse_label(
         for phrase in group:
             first, *rest = phrase.split()
             by_first.setdefault(first, []).append((rest, label))
-    # None marks a run of non-word characters that are not separators: no phrase spans it
-    words: list[Optional[str]] = []
-    ends: list[int] = []
-    for match in re.finditer(r"(\w+)|[^\w\s\-\u2010-\u2015\u2212]+", text):
-        words.append(match[1] and match[1].casefold())
-        ends.append(match.end())
+    words = [m[1] and m[1].casefold() for m in _TOKEN.finditer(text)]
 
-    best_end = -1
+    # the index of the last word a best match ends on: a later word ends later in the text
+    best_last = -1
     best_labels: set[TrajectoryLabel] = set()
     for i, word in enumerate(words):
         if i and words[i - 1] in ("counter", "anti"):
             continue
         for rest, label in by_first.get(word, ()):
-            stop = i + 1 + len(rest)
-            if words[i + 1 : stop] != rest:
+            last = i + len(rest)
+            if words[i + 1 : last + 1] != rest:
                 continue
-            end = ends[stop - 1]
-            if end > best_end:
-                best_end = end
+            if last > best_last:
+                best_last = last
                 best_labels = {label}
-            elif end == best_end:
+            elif last == best_last:
                 best_labels.add(label)
     if not best_labels:
         raise UnparseableLabelError(
@@ -637,7 +637,8 @@ def parse_label(
         )
     if len(best_labels) > 1:
         names = ", ".join(sorted(lb.value for lb in best_labels))
-        raise AmbiguousLabelError(f"labels {{{names}}} tie at text position {best_end}")
+        end = [m.end() for m in _TOKEN.finditer(text)][best_last]
+        raise AmbiguousLabelError(f"labels {{{names}}} tie at text position {end}")
     return next(iter(best_labels))
 
 

@@ -42,6 +42,7 @@ MAX_PROMPT_CHARS = 4000
 # the nine values in AXIS_NAMES order, 2 decimals, joined the same way.
 SAMPLE_DELIMITER = ", "
 CHANNEL_HEADER = SAMPLE_DELIMITER.join(AXIS_NAMES)
+SAMPLE_LINE = SAMPLE_DELIMITER.join(["%.2f"] * len(AXIS_NAMES))
 # The context sentence that quotes the window's rate.
 _RATE_PATTERN = re.compile(r"downsampled\s+to\s+([0-9]+(?:\.[0-9]+)?)\s*Hz", re.IGNORECASE)
 
@@ -90,6 +91,7 @@ class TemplateSet:
     question_do: str
 
     def __post_init__(self):
+        _render(self.instruction, {})  # refuses any placeholder in the instruction
         for mode in PromptMode:
             bundle = _bundle(self, mode, _PROBE.rate, serialize_window(_PROBE), _PROBE.id)
             validate_bundle(bundle)
@@ -132,12 +134,9 @@ class TemplateSet:
 
 
 def serialize_window(w: TrajectoryWindow) -> str:
-    """``CHANNEL_HEADER``, then one fixed-point line per sample."""
-    rows = [CHANNEL_HEADER]
-    rows.extend(
-        SAMPLE_DELIMITER.join(f"{v:.2f}" for v in values) for values in w.data.tolist()
-    )
-    return "\n".join(rows)
+    """``CHANNEL_HEADER``, then one ``SAMPLE_LINE`` per sample."""
+    lines = "\n".join([CHANNEL_HEADER] + [SAMPLE_LINE] * len(w.data))
+    return lines % tuple(w.data.ravel().tolist())
 
 
 def read_window(question: str) -> tuple[list[list[float]], float]:
@@ -169,10 +168,6 @@ def read_window(question: str) -> tuple[list[list[float]], float]:
     return rows, rate
 
 
-def _format_rate(rate: float) -> str:
-    return f"{rate:g}"
-
-
 # The window a template set renders when it is built: distinct values that
 # 2 decimals hold exactly, at a rate no template would write out by itself.
 _PROBE = TrajectoryWindow(
@@ -191,8 +186,7 @@ def _render(template: str, values: dict[str, str]) -> str:
     return _PLACEHOLDER.sub(lookup, template)
 
 
-def candidate_label_list() -> str:
-    return ", ".join(f"'{label.value}'" for label in LABEL_ORDER)
+CANDIDATE_LABELS = ", ".join(f"'{label.value}'" for label in LABEL_ORDER)
 
 
 def validate_bundle(bundle: PromptBundle) -> None:
@@ -221,13 +215,13 @@ def _bundle(
 ) -> PromptBundle:
     question = templates.question_cot if mode is PromptMode.COT else templates.question_do
     values = {
-        "source_rate": _format_rate(SOURCE_RATE_HZ),
-        "sample_rate": _format_rate(sample_rate),
+        "source_rate": f"{SOURCE_RATE_HZ:g}",
+        "sample_rate": f"{sample_rate:g}",
         "data": data,
-        "labels": candidate_label_list(),
+        "labels": CANDIDATE_LABELS,
     }
     return PromptBundle(
-        instruction=_render(templates.instruction, {}).strip(),
+        instruction=templates.instruction.strip(),
         question=_render(question, values).strip(),
         mode=mode,
         window_id=window_id,

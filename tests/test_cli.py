@@ -420,6 +420,24 @@ def test_run_refuses_a_split_of_other_data_before_making_out(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("assignment", [[1, 2], "w0 train"], ids=["list", "string"])
+@pytest.mark.parametrize("command", [["run"], ["train", "--model", "rf"]], ids=["run", "train"])
+def test_a_split_whose_assignment_is_no_object_exits_3_before_writing(
+    tmp_path, capsys, command, assignment
+):
+    data = _generate(tmp_path)
+    split = tmp_path / "split.json"
+    split.write_text(json.dumps({"assignment": assignment}))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    argv = [*command, "--data", str(data / "dataset.csv"), "--split", str(split), "--out", str(out)]
+    assert main(argv) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        f"imutrace: data error: split file {split} must carry an 'assignment' object"
+    ]
+    assert not out.exists()
+
+
 def test_run_refuses_an_over_budget_prompt_before_training(tmp_path, capsys, monkeypatch):
     # at 10 Hz a 6 s window serializes into a prompt over MAX_PROMPT_CHARS
     def no_training(*args, **kwargs):

@@ -99,7 +99,7 @@ def stub(monkeypatch):
         if tls is not None:
             # the handshake runs in accept(); its failure drops only that connection
             server.socket = tls.wrap_socket(server.socket, server_side=True)
-        threading.Thread(target=server.serve_forever, daemon=True).start()
+        threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True).start()
         servers.append(server)
         scheme = "http" if tls is None else "https"
         url = f"{scheme}://127.0.0.1:{server.server_address[1]}/v1/chat/completions"
@@ -505,7 +505,7 @@ def test_https_proxy_tunnels_the_call_with_credentials(stub, monkeypatch, no_env
     proxy = socketserver.ThreadingTCPServer(("127.0.0.1", 0), _ConnectProxy)
     proxy.daemon_threads = True
     proxy.heads = []
-    threading.Thread(target=proxy.serve_forever, daemon=True).start()
+    threading.Thread(target=proxy.serve_forever, args=(0.01,), daemon=True).start()
     try:
         monkeypatch.setenv("HTTPS_PROXY", f"http://u:p@127.0.0.1:{proxy.server_address[1]}")
         assert complete(_cfg(url), BUNDLE).text == "turn left"

@@ -204,6 +204,7 @@ def test_parse_label_ambiguous_with_custom_lexicon():
         parse_label("the robot made a sharp turn", PromptMode.COT, phrases)
     assert "turn around" in str(info.value)
     assert "turn right" in str(info.value)
+    assert "position 27" in str(info.value)
 
 
 def test_every_label_has_phrases():
@@ -267,6 +268,75 @@ def test_a_phrase_in_any_case_and_joined_any_way_concludes_a_response(response, 
     ]
     spelt = words[0] + "".join(data.draw(SEPARATOR_RUNS) + word for word in words[1:])
     assert parse_label(response + ". " + spelt, PromptMode.COT) is label
+
+
+def _parse_by_offsets(text, mode, phrases=LABEL_PHRASES):
+    """The parser as once written: each match ranked by the character
+    offset its last word ends at, not by that word's index."""
+    by_first = {}
+    for label, group in phrases.items():
+        for phrase in group:
+            first, *rest = phrase.split()
+            by_first.setdefault(first, []).append((rest, label))
+    words, ends = [], []
+    for match in re.finditer(r"(\w+)|[^\w\s\-\u2010-\u2015\u2212]+", text):
+        words.append(match[1] and match[1].casefold())
+        ends.append(match.end())
+    best_end, best_labels = -1, set()
+    for i, word in enumerate(words):
+        if i and words[i - 1] in ("counter", "anti"):
+            continue
+        for rest, label in by_first.get(word, ()):
+            stop = i + 1 + len(rest)
+            if words[i + 1 : stop] != rest:
+                continue
+            end = ends[stop - 1]
+            if end > best_end:
+                best_end, best_labels = end, {label}
+            elif end == best_end:
+                best_labels.add(label)
+    if not best_labels:
+        raise UnparseableLabelError(
+            f"no trajectory label found in {mode.value} response: {text[:80]!r}"
+        )
+    if len(best_labels) > 1:
+        names = ", ".join(sorted(lb.value for lb in best_labels))
+        raise AmbiguousLabelError(f"labels {{{names}}} tie at text position {best_end}")
+    return next(iter(best_labels))
+
+
+def _outcome(parse, text, mode, phrases):
+    try:
+        return parse(text, mode, phrases)
+    except (AmbiguousLabelError, UnparseableLabelError) as exc:
+        return type(exc), str(exc)
+
+
+# a lexicon whose labels tie at every "turn" not after "counter" or "anti"
+_TIED_PHRASES = {
+    TrajectoryLabel.TURN_RIGHT: ("sharp turn", "right"),
+    TrajectoryLabel.TURN_LEFT: ("turn",),
+    TrajectoryLabel.TURN_AROUND: ("turn", "u turn"),
+}
+_PIECES = st.one_of(
+    st.sampled_from(sorted({w for group in LABEL_PHRASES.values() for p in group for w in p.split()})),
+    st.sampled_from(["counter", "anti", "Counter", "ANTI", "sharp", "Turn", "robot"]),
+    SEPARATOR_RUNS,
+    st.sampled_from([". ", ", ", "(", ") ", "'", "\u2019"]),
+)
+
+
+@settings(deadline=None)
+@given(
+    pieces=st.lists(_PIECES, max_size=16),
+    mode=st.sampled_from(PromptMode),
+    phrases=st.sampled_from([LABEL_PHRASES, _TIED_PHRASES]),
+)
+def test_parse_label_matches_the_offset_parser(pieces, mode, phrases):
+    text = "".join(pieces)
+    assert _outcome(parse_label, text, mode, phrases) == _outcome(
+        _parse_by_offsets, text, mode, phrases
+    )
 
 
 def test_parser_corpus_all_correct():

@@ -5,10 +5,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from imutrace.core import Scenario, TrajectoryLabel, downsample
 from imutrace.errors import ConfigError
 from imutrace.prompting import (
+    CANDIDATE_LABELS,
     COT_CLOSER,
     DO_CLOSER,
     MAX_PROMPT_CHARS,
@@ -16,7 +18,6 @@ from imutrace.prompting import (
     PromptMode,
     TemplateSet,
     build_prompt,
-    candidate_label_list,
     serialize_window,
     validate_bundle,
 )
@@ -39,6 +40,33 @@ def test_serialize_window_exact_lines(make_window):
     )
 
 
+def _serialize_per_value(w):
+    """The serializer as once written: one format call per value."""
+    rows = ["ax, ay, az, gx, gy, gz, mx, my, mz"]
+    rows.extend(", ".join(f"{v:.2f}" for v in values) for values in w.data.tolist())
+    return "\n".join(rows)
+
+
+# finite values, with the ones fixed-point rounding is touchiest about:
+# signed zeros, halves of the last place (x.xx5), and the extremes
+_SAMPLE_VALUES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-10**6, 10**6).map(lambda k: (10 * k + 5) / 1000),
+    st.sampled_from([0.0, -0.0, -0.004, 0.005, 2.675, 1e300, -1e300, 1e-300, -1e-300]),
+)
+
+
+@settings(deadline=None)
+@given(
+    data=st.integers(2, 6).flatmap(
+        lambda n: st.lists(st.lists(_SAMPLE_VALUES, min_size=9, max_size=9), min_size=n, max_size=n)
+    )
+)
+def test_serialize_window_matches_a_per_value_format(data):
+    w = window_from_array(np.array(data))
+    assert serialize_window(w) == _serialize_per_value(w)
+
+
 def test_build_prompt_substitutes_everything(make_window):
     w = make_window(np.zeros((30, 9)), rate=3.0, window_id="probe")
     bundle = build_prompt(w, PromptMode.COT)
@@ -46,7 +74,7 @@ def test_build_prompt_substitutes_everything(make_window):
     assert bundle.mode is PromptMode.COT
     assert "downsampled to 3 Hz" in bundle.question
     assert "at 100 Hz" in bundle.question
-    assert candidate_label_list() in bundle.question
+    assert CANDIDATE_LABELS in bundle.question
     assert "{{" not in bundle.text
     # 30 data lines plus the channel-label header
     data_lines = [
@@ -152,6 +180,16 @@ def test_unknown_placeholder_rejected(tmp_path, make_window):
         TemplateSet.from_dir(tmp_path)
 
 
+def test_a_placeholder_in_the_instruction_is_refused(tmp_path):
+    for name in ("instruction.txt", "question_cot.txt", "question_do.txt"):
+        shutil.copy(TEMPLATE_DIR / name, tmp_path / name)
+    with open(tmp_path / "instruction.txt", "a", encoding="utf-8") as fh:
+        fh.write(" Data arrive at {{sample_rate}} Hz.")
+    # the instruction takes no placeholder, not even one a question takes
+    with pytest.raises(ConfigError, match=re.escape("unknown placeholder {{sample_rate}}")):
+        TemplateSet.from_dir(tmp_path)
+
+
 @pytest.mark.parametrize(
     "name, old, new",
     [
@@ -180,7 +218,7 @@ def test_template_set_is_checked_when_built(tmp_path, name, old, new):
 
 def test_validate_bundle_rejections():
     question = (
-        f"The candidate trajectories are {candidate_label_list()}. {COT_CLOSER}"
+        f"The candidate trajectories are {CANDIDATE_LABELS}. {COT_CLOSER}"
     )
     good = PromptBundle(
         instruction="inst", question=question, mode=PromptMode.COT, window_id="w"
@@ -198,7 +236,7 @@ def test_validate_bundle_rejections():
 
     twice = PromptBundle(
         instruction="inst",
-        question=f"{candidate_label_list()} and again straight. {COT_CLOSER}",
+        question=f"{CANDIDATE_LABELS} and again straight. {COT_CLOSER}",
         mode=PromptMode.COT,
         window_id="w",
     )
@@ -207,7 +245,7 @@ def test_validate_bundle_rejections():
 
     no_closer = PromptBundle(
         instruction="inst",
-        question=f"The candidate trajectories are {candidate_label_list()}.",
+        question=f"The candidate trajectories are {CANDIDATE_LABELS}.",
         mode=PromptMode.COT,
         window_id="w",
     )
@@ -216,7 +254,7 @@ def test_validate_bundle_rejections():
 
 
 def test_validate_bundle_rejects_a_direct_output_prompt_without_its_directive():
-    labels = f"The candidate trajectories are {candidate_label_list()}."
+    labels = f"The candidate trajectories are {CANDIDATE_LABELS}."
     no_directive = PromptBundle(
         instruction="inst", question=labels, mode=PromptMode.DO, window_id="w"
     )
