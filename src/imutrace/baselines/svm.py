@@ -240,23 +240,11 @@ def train_svm(x: np.ndarray, y: np.ndarray, cfg: SvmConfig) -> SvmModel:
         if np.all(yk == yk[0]):
             # degenerate one-sided problem: constant decision at the
             # common sign, no support vectors
-            machines.append(
-                BinarySvm(
-                    sv=np.zeros((0, d)),
-                    coef=np.zeros(0),
-                    bias=float(yk[0]),
-                    converged=True,
-                    sweeps=0,
-                )
+            alpha, bias, sweeps, max_violation = np.zeros(n), float(yk[0]), 0, 0.0
+        else:
+            alpha, bias, sweeps, max_violation = _smo_binary(
+                k, yk, cfg.c, cfg.tol, cfg.max_passes
             )
-            per_class.append(
-                {"n_support": 0, "converged": True, "sweeps": 0,
-                 "max_kkt_violation": 0.0, "duals": [0.0] * n}
-            )
-            continue
-        alpha, bias, sweeps, max_violation = _smo_binary(
-            k, yk, cfg.c, cfg.tol, cfg.max_passes
-        )
         converged = max_violation <= cfg.tol
         mask = alpha > ALPHA_EPS
         machines.append(

@@ -187,7 +187,10 @@ def cmd_train(args) -> int:
         raise ConfigError(f"cannot write model file {args.out}: {exc}")
     if args.log is not None:
         if hasattr(model, "history"):
-            save_training_log(model.history, args.log)
+            try:
+                save_training_log(model.history, args.log)
+            except OSError as exc:
+                raise ConfigError(f"cannot write training log {args.log}: {exc}")
         else:
             print(
                 f"note: {args.model} has no per-epoch history, no log written",

@@ -436,9 +436,11 @@ def split_dataset(windows: Sequence[TrajectoryWindow], seed: int) -> SplitAssign
     # the unseen count's distance from n/6, stays within one window.
     unseen_ids: list[str] = []
     carry = 0.0
+    total_weight = sum(SPLIT_WEIGHTS.values())
     for scenario in scenarios:
         groups = by_scenario[scenario]
-        exact_share = sum(len(v) for v in groups.values()) / 6.0
+        n_scenario = sum(len(v) for v in groups.values())
+        exact_share = n_scenario * SPLIT_WEIGHTS[Part.UNSEEN_TEST] / total_weight
         target = exact_share - carry
         names = sorted(groups)
         shuffled = [names[i] for i in rng.permutation(len(names))]
@@ -469,11 +471,12 @@ def split_dataset(windows: Sequence[TrajectoryWindow], seed: int) -> SplitAssign
     rest = sorted(wid for wid in ids if wid not in unseen_set)
     rest = [rest[i] for i in rng.permutation(len(rest))]
 
-    alloc = largest_remainder(len(rest), [3, 1, 1])
+    seen_parts = (Part.TRAIN, Part.VALIDATION, Part.SEEN_TEST)
+    alloc = largest_remainder(len(rest), [SPLIT_WEIGHTS[part] for part in seen_parts])
 
     assignment: dict[str, Part] = {wid: Part.UNSEEN_TEST for wid in unseen_ids}
     cursor = 0
-    for part, count in zip((Part.TRAIN, Part.VALIDATION, Part.SEEN_TEST), alloc):
+    for part, count in zip(seen_parts, alloc):
         for wid in rest[cursor : cursor + count]:
             assignment[wid] = part
         cursor += count

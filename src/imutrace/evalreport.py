@@ -20,6 +20,7 @@ import json
 import os
 import re
 import time
+from contextlib import suppress
 from dataclasses import asdict, astuple, dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
 from functools import partial
@@ -33,7 +34,6 @@ from .core import (
     Part,
     Scenario,
     SplitAssignment,
-    TrajectoryLabel,
     TrajectoryWindow,
     dataset_hash,
     downsample,
@@ -202,10 +202,6 @@ def metrics(m: ConfusionMatrix) -> Metrics:
 # experiment runner
 
 
-def _llm_model_id(provider: str, mode: PromptMode) -> str:
-    return f"{provider}-{mode.value}"
-
-
 def _display_name(model_id: str) -> str:
     if model_id in BASELINES:
         return model_id.upper()
@@ -233,13 +229,6 @@ def train_baseline(kind: str, inputs: tuple, cfg):
     """Train ``kind`` on ``baseline_inputs`` with its config."""
     spec = BASELINES[kind]
     return getattr(spec.module, spec.train)(*inputs, cfg)
-
-
-def predict_baseline(kind: str, model, inputs: tuple) -> list[TrajectoryLabel]:
-    """One label per window of ``inputs`` (see ``baseline_inputs``)."""
-    spec = BASELINES[kind]
-    labels, _ = getattr(spec.module, spec.predict_batch)(model, inputs[0])
-    return labels
 
 
 def validate_run(
@@ -362,29 +351,34 @@ def run_experiment(
     config class's defaults, and the manifest records the config of
     every kind. ``validate_run`` vets the kinds, modes and configs first.
 
-    Every cell is scored the same way, into its confusion counts. A cell
-    is skipped before it runs when its scenario has no windows in its
-    test part, or, for a baseline, no Train windows; a prompt cell is
-    skipped after it runs, keeping its window and failure counts, when
-    more than ``MAX_FAILED_SHARE`` of its provider calls fail.
+    The grid is planned once: every cell in report order with the reason
+    it is skipped before it runs, or None. A cell is skipped when its
+    scenario has no windows in its test part, or, for a baseline, no
+    Train windows. That plan drives the pre-flight checks, the training
+    tasks and the scoring loop. Every cell is scored the same way, into
+    its confusion counts; a prompt cell is skipped after it runs, keeping
+    its window and failure counts, when more than ``MAX_FAILED_SHARE`` of
+    its provider calls fail.
 
-    Before any baseline trains, a live run whose auth token is unset and
+    Before anything is written, a live run whose auth token is unset and
     an unseen-test prompt over the budget raise ConfigError, and a window
     without a label that a cell scores or a baseline trains on raises
-    DataError.
-
-    Once every check has passed, and before any task runs, the parent
-    directories of ``dataset_csv`` and ``transcript_path`` are made and
-    the transcript is started empty: a refused run writes nothing.
+    DataError. Then the parent directories of ``dataset_csv`` and
+    ``transcript_path`` are made and the transcript is started empty.
 
     The trainings (one per kind and scenario with a cell that is not
-    skipped before it runs) and one serialization of the dataset, which
-    gives the manifest's ``dataset_sha256`` and is written to
-    ``dataset_csv`` when that is given, run as independent tasks on a
-    ``fork`` pool with one worker per usable core, or inline on one core
-    (see ``_run_tasks``). The pool is done before any prompt cell runs,
-    and the report, the manifest, the CSV and every model are the same
-    bytes either way; only the report's ``timings`` differ.
+    skipped) and one serialization of the dataset, which gives the
+    manifest's ``dataset_sha256`` and is written to ``dataset_csv`` when
+    that is given, run as independent tasks on a ``fork`` pool with one
+    worker per usable core, or inline on one core (see ``_run_tasks``).
+    The pool is done before any prompt cell runs, and the report, the
+    manifest, the CSV and every model are the same bytes either way;
+    only the report's ``timings`` differ.
+
+    Any exception once the first path is made, a baseline refusing its
+    inputs inside the pool among them, removes every file and directory
+    the run made before it reaches the caller: a refused run leaves no
+    path that did not exist before it.
     """
     configs = dict(configs or {})
     validate_run(baselines, modes, configs)
@@ -398,14 +392,35 @@ def run_experiment(
     provider = MOCK_PROVIDER_ID if provider_cfg is None else provider_cfg.model
 
     down = {w.id: downsample(w, target_rate_hz) for w in windows}
-    # an unseen-test prompt over the budget is refused before any baseline trains
-    for w in windows:
-        if split.assignment[w.id] is Part.UNSEEN_TEST:
-            for mode in modes:
-                build_prompt(down[w.id], mode, templates=templates)
     by_part_scenario: dict[tuple[Part, Scenario], list[TrajectoryWindow]] = {}
     for w in windows:
         by_part_scenario.setdefault((split.assignment[w.id], w.scenario), []).append(w)
+
+    # every cell in report order: (scenario, model, part, why it is skipped
+    # before it runs or None), where a model is a baseline kind or a prompt mode
+    grid = [(kind, part) for kind in baselines for part in _TEST_NAMES]
+    grid += [(mode, Part.UNSEEN_TEST) for mode in modes]
+    plan: list[tuple[Scenario, str | PromptMode, Part, Optional[str]]] = []
+    for scenario in Scenario:
+        for model, part in grid:
+            reason = None
+            if model in BASELINES and (Part.TRAIN, scenario) not in by_part_scenario:
+                reason = "no training windows in scenario"
+            elif (part, scenario) not in by_part_scenario:
+                reason = "no evaluation windows in scenario"
+            plan.append((scenario, model, part, reason))
+    live = [(scenario, model, part) for scenario, model, part, reason in plan if reason is None]
+
+    # an unseen-test prompt over the budget is refused before any baseline trains
+    for scenario, model, part in live:
+        if model not in BASELINES:
+            for w in by_part_scenario[(part, scenario)]:
+                build_prompt(down[w.id], model, templates=templates)
+    for scenario, model, part in live:
+        for p in (part, Part.TRAIN) if model in BASELINES else (part,):
+            for w in by_part_scenario[(p, scenario)]:
+                if w.label is None:
+                    raise DataError(f"{p.value} window {w.id!r} is unlabeled")
 
     # RF and SVM share one feature matrix per (scenario, part), CNN and
     # LSTM one list of downsampled windows
@@ -414,83 +429,66 @@ def run_experiment(
     def inputs_for(kind: str, scenario: Scenario, part: Part) -> tuple:
         key = (scenario, part, BASELINES[kind].input)
         if key not in inputs:
-            part_windows = by_part_scenario.get((part, scenario), [])
-            inputs[key] = baseline_inputs(kind, part_windows, lambda w: down[w.id])
+            inputs[key] = baseline_inputs(
+                kind, by_part_scenario[(part, scenario)], lambda w: down[w.id]
+            )
         return inputs[key]
 
-    def skip_reason(model, scenario: Scenario, part: Part) -> Optional[str]:
-        # why a cell is skipped before any of its windows runs, or None
-        if model in BASELINES and (Part.TRAIN, scenario) not in by_part_scenario:
-            return "no training windows in scenario"
-        if (part, scenario) not in by_part_scenario:
-            return "no evaluation windows in scenario"
-        return None
-
-    test_parts = (Part.SEEN_TEST, Part.UNSEEN_TEST)
-    # each scenario's (model, part) cells: a baseline kind or a prompt mode
-    grid = [(kind, part) for kind in baselines for part in test_parts]
-    grid += [(mode, Part.UNSEEN_TEST) for mode in modes]
-    # the (part, scenario) groups some cell scores or some baseline trains on
-    used = {
-        (p, scenario)
-        for scenario in Scenario
-        for model, part in grid
-        if skip_reason(model, scenario, part) is None
-        for p in ((part, Part.TRAIN) if model in BASELINES else (part,))
-    }
-    for w in windows:
-        part = split.assignment[w.id]
-        if w.label is None and (part, w.scenario) in used:
-            raise DataError(f"{part.value} window {w.id!r} is unlabeled")
-    tasks = {
-        f"{kind}/{scenario.value}": partial(
-            train_baseline, kind, inputs_for(kind, scenario, Part.TRAIN), configs[kind]
+    tasks = {"dataset": partial(dataset_hash, windows, dataset_csv)}
+    for scenario, kind, _ in live:
+        name = f"{kind}/{scenario.value}"
+        if kind in BASELINES and name not in tasks:
+            train_inputs = inputs_for(kind, scenario, Part.TRAIN)
+            tasks[name] = partial(train_baseline, kind, train_inputs, configs[kind])
+    # every path the run makes, for a failure to remove; abspath folds
+    # "..", through which a path the run makes could name one that exists
+    made: set[Path] = set()
+    try:
+        for path in (dataset_csv, transcript_path):
+            if path is not None:
+                path = Path(os.path.abspath(path))
+                made.update(p for p in (path, *path.parents) if not p.exists())
+                path.parent.mkdir(parents=True, exist_ok=True)
+        if transcript_path is not None:
+            Path(transcript_path).write_text("", encoding="utf-8")
+        results, timings = _run_tasks(
+            dict(sorted(tasks.items(), key=lambda t: _TASK_ORDER.index(t[0].split("/")[0])))
         )
-        for scenario in Scenario
-        for kind in baselines
-        if any(skip_reason(kind, scenario, part) is None for part in test_parts)
-    }
-    tasks["dataset"] = partial(dataset_hash, windows, dataset_csv)
-    for path in (dataset_csv, transcript_path):
-        if path is not None:
-            Path(path).parent.mkdir(parents=True, exist_ok=True)
-    if transcript_path is not None:
-        Path(transcript_path).write_text("", encoding="utf-8")
-    results, timings = _run_tasks(
-        dict(sorted(tasks.items(), key=lambda t: _TASK_ORDER.index(t[0].split("/")[0])))
-    )
 
-    def predict(model, scenario: Scenario, part: Part, eval_full: list) -> tuple:
-        # the cell's predictions and the number of failed provider calls
-        if model in BASELINES:
-            trained = results[f"{model}/{scenario.value}"]
-            labels = predict_baseline(model, trained, inputs_for(model, scenario, part))
-            return [Prediction(w.id, lb) for w, lb in zip(eval_full, labels)], 0
-        batch = classify_windows(
-            [down[w.id] for w in eval_full],
-            model,
-            cfg=provider_cfg,
-            templates=templates,
-            transcript_path=transcript_path,
-        )
-        return batch.predictions, len(batch.failures)
-
-    cells: dict[tuple[str, Scenario, Part], CellResult] = {}
-    for scenario in Scenario:
-        for model, part in grid:
-            model_id = model if model in BASELINES else _llm_model_id(provider, model)
-            reason = skip_reason(model, scenario, part)
+        cells: dict[tuple[str, Scenario, Part], CellResult] = {}
+        for scenario, model, part, reason in plan:
+            model_id = model if model in BASELINES else f"{provider}-{model.value}"
             if reason is not None:
                 cells[(model_id, scenario, part)] = CellResult(None, reason)
                 continue
             eval_full = by_part_scenario[(part, scenario)]
-            preds, n_failed = predict(model, scenario, part, eval_full)
+            if model in BASELINES:
+                spec = BASELINES[model]
+                labels, _ = getattr(spec.module, spec.predict_batch)(
+                    results[f"{model}/{scenario.value}"], inputs_for(model, scenario, part)[0]
+                )
+                preds, n_failed = [Prediction(w.id, lb) for w, lb in zip(eval_full, labels)], 0
+            else:
+                batch = classify_windows(
+                    [down[w.id] for w in eval_full],
+                    model,
+                    cfg=provider_cfg,
+                    templates=templates,
+                    transcript_path=transcript_path,
+                )
+                preds, n_failed = batch.predictions, len(batch.failures)
             n_total = len(eval_full)
             if n_failed > MAX_FAILED_SHARE * n_total:
                 reason = f"{n_failed}/{n_total} provider calls failed"
             cells[(model_id, scenario, part)] = CellResult(
                 None if reason else confusion(preds, eval_full), reason, n_total, n_failed
             )
+    except BaseException:
+        # deepest first, so each directory is empty when it is removed
+        for p in sorted(made, key=lambda p: len(p.parts), reverse=True):
+            with suppress(OSError):
+                (p.rmdir if p.is_dir() else p.unlink)()
+        raise
 
     manifest = {
         "dataset_sha256": results["dataset"],

@@ -48,3 +48,12 @@ def zero_noise_dataset():
     noise = {s: ZERO_NOISE for s in Scenario}
     windows, manifest = generate_dataset(GeneratorConfig(seed=5), uniform_counts(6), noise)
     return windows, manifest
+
+
+def mixed_length_windows():
+    """48 clean windows (6 per label per scenario); the odd-numbered ones
+    last 12 s and the others 10 s, so 36 and 30 samples at 3 Hz."""
+    noise = {s: ZERO_NOISE for s in Scenario}
+    ten, _ = generate_dataset(GeneratorConfig(seed=5), uniform_counts(6), noise)
+    twelve, _ = generate_dataset(GeneratorConfig(seed=5, duration=12.0), uniform_counts(6), noise)
+    return [b if i % 2 else a for i, (a, b) in enumerate(zip(ten, twelve))]

@@ -22,6 +22,8 @@ from imutrace.evalreport import DEFAULT_TARGET_RATE_HZ, baseline_inputs
 from imutrace.llm import BatchResult
 from imutrace.synth import GeneratorConfig, ZERO_NOISE, generate_dataset, uniform_counts
 
+from conftest import mixed_length_windows
+
 RUN_FILES = ("dataset.csv", "split.json", "report.txt", "report.jsonl", "run_manifest.json")
 
 
@@ -125,6 +127,21 @@ def test_train_rf_and_nn_log(tmp_path, capsys, monkeypatch):
     rc = main(["train", *common, "--model", "svm", "--out", str(tmp_path / "s.json"),
                "--scenario", "outdoor"])
     assert rc == 0
+
+
+def test_train_exits_2_on_a_log_it_cannot_write(tmp_path, capsys):
+    data = _generate(tmp_path, per_class=3)
+    split_path = tmp_path / "split.json"
+    main(["split", "--data", str(data / "dataset.csv"), "--out", str(split_path)])
+    log = tmp_path / "missing" / "log.csv"
+    capsys.readouterr()
+    rc = main(["train", "--data", str(data / "dataset.csv"), "--split", str(split_path),
+               "--model", "cnn", "--epochs", "1", "--out", str(tmp_path / "cnn.json"),
+               "--log", str(log)])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"imutrace: config error: cannot write training log {log}: ")
 
 
 @pytest.mark.parametrize("kind", list(BASELINES))
@@ -399,6 +416,24 @@ def test_run_refuses_a_target_rate_the_data_cannot_take_before_making_out(tmp_pa
     rc = main(["run", "--per-class", "6", "--noise", "zero", "--target-rate", rate, "--out", str(out)])
     assert rc == 3
     assert f"target rate {rate}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("case", ["too-short", "mixed-lengths"])
+def test_a_run_a_baseline_refuses_exits_3_and_makes_no_out(tmp_path, capsys, case):
+    # the CNN refuses these inputs inside the pool, after the run made --out
+    if case == "too-short":
+        argv = ["--per-class", "6", "--noise", "zero", "--target-rate", "0.5"]
+        message = "input length 5 is too short for kernel 5 and pool 2"
+    else:
+        data = tmp_path / "mixed.csv"
+        data.write_text(serialize_csv(mixed_length_windows()), encoding="utf-8")
+        argv = ["--data", str(data)]
+        message = "all training windows must share one length, got [30, 36]"
+    out = tmp_path / "r"
+    assert main(["run", *argv, "--out", str(out)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"imutrace: data error: {message}")
     assert not out.exists()
 
 

@@ -34,7 +34,7 @@ from imutrace.llm import BatchResult, Prediction
 from imutrace.prompting import PromptMode
 from imutrace.synth import GeneratorConfig, ZERO_NOISE, generate_dataset, uniform_counts
 
-from conftest import tiny_windows, window_from_array
+from conftest import mixed_length_windows, tiny_windows, window_from_array
 
 LABELS = list(TrajectoryLabel)
 
@@ -493,17 +493,20 @@ def test_a_run_needs_labels_only_where_it_scores_or_trains(
         st.floats(0.5, 5.0),
     ),
     modes=st.lists(st.sampled_from(list(PromptMode)), max_size=2),
+    baselines=st.sampled_from([(), ("cnn",)]),
 )
 def test_a_run_is_refused_with_nothing_written_or_writes_what_it_reports(
-    tiny_run_inputs, tmp_path_factory, rate, modes
+    tiny_run_inputs, tmp_path_factory, rate, modes, baselines
 ):
+    # below about 1.4 Hz a window is too short for the CNN, which refuses
+    # it inside the pool, after the run has made its paths
     windows, split = tiny_run_inputs
     out = tmp_path_factory.mktemp("run") / "out"
     csv, transcript = out / "data" / "dataset.csv", out / "log" / "transcript.jsonl"
     try:
         r = run_experiment(
-            windows, split, baselines=(), modes=modes, target_rate_hz=rate,
-            dataset_csv=csv, transcript_path=transcript,
+            windows, split, baselines=baselines, modes=modes, target_rate_hz=rate,
+            configs={"cnn": CnnConfig(epochs=1)}, dataset_csv=csv, transcript_path=transcript,
         )
     except (ConfigError, DataError):
         assert not out.exists()
@@ -511,6 +514,36 @@ def test_a_run_is_refused_with_nothing_written_or_writes_what_it_reports(
     assert hashlib.sha256(csv.read_bytes()).hexdigest() == r.manifest["dataset_sha256"]
     n_unseen = len(split.part_ids(Part.UNSEEN_TEST))
     assert len(transcript.read_text().splitlines()) == n_unseen * len(modes)
+
+
+@pytest.mark.parametrize(
+    "rate, mixed, message",
+    [
+        (0.5, False, "^input length 5 is too short for kernel 5 and pool 2"),
+        (3.0, True, r"^all training windows must share one length, got \[30, 36\]$"),
+    ],
+    ids=["too-short", "mixed-lengths"],
+)
+def test_a_run_a_baseline_refuses_in_the_pool_removes_what_it_made(
+    tiny_run_inputs, tmp_path, rate, mixed, message
+):
+    windows, split = tiny_run_inputs
+    if mixed:
+        windows = mixed_length_windows()
+        split = split_dataset(windows, seed=0)
+    # a directory that was there before the run stays, emptied of what the
+    # run put in it
+    kept = tmp_path / "kept"
+    kept.mkdir()
+    out = tmp_path / "out"
+    with pytest.raises(DataError, match=message):
+        run_experiment(
+            windows, split, baselines=("cnn",), configs={"cnn": CnnConfig(epochs=1)},
+            target_rate_hz=rate, dataset_csv=out / "data" / "dataset.csv",
+            transcript_path=kept / "transcript.jsonl",
+        )
+    assert sorted(tmp_path.iterdir()) == [kept]
+    assert list(kept.iterdir()) == []
 
 
 def test_provider_failure_skips_cell(monkeypatch):

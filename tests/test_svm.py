@@ -123,7 +123,13 @@ def test_degenerate_one_sided_machine():
         assert machine.sv.shape == (0, 2)
         assert machine.bias == -1.0
         assert machine.converged is True
-        assert model.manifest["classes"][idx]["n_support"] == 0
+        assert machine.coef.shape == (0,)
+        assert machine.sweeps == 0
+        entry = model.manifest["classes"][idx]
+        assert entry["n_support"] == 0
+        assert entry["sweeps"] == 0
+        assert entry["max_kkt_violation"] == 0.0
+        assert entry["duals"] == [0.0] * 4
     decisions = decision_matrix(model, x)
     assert np.all(decisions[:, 2] == -1.0)
     assert np.all(decisions[:, 3] == -1.0)
