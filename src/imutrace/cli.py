@@ -38,6 +38,7 @@ from .evalreport import (
     BASELINES,
     DEFAULT_TARGET_RATE_HZ,
     baseline_inputs,
+    json_line,
     parse_report_jsonl,
     render_report,
     run_experiment,
@@ -54,12 +55,6 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_TRANSPORT = 4
 EXIT_INTERNAL = 5
-
-
-def _write_json(obj: dict, path: Path) -> None:
-    path.write_text(
-        json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n", encoding="utf-8"
-    )
 
 
 @contextmanager
@@ -140,7 +135,7 @@ def cmd_generate(args) -> int:
         out.mkdir(parents=True, exist_ok=True)
         manifest = dict(manifest)
         manifest["dataset_sha256"] = dataset_hash(windows, out / "dataset.csv")
-        _write_json(manifest, out / "manifest.json")
+        (out / "manifest.json").write_text(json_line(manifest), encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot write to output directory {out}: {exc}")
     if not windows:
@@ -156,7 +151,7 @@ def cmd_split(args) -> int:
     split = split_dataset(windows, args.seed)
     obj = {"seed": args.seed, "assignment": split.to_json_dict()}
     try:
-        _write_json(obj, Path(args.out))
+        Path(args.out).write_text(json_line(obj), encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot write split file {args.out}: {exc}")
     counts = {part.value: n for part, n in split.counts().items()}
@@ -240,7 +235,6 @@ def cmd_run(args) -> int:
     )
 
     manifest_extra: dict = {"baseline_seed": args.seed}
-    generated = None
     if args.data is not None:
         windows = _load_windows(args.data)
         manifest_extra["data_source"] = {"kind": "file", "path": args.data}
@@ -256,7 +250,7 @@ def cmd_run(args) -> int:
         split = split_dataset(windows, args.split_seed)
         manifest_extra["split_seed"] = args.split_seed
 
-    # run_experiment makes --out only once its own checks have passed
+    # run_experiment writes every output, into an --out it makes once its checks pass
     out = Path(args.out)
     try:
         report = run_experiment(
@@ -269,21 +263,9 @@ def cmd_run(args) -> int:
             target_rate_hz=args.target_rate,
             templates=templates,
             manifest_extra=manifest_extra,
-            transcript_path=out / "transcript.jsonl",
-            dataset_csv=out / "dataset.csv" if generated is not None else None,
+            out=out,
+            write_dataset=args.data is None,
         )
-        # like the manifest, the split record names a seed only when this
-        # run computed the split
-        split_record = {"assignment": split.to_json_dict()}
-        if "split_seed" in manifest_extra:
-            split_record["seed"] = manifest_extra["split_seed"]
-        _write_json(split_record, out / "split.json")
-        _write_json(report.manifest, out / "run_manifest.json")
-        (out / "report.txt").write_text(render_report(report, "text"), encoding="utf-8")
-        (out / "report.jsonl").write_text(
-            render_report(report, "jsonl"), encoding="utf-8"
-        )
-        _write_json(report.timings, out / "timings.json")
     except OSError as exc:
         raise ConfigError(f"cannot write run outputs to {out}: {exc}")
 

@@ -242,18 +242,17 @@ def dataset_hash(
     return digest.hexdigest()
 
 
-def _infer_rate(times: np.ndarray) -> float:
+def _infer_rate(times: np.ndarray, raw: float) -> float:
     """The rate whose grid ``arange(n) / rate`` the timestamps sit on.
 
-    ``(n - 1) / t_last`` is rounded to 12, 13, ... 17 significant digits,
-    then its two float neighbours are tried, and the first candidate whose
-    grid equals ``times`` exactly wins. (The quotient can land one ulp off
-    the rate the grid was written with, 40 samples at 1000/7 Hz for one,
-    and then no rounding of it reproduces the grid.) When none does (a
-    file this package did not write), the 12-digit rounding is returned
-    and the caller's tolerance check decides.
+    ``raw``, the finite ``(n - 1) / t_last``, is rounded to 12, 13, ... 17
+    significant digits, then its two float neighbours are tried, and the
+    first candidate whose grid equals ``times`` exactly wins. (The quotient
+    can land one ulp off the rate the grid was written with, 40 samples at
+    1000/7 Hz for one, and then no rounding of it reproduces the grid.)
+    When none does (a file this package did not write), the 12-digit
+    rounding is returned and the caller's tolerance check decides.
     """
-    raw = float((len(times) - 1) / times[-1])
     grid = np.arange(len(times))
     candidates = [
         float(f"{raw:.{digits}g}")
@@ -300,6 +299,8 @@ def ingest_csv(stream: Iterable[str]) -> list[TrajectoryWindow]:
             numbers = [float(v) for v in row[3:]]
         except ValueError as exc:
             raise DataError(f"line {line_no}: {exc}") from exc
+        if not math.isfinite(numbers[0]):
+            raise DataError(f"line {line_no}: timestamp t={numbers[0]!r} is not finite")
         if recording_id not in rows:
             rows[recording_id] = []
             meta[recording_id] = (scenario, label)
@@ -325,7 +326,14 @@ def ingest_csv(stream: Iterable[str]) -> list[TrajectoryWindow]:
             raise DataError(
                 f"recording {recording_id!r} has non-monotonic timestamps"
             )
-        rate = _infer_rate(times)
+        # a Python float division, which gives inf where numpy's would warn
+        last = float(times[-1])
+        raw = (len(times) - 1) / last
+        if not math.isfinite(raw):
+            raise DataError(
+                f"recording {recording_id!r}: timestamps 0 to {last!r} give no finite rate"
+            )
+        rate = _infer_rate(times, raw)
         drift = np.abs(times - np.arange(len(times)) / rate)
         if drift.max() > TIMESTAMP_TOLERANCE_S:
             at = int(np.argmax(drift))

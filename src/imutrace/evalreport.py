@@ -19,6 +19,7 @@ import hashlib
 import json
 import os
 import re
+import tempfile
 import time
 from contextlib import suppress
 from dataclasses import asdict, astuple, dataclass, field
@@ -141,6 +142,11 @@ class EvalReport:
     manifest_sha256: str
     manifest: Optional[dict] = None
     timings: dict = field(default_factory=dict)
+
+
+def json_line(obj: dict, sort_keys: bool = True) -> str:
+    """``obj`` as one line of compact JSON, the form of each JSON file written."""
+    return json.dumps(obj, sort_keys=sort_keys, separators=(",", ":")) + "\n"
 
 
 def canonical_digest(obj: dict) -> str:
@@ -338,8 +344,8 @@ def run_experiment(
     target_rate_hz: float = DEFAULT_TARGET_RATE_HZ,
     templates: Optional[TemplateSet] = None,
     manifest_extra: Optional[dict] = None,
-    transcript_path=None,
-    dataset_csv: Optional[Path] = None,
+    out: Optional[Path] = None,
+    write_dataset: bool = False,
 ) -> EvalReport:
     """Fill the full (model, scenario, split) grid.
 
@@ -363,22 +369,25 @@ def run_experiment(
     Before anything is written, a live run whose auth token is unset and
     an unseen-test prompt over the budget raise ConfigError, and a window
     without a label that a cell scores or a baseline trains on raises
-    DataError. Then the parent directories of ``dataset_csv`` and
-    ``transcript_path`` are made and the transcript is started empty.
+    DataError. Then ``out``, when given, is made, and a staging directory
+    in it.
 
     The trainings (one per kind and scenario with a cell that is not
     skipped) and one serialization of the dataset, which gives the
-    manifest's ``dataset_sha256`` and is written to ``dataset_csv`` when
-    that is given, run as independent tasks on a ``fork`` pool with one
-    worker per usable core, or inline on one core (see ``_run_tasks``).
-    The pool is done before any prompt cell runs, and the report, the
-    manifest, the CSV and every model are the same bytes either way;
-    only the report's ``timings`` differ.
+    manifest's ``dataset_sha256`` and is staged as ``dataset.csv`` when
+    ``write_dataset`` is set, run as independent tasks on a ``fork`` pool
+    with one worker per usable core, or inline on one core (see
+    ``_run_tasks``). The pool is done before any prompt cell runs, and
+    the report, the manifest, the CSV and every model are the same bytes
+    either way; only the report's ``timings`` differ.
 
-    Any exception once the first path is made, a baseline refusing its
-    inputs inside the pool among them, removes every file and directory
-    the run made before it reaches the caller: a refused run leaves no
-    path that did not exist before it.
+    Once the report is built, ``split.json``, ``run_manifest.json``, the
+    two reports, ``timings.json`` (tasks in pool order) and
+    ``transcript.jsonl`` (every provider call, in grid order) are staged
+    too, and every staged file is moved into ``out``. Any exception
+    before then removes the staging directory and every directory the run
+    made: a refused or interrupted run leaves an existing ``out`` as it
+    was and makes no new one.
     """
     configs = dict(configs or {})
     validate_run(baselines, modes, configs)
@@ -434,28 +443,28 @@ def run_experiment(
             )
         return inputs[key]
 
-    tasks = {"dataset": partial(dataset_hash, windows, dataset_csv)}
+    tasks: dict[str, Callable[[], object]] = {}
     for scenario, kind, _ in live:
         name = f"{kind}/{scenario.value}"
         if kind in BASELINES and name not in tasks:
             train_inputs = inputs_for(kind, scenario, Part.TRAIN)
             tasks[name] = partial(train_baseline, kind, train_inputs, configs[kind])
-    # every path the run makes, for a failure to remove; abspath folds
-    # "..", through which a path the run makes could name one that exists
-    made: set[Path] = set()
+    made, staging = [], None  # made: the directories the run makes, deepest first
     try:
-        for path in (dataset_csv, transcript_path):
-            if path is not None:
-                path = Path(os.path.abspath(path))
-                made.update(p for p in (path, *path.parents) if not p.exists())
-                path.parent.mkdir(parents=True, exist_ok=True)
-        if transcript_path is not None:
-            Path(transcript_path).write_text("", encoding="utf-8")
+        if out is not None:
+            # abspath folds "..", through which one could name a path that exists
+            out = Path(os.path.abspath(out))
+            made = [p for p in (out, *out.parents) if not p.exists()]
+            out.mkdir(parents=True, exist_ok=True)
+            staging = Path(tempfile.mkdtemp(prefix=".staging-", dir=out))
+        csv = staging / "dataset.csv" if write_dataset and staging else None
+        tasks["dataset"] = partial(dataset_hash, windows, csv)
         results, timings = _run_tasks(
             dict(sorted(tasks.items(), key=lambda t: _TASK_ORDER.index(t[0].split("/")[0])))
         )
 
         cells: dict[tuple[str, Scenario, Part], CellResult] = {}
+        transcript: list[dict] = []
         for scenario, model, part, reason in plan:
             model_id = model if model in BASELINES else f"{provider}-{model.value}"
             if reason is not None:
@@ -470,45 +479,59 @@ def run_experiment(
                 preds, n_failed = [Prediction(w.id, lb) for w, lb in zip(eval_full, labels)], 0
             else:
                 batch = classify_windows(
-                    [down[w.id] for w in eval_full],
-                    model,
-                    cfg=provider_cfg,
-                    templates=templates,
-                    transcript_path=transcript_path,
+                    [down[w.id] for w in eval_full], model, cfg=provider_cfg, templates=templates
                 )
                 preds, n_failed = batch.predictions, len(batch.failures)
+                transcript += batch.transcript
             n_total = len(eval_full)
             if n_failed > MAX_FAILED_SHARE * n_total:
                 reason = f"{n_failed}/{n_total} provider calls failed"
             cells[(model_id, scenario, part)] = CellResult(
                 None if reason else confusion(preds, eval_full), reason, n_total, n_failed
             )
+
+        manifest = {
+            "dataset_sha256": results["dataset"],
+            "split_sha256": canonical_digest(split.to_json_dict()),
+            "template_sha256": templates.digest(),
+            "provider": provider,
+            "provider_config_sha256": (
+                MOCK_PROVIDER_ID
+                if provider_cfg is None
+                else canonical_digest(dict(provider_cfg.__dict__))
+            ),
+            "modes": [m.value for m in modes],
+            "baselines": list(baselines),
+            "baseline_configs": {k: asdict(configs[k]) for k in BASELINE_KINDS},
+            "target_rate_hz": target_rate_hz,
+            "reference_targets": dict(REFERENCE_TARGETS),
+        }
+        if manifest_extra:
+            manifest.update(manifest_extra)
+        report = EvalReport(cells, canonical_digest(manifest), manifest, timings)
+        if staging is not None:
+            # like the manifest, the split record names a seed only if it has one
+            seed = {"seed": manifest["split_seed"]} if "split_seed" in manifest else {}
+            staged = {
+                "split.json": json_line({"assignment": split.to_json_dict(), **seed}),
+                "run_manifest.json": json_line(manifest),
+                "report.txt": render_report(report, "text"),
+                "report.jsonl": render_report(report, "jsonl"),
+                "timings.json": json_line(timings, sort_keys=False),
+                "transcript.jsonl": "".join(json.dumps(row) + "\n" for row in transcript),
+            }
+            for name, text in staged.items():
+                (staging / name).write_text(text, encoding="utf-8")
+            for name in os.listdir(staging):
+                os.replace(staging / name, out / name)
+            staging.rmdir()
     except BaseException:
-        # deepest first, so each directory is empty when it is removed
-        for p in sorted(made, key=lambda p: len(p.parts), reverse=True):
+        # the staged files, then the directories; rmdir leaves one not empty
+        for p in [*staging.iterdir(), staging, *made] if staging else made:
             with suppress(OSError):
                 (p.rmdir if p.is_dir() else p.unlink)()
         raise
-
-    manifest = {
-        "dataset_sha256": results["dataset"],
-        "split_sha256": canonical_digest(split.to_json_dict()),
-        "template_sha256": templates.digest(),
-        "provider": provider,
-        "provider_config_sha256": (
-            MOCK_PROVIDER_ID
-            if provider_cfg is None
-            else canonical_digest(dict(provider_cfg.__dict__))
-        ),
-        "modes": [m.value for m in modes],
-        "baselines": list(baselines),
-        "baseline_configs": {k: asdict(configs[k]) for k in BASELINE_KINDS},
-        "target_rate_hz": target_rate_hz,
-        "reference_targets": dict(REFERENCE_TARGETS),
-    }
-    if manifest_extra:
-        manifest.update(manifest_extra)
-    return EvalReport(cells, canonical_digest(manifest), manifest, timings)
+    return report
 
 
 # --------------------------------------------------------------------------

@@ -26,7 +26,6 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, Optional, Sequence
 from urllib.parse import SplitResult, unquote, urlsplit, urlunsplit
 
@@ -157,11 +156,13 @@ class BatchResult:
     ``predictions`` covers every window whose completion succeeded
     (label may still be None when the text was unparseable);
     ``failures`` records (window_id, error message) for calls that
-    raised transport or provider errors.
+    raised transport or provider errors; ``transcript`` has one row per
+    call, in window_id order (see ``classify_windows``).
     """
 
     predictions: tuple[Prediction, ...]
     failures: tuple[tuple[str, str], ...]
+    transcript: tuple[dict, ...] = ()
 
 
 def complete(cfg: ProviderConfig, bundle: PromptBundle) -> CompletionResult:
@@ -400,7 +401,9 @@ def _run_calls(
                 return heapq.heappop(due)[1]
             if fresh:
                 return fresh.popleft()
-            cond.wait(due[0][0] - now if due else None)
+            # a longer timeout overflows the platform's time_t; the loop
+            # checks the due time again after each wait
+            cond.wait(min(due[0][0] - now, threading.TIMEOUT_MAX) if due else None)
         return None
 
     def worker() -> None:
@@ -649,7 +652,6 @@ def classify_windows(
     cfg: Optional[ProviderConfig] = None,
     completer: Optional[Callable[[PromptBundle], CompletionResult]] = None,
     templates: Optional[TemplateSet] = None,
-    transcript_path: Optional[str | Path] = None,
 ) -> BatchResult:
     """Classify every window through one provider, at most
     ``cfg.concurrency`` requests in flight (one at a time without
@@ -662,9 +664,9 @@ def classify_windows(
     abort a batch. Config errors (bad templates, missing auth) do
     abort: they would fail every window the same way. An injected
     ``completer`` makes one attempt per window and is never retried.
-    With ``transcript_path`` set, one JSON object per call is appended
-    in window_id order: window_id, bundle hash, text and latency for a
-    success; window_id, bundle hash, error and attempts for a failure.
+    Each call is a row of the batch's ``transcript``, in window_id order:
+    window_id, bundle hash, text and latency for a success; window_id,
+    bundle hash, error and attempts for a failure. No file is written.
     """
     if templates is None:
         templates = TemplateSet.load_default()
@@ -679,7 +681,7 @@ def classify_windows(
     paired = sorted(zip(bundles, calls), key=lambda pair: pair[0].window_id)
     predictions: list[Prediction] = []
     failures: list[tuple[str, str]] = []
-    transcript_rows: list[str] = []
+    transcript: list[dict] = []
     for bundle, (result, attempts) in paired:
         if isinstance(result, Exception):
             failures.append((bundle.window_id, str(result)))
@@ -691,11 +693,6 @@ def classify_windows(
                 label = None
             predictions.append(Prediction(bundle.window_id, label))
             row = {"text": result.text, "latency_s": result.latency_s}
-        if transcript_path is not None:
-            row = {"window_id": bundle.window_id, "bundle_sha256": bundle.digest(), **row}
-            transcript_rows.append(json.dumps(row, ensure_ascii=True))
-    if transcript_path is not None:
-        with open(transcript_path, "a", encoding="utf-8") as fh:
-            for line in transcript_rows:
-                fh.write(line + "\n")
-    return BatchResult(predictions=tuple(predictions), failures=tuple(failures))
+        row = {"window_id": bundle.window_id, "bundle_sha256": bundle.digest(), **row}
+        transcript.append(row)
+    return BatchResult(tuple(predictions), tuple(failures), tuple(transcript))

@@ -124,6 +124,8 @@ class GeneratorConfig:
             raise DataError("rate, duration, gravity, and the earth field must be finite")
         if self.rate <= 0 or self.duration <= 0 or self.gravity <= 0:
             raise DataError("rate, duration, and gravity must be positive")
+        if not math.isfinite(self.rate * self.duration):
+            raise DataError(f"rate * duration must be finite, got {self.rate} * {self.duration}")
         if self.seed < 0:
             raise DataError("seed must be a nonnegative integer")
         if self.windows_per_group < 1:

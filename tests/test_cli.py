@@ -591,6 +591,73 @@ def test_report_round_trips(tmp_path, capsys):
     assert rc == 3
 
 
+def _contents(directory: Path) -> dict:
+    return {p.name: p.read_bytes() for p in directory.iterdir()}
+
+
+def test_a_refused_rerun_leaves_the_earlier_run_as_it_was(tmp_path, capsys):
+    out = tmp_path / "f"
+    argv = ["run", "--per-class", "6", "--noise", "zero", "--out", str(out)]
+    assert main(argv) == 0
+    before = _contents(out)
+    assert sorted(before) == sorted([*RUN_FILES, "timings.json", "transcript.jsonl"])
+    # at 0.5 Hz the CNN refuses its windows inside the pool
+    assert main([*argv, "--target-rate", "0.5"]) == 3
+    assert "too short for kernel" in capsys.readouterr().err
+    assert _contents(out) == before
+
+
+@pytest.mark.parametrize("existing", [True, False], ids=["existing-out", "new-out"])
+def test_a_run_that_cannot_write_its_reports_exits_2_and_leaves_out_as_it_was(
+    tmp_path, capsys, monkeypatch, existing
+):
+    out = tmp_path / "r"
+    if existing:
+        assert _run(out) == 0
+    before = _contents(out) if existing else None
+
+    write_text = Path.write_text
+
+    def disk_full(path, *args, **kwargs):
+        if path.name == "timings.json":
+            raise OSError(28, "No space left on device")
+        return write_text(path, *args, **kwargs)
+
+    # the failure comes after the pool and after the reports are written
+    monkeypatch.setattr(Path, "write_text", disk_full)
+    assert _run(out) == 2
+    assert "cannot write run outputs" in capsys.readouterr().err
+    if existing:
+        assert _contents(out) == before
+    else:
+        assert not out.exists()
+
+
+def test_timings_list_tasks_in_pool_order(tmp_path, capsys):
+    # longest first, which is not their alphabetical order
+    out = tmp_path / "r"
+    assert _run(out, ["--baselines", "rf,cnn"]) == 0
+    tasks = list(json.loads((out / "timings.json").read_text())["tasks"])
+    assert tasks == ["dataset", "cnn/indoor", "cnn/outdoor", "rf/indoor", "rf/outdoor"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["generate", "--duration", "1e308"],
+        ["generate", "--rate", "1e308"],
+        ["run", "--duration", "1e308"],
+    ],
+    ids=["generate-duration", "generate-rate", "run-duration"],
+)
+def test_a_sample_count_that_overflows_exits_3(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert main([*argv, "--per-class", "1", "--noise", "zero", "--out", str(out)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("imutrace: data error: rate * duration")
+    assert not out.exists()
+
+
 def test_run_exits_4_when_provider_failures_skip_a_cell(tmp_path, capsys, monkeypatch):
     def all_fail(windows, mode, **kwargs):
         return BatchResult(

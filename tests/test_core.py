@@ -2,6 +2,7 @@ import hashlib
 import io
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -259,6 +260,27 @@ def test_ingest_rejects_malformed():
             f"g/w,{scenario},{label},0.1,0,0,0,0,0,0,0,0,0",
         ]
         with pytest.raises(DataError, match=f"^line 3: {message}$"):
+            ingest_csv(io.StringIO("\n".join(rows) + "\n"))
+
+
+@pytest.mark.parametrize(
+    "t, message",
+    [
+        ("inf", "^line 3: timestamp t=inf is not finite$"),
+        ("nan", "^line 3: timestamp t=nan is not finite$"),
+        ("1e-320", "^recording 'g/w': timestamps 0 to 1e-320 give no finite rate$"),
+    ],
+)
+def test_ingest_refuses_a_timestamp_that_gives_no_finite_rate(t, message):
+    # refused before any division by it, so numpy warns of nothing
+    rows = [
+        ",".join(CSV_COLUMNS),
+        "g/w,indoor,straight,0,0,0,0,0,0,0,0,0,0",
+        f"g/w,indoor,straight,{t},0,0,0,0,0,0,0,0,0",
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match=message):
             ingest_csv(io.StringIO("\n".join(rows) + "\n"))
 
 

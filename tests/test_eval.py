@@ -480,9 +480,7 @@ def test_a_run_needs_labels_only_where_it_scores_or_trains(
     monkeypatch.setattr(evalreport, "train_baseline", no_training)
     out = tmp_path / "out"
     with pytest.raises(DataError, match=f"^{part.value} window '.+' is unlabeled$"):
-        run_experiment(
-            windows, split, baselines=baselines, modes=modes, transcript_path=out / "t.jsonl"
-        )
+        run_experiment(windows, split, baselines=baselines, modes=modes, out=out)
     assert not out.exists()
 
 
@@ -502,11 +500,11 @@ def test_a_run_is_refused_with_nothing_written_or_writes_what_it_reports(
     # it inside the pool, after the run has made its paths
     windows, split = tiny_run_inputs
     out = tmp_path_factory.mktemp("run") / "out"
-    csv, transcript = out / "data" / "dataset.csv", out / "log" / "transcript.jsonl"
+    csv, transcript = out / "dataset.csv", out / "transcript.jsonl"
     try:
         r = run_experiment(
             windows, split, baselines=baselines, modes=modes, target_rate_hz=rate,
-            configs={"cnn": CnnConfig(epochs=1)}, dataset_csv=csv, transcript_path=transcript,
+            configs={"cnn": CnnConfig(epochs=1)}, out=out, write_dataset=True,
         )
     except (ConfigError, DataError):
         assert not out.exists()
@@ -535,15 +533,64 @@ def test_a_run_a_baseline_refuses_in_the_pool_removes_what_it_made(
     # run put in it
     kept = tmp_path / "kept"
     kept.mkdir()
-    out = tmp_path / "out"
     with pytest.raises(DataError, match=message):
         run_experiment(
             windows, split, baselines=("cnn",), configs={"cnn": CnnConfig(epochs=1)},
-            target_rate_hz=rate, dataset_csv=out / "data" / "dataset.csv",
-            transcript_path=kept / "transcript.jsonl",
+            target_rate_hz=rate, out=kept, write_dataset=True,
         )
     assert sorted(tmp_path.iterdir()) == [kept]
     assert list(kept.iterdir()) == []
+
+
+@pytest.mark.parametrize("existing", [True, False], ids=["existing-out", "new-nested-out"])
+def test_a_refused_run_leaves_out_as_it_was(tiny_run_inputs, tmp_path, existing):
+    # at 0.5 Hz the CNN refuses its windows inside the pool, after out is made
+    windows, split = tiny_run_inputs
+    out = tmp_path / "a" / "b" / "out"
+    if existing:
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "report.txt").write_text("an earlier run\n")
+    with pytest.raises(DataError, match="too short for kernel"):
+        run_experiment(
+            windows, split, baselines=("cnn",), modes=(PromptMode.DO,),
+            configs={"cnn": CnnConfig(epochs=1)}, target_rate_hz=0.5, out=out, write_dataset=True,
+        )
+    if existing:
+        assert [p.name for p in out.iterdir()] == ["report.txt"]
+        assert (out / "report.txt").read_text() == "an earlier run\n"
+    else:
+        assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("write_dataset", [True, False])
+def test_a_run_moves_every_output_into_out(tiny_run_inputs, tmp_path, write_dataset):
+    windows, split = tiny_run_inputs
+    out = tmp_path / "out"
+    r = run_experiment(
+        windows, split, baselines=("rf",), modes=(PromptMode.DO,),
+        manifest_extra={"split_seed": 1}, out=out, write_dataset=write_dataset,
+    )
+    names = ["report.jsonl", "report.txt", "run_manifest.json", "split.json", "timings.json",
+             "transcript.jsonl"]
+    # no staging directory is left beside the outputs
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        ["dataset.csv", *names] if write_dataset else names
+    )
+    assert (out / "report.jsonl").read_text() == render_report(r, "jsonl")
+    assert (out / "report.txt").read_text() == render_report(r, "text")
+    assert json.loads((out / "run_manifest.json").read_text()) == r.manifest
+    assert json.loads((out / "split.json").read_text()) == {
+        "assignment": split.to_json_dict(), "seed": 1
+    }
+    # tasks in the order the pool ran them, the dataset first
+    tasks = list(json.loads((out / "timings.json").read_text())["tasks"])
+    assert tasks == list(r.timings["tasks"]) == ["dataset", "rf/indoor", "rf/outdoor"]
+    rows = [json.loads(line) for line in (out / "transcript.jsonl").read_text().splitlines()]
+    assert len(rows) == len(split.part_ids(Part.UNSEEN_TEST))
+    if write_dataset:
+        digest = hashlib.sha256((out / "dataset.csv").read_bytes()).hexdigest()
+        assert digest == r.manifest["dataset_sha256"]
 
 
 def test_provider_failure_skips_cell(monkeypatch):

@@ -395,16 +395,12 @@ def test_retry_after_delays_the_retry(stub, status, retry_after, backoff_s, hono
         assert gap < 0.5
 
 
-def test_transcript_records_failed_calls(stub, tmp_path):
+def test_transcript_records_failed_calls(stub):
     _, url = stub([(500, b"boom")])
-    transcript = tmp_path / "transcript.jsonl"
     windows = _windows(2)
-    batch = classify_windows(
-        windows, PromptMode.DO, cfg=_cfg(url, concurrency=1, retries=1),
-        transcript_path=transcript,
-    )
+    batch = classify_windows(windows, PromptMode.DO, cfg=_cfg(url, concurrency=1, retries=1))
     assert [f[0] for f in batch.failures] == [w.id for w in windows]
-    rows = [json.loads(line) for line in transcript.read_text().splitlines()]
+    rows = batch.transcript
     assert [r["window_id"] for r in rows] == [w.id for w in windows]
     for row, (_, message) in zip(rows, batch.failures):
         assert set(row) == {"window_id", "bundle_sha256", "error", "attempts"}

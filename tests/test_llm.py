@@ -351,10 +351,9 @@ def test_parser_corpus_all_correct():
     assert set(by_label) == set(TrajectoryLabel)
 
 
-def test_classify_windows_mock_end_to_end(tmp_path):
+def test_classify_windows_mock_end_to_end():
     windows = _clean_windows()
-    transcript = tmp_path / "transcript.jsonl"
-    batch = classify_windows(windows, PromptMode.COT, transcript_path=transcript)
+    batch = classify_windows(windows, PromptMode.COT)
     assert isinstance(batch, BatchResult)
     assert batch.failures == ()
     assert [p.window_id for p in batch.predictions] == sorted(w.id for w in windows)
@@ -362,7 +361,7 @@ def test_classify_windows_mock_end_to_end(tmp_path):
     for p in batch.predictions:
         assert p.label is truth[p.window_id]
 
-    rows = [json.loads(line) for line in transcript.read_text().splitlines()]
+    rows = batch.transcript
     assert [r["window_id"] for r in rows] == [p.window_id for p in batch.predictions]
     for row in rows:
         assert set(row) == {"window_id", "bundle_sha256", "text", "latency_s"}
@@ -426,7 +425,7 @@ def test_classify_windows_concurrent_order_stable():
     assert all(p.label is truth[p.window_id] for p in batch.predictions)
 
 
-def test_transcript_records_failures_in_window_order(tmp_path):
+def test_transcript_records_failures_in_window_order():
     windows = _clean_windows()
     doomed = sorted(w.id for w in windows)[1]
 
@@ -435,11 +434,8 @@ def test_transcript_records_failures_in_window_order(tmp_path):
             raise TransportError("socket exploded", status=500, attempts=3)
         return mock_complete(bundle)
 
-    transcript = tmp_path / "transcript.jsonl"
-    batch = classify_windows(
-        windows, PromptMode.DO, completer=completer, transcript_path=transcript
-    )
-    rows = [json.loads(line) for line in transcript.read_text().splitlines()]
+    batch = classify_windows(windows, PromptMode.DO, completer=completer)
+    rows = batch.transcript
     assert [r["window_id"] for r in rows] == sorted(w.id for w in windows)
     failed = [r for r in rows if "error" in r]
     # an injected completer makes one attempt, never retried
@@ -472,6 +468,26 @@ def test_unexpected_error_stops_the_batch():
         classify_windows(windows, PromptMode.DO, cfg=cfg, completer=completer)
     assert len(started) <= 3 < len(windows)  # no attempt starts after the error
     assert threading.active_count() == threads_before  # every worker joined
+
+
+def test_a_retry_due_past_the_longest_wait_does_not_stop_the_batch():
+    # a Retry-After of 1e10 s is past threading.TIMEOUT_MAX; the worker that
+    # waits on it must still see the other call's error and be joined
+    bundles = [
+        PromptBundle(instruction="i", question=f"q{i}", mode=PromptMode.DO, window_id=f"w{i}")
+        for i in range(2)
+    ]
+
+    def attempt(bundle, session, number):
+        if bundle.window_id == "w0":
+            raise _Retry(503, retry_after_s=1e10)
+        time.sleep(0.05)
+        raise RuntimeError("bug in the attempt")
+
+    threads_before = threading.active_count()
+    with pytest.raises(RuntimeError, match="bug in the attempt"):
+        _run_calls(bundles, attempt, workers=2, retries=1)
+    assert threading.active_count() == threads_before
 
 
 @settings(max_examples=40, deadline=None)
