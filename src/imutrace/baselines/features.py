@@ -28,7 +28,6 @@ _GYRO = slice(AXIS_NAMES.index("gx"), AXIS_NAMES.index("gz") + 1)
 FEATURE_NAMES: tuple[str, ...] = tuple(
     f"{axis}_{stat}" for axis in AXIS_NAMES for stat in _STAT_NAMES
 ) + tuple(f"{axis}_int" for axis in AXIS_NAMES[_GYRO])
-FEATURE_DIM = len(FEATURE_NAMES)
 
 
 def _trapezoid(y: np.ndarray, dt: float) -> np.ndarray:

@@ -1,7 +1,9 @@
 """From-scratch 1-D CNN and LSTM classifiers with hand-derived backprop.
 
 Everything is float64 numpy so analytic gradients can be checked
-tightly against central finite differences. The CNN is
+tightly against central finite differences; that check lives in the
+test suite (``gradient_errors`` in ``tests/conftest.py``) and runs each
+network's forward and backward through ``_NETS``. The CNN is
 conv(16, k5) -> ReLU -> maxpool(2) -> conv(32, k5) -> ReLU -> global
 average pool -> dense(4); the LSTM feeds the final hidden state (size
 32) through dense(4). Both train by mini-batch SGD with momentum on
@@ -54,6 +56,19 @@ from .features import argmax_labels, data_digest, label_vector, standardizer
 N_CHANNELS = len(AXIS_NAMES)
 
 
+def _check_config(cfg, sizes: tuple[str, ...]) -> None:
+    # the network's own sizes, then the training fields both configs share
+    for name in (*sizes, "epochs", "batch_size"):
+        if getattr(cfg, name) < 1:
+            raise DataError(f"{name} must be >= 1, got {getattr(cfg, name)}")
+    if not (math.isfinite(cfg.lr) and cfg.lr > 0):
+        raise DataError(f"learning rate must be positive and finite, got {cfg.lr}")
+    if not 0 <= cfg.momentum < 1:
+        raise DataError(f"momentum must be in [0, 1), got {cfg.momentum}")
+    if cfg.seed < 0:
+        raise DataError("seed must be a nonnegative integer")
+
+
 @dataclass(frozen=True)
 class CnnConfig:
     filters1: int = 16
@@ -68,15 +83,7 @@ class CnnConfig:
     standardize: bool = True
 
     def __post_init__(self):
-        for name in ("filters1", "filters2", "kernel", "pool", "epochs", "batch_size"):
-            if getattr(self, name) < 1:
-                raise DataError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if not (math.isfinite(self.lr) and self.lr > 0):
-            raise DataError(f"learning rate must be positive and finite, got {self.lr}")
-        if not 0 <= self.momentum < 1:
-            raise DataError(f"momentum must be in [0, 1), got {self.momentum}")
-        if self.seed < 0:
-            raise DataError("seed must be a nonnegative integer")
+        _check_config(self, ("filters1", "filters2", "kernel", "pool"))
 
 
 @dataclass(frozen=True)
@@ -90,15 +97,7 @@ class LstmConfig:
     standardize: bool = True
 
     def __post_init__(self):
-        for name in ("hidden", "epochs", "batch_size"):
-            if getattr(self, name) < 1:
-                raise DataError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if not (math.isfinite(self.lr) and self.lr > 0):
-            raise DataError(f"learning rate must be positive and finite, got {self.lr}")
-        if not 0 <= self.momentum < 1:
-            raise DataError(f"momentum must be in [0, 1), got {self.momentum}")
-        if self.seed < 0:
-            raise DataError("seed must be a nonnegative integer")
+        _check_config(self, ("hidden",))
 
 
 NnConfig = Union[CnnConfig, LstmConfig]
@@ -452,82 +451,11 @@ _NETS = {
 }
 
 
-def nn_loss_and_grads(
-    kind: str,
-    cfg: NnConfig,
-    params: dict,
-    x: np.ndarray,
-    y: np.ndarray,
-    work: Optional[dict] = None,
-) -> tuple[float, dict]:
-    net = _NETS[kind]
-    work = {} if work is None else work
-    logits, cache = net.forward(cfg, params, x, work)
-    loss, dlogits = cross_entropy(logits, y)
-    return loss, net.backward(cfg, params, cache, dlogits, work)
-
-
-def nn_loss(
-    kind: str,
-    cfg: NnConfig,
-    params: dict,
-    x: np.ndarray,
-    y: np.ndarray,
-    work: Optional[dict] = None,
-) -> float:
-    logits, _ = _NETS[kind].forward(cfg, params, x, work)
-    loss, _ = cross_entropy(logits, y)
-    return loss
-
-
 def sgd_step(params: dict, velocity: dict, grads: dict, lr: float, momentum: float) -> None:
     """In-place momentum update: v = mu*v - lr*g; p += v."""
     for name in params:
         velocity[name] = momentum * velocity[name] - lr * grads[name]
         params[name] += velocity[name]
-
-
-def gradient_check(
-    kind: str,
-    cfg: NnConfig,
-    params: dict,
-    x: np.ndarray,
-    y: np.ndarray,
-    h: float = 1e-5,
-    samples_per_tensor: Optional[int] = None,
-    rng: Optional[np.random.Generator] = None,
-) -> float:
-    """Max relative error between analytic and central-difference grads.
-
-    Checks every entry of every tensor by default; samples_per_tensor
-    caps the entries per tensor (seeded choice) for speed. Relative
-    error is |a - n| / max(|a| + |n|, 1e-12).
-    """
-    if rng is None:
-        rng = np.random.default_rng(0)
-    work: dict = {}
-    _, grads = nn_loss_and_grads(kind, cfg, params, x, y, work)
-    worst = 0.0
-    for name in sorted(params):
-        tensor = params[name]
-        size = tensor.size
-        if samples_per_tensor is None or samples_per_tensor >= size:
-            indices = np.arange(size)
-        else:
-            indices = rng.choice(size, size=samples_per_tensor, replace=False)
-        flat = tensor.reshape(-1)
-        analytic = grads[name].reshape(-1)
-        for idx in indices:
-            original = flat[idx]
-            flat[idx] = original + h
-            loss_plus = nn_loss(kind, cfg, params, x, y, work)
-            flat[idx] = original - h
-            loss_minus = nn_loss(kind, cfg, params, x, y, work)
-            flat[idx] = original
-            numeric = (loss_plus - loss_minus) / (2.0 * h)
-            denom = max(abs(analytic[idx]) + abs(numeric), 1e-12)
-            worst = max(worst, abs(analytic[idx] - numeric) / denom)
-    return worst
 
 
 # --------------------------------------------------------------------------

@@ -125,11 +125,6 @@ class TrajectoryWindow:
     def __len__(self) -> int:
         return self.data.shape[0]
 
-    @property
-    def duration(self) -> float:
-        """Window duration in seconds (sample count over rate)."""
-        return len(self) / self.rate
-
 
 @dataclass(frozen=True)
 class SplitAssignment:
@@ -320,7 +315,7 @@ def ingest_csv(stream: Iterable[str]) -> list[TrajectoryWindow]:
         times = block[:, 0]
         if times[0] != 0.0:
             raise DataError(
-                f"recording {recording_id!r} starts at t={times[0]!r}, not at 0"
+                f"recording {recording_id!r} starts at t={float(times[0])!r}, not at 0"
             )
         if np.any(np.diff(times) <= 0):
             raise DataError(
@@ -338,7 +333,7 @@ def ingest_csv(stream: Iterable[str]) -> list[TrajectoryWindow]:
         if drift.max() > TIMESTAMP_TOLERANCE_S:
             at = int(np.argmax(drift))
             raise DataError(
-                f"recording {recording_id!r}: timestamp t={times[at]!r} is off "
+                f"recording {recording_id!r}: timestamp t={float(times[at])!r} is off "
                 f"the {rate:g} Hz grid by {drift[at]:.3g} s"
             )
         group, _, window_id = recording_id.partition("/")

@@ -15,6 +15,7 @@ the report byte for byte.
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import json
 import os
@@ -384,8 +385,9 @@ def run_experiment(
     Once the report is built, ``split.json``, ``run_manifest.json``, the
     two reports, ``timings.json`` (tasks in pool order) and
     ``transcript.jsonl`` (every provider call, in grid order) are staged
-    too, and every staged file is moved into ``out``. Any exception
-    before then removes the staging directory and every directory the run
+    too, and every staged file is moved into ``out``, after a check that
+    no directory stands in any file's place. Any exception before the
+    first move removes the staging directory and every directory the run
     made: a refused or interrupted run leaves an existing ``out`` as it
     was and makes no new one.
     """
@@ -522,7 +524,13 @@ def run_experiment(
             }
             for name, text in staged.items():
                 (staging / name).write_text(text, encoding="utf-8")
-            for name in os.listdir(staging):
+            names = os.listdir(staging)
+            # a directory in a file's place would fail its move; find it
+            # before the first move, so a refused run moves nothing
+            for target in (out / name for name in names):
+                if target.is_dir():
+                    raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(target))
+            for name in names:
                 os.replace(staging / name, out / name)
             staging.rmdir()
     except BaseException:

@@ -75,11 +75,6 @@ class MotionProfile:
     def total_duration(self) -> float:
         return sum(seg.duration for seg in self.segments)
 
-    @property
-    def net_heading(self) -> float:
-        """Net heading change in radians (yaw rate times duration, summed)."""
-        return sum(seg.yaw_rate * seg.duration for seg in self.segments)
-
 
 @dataclass(frozen=True)
 class NoiseProfile:

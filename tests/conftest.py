@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from imutrace.baselines import nn
 from imutrace.core import Scenario, TrajectoryLabel, TrajectoryWindow
 from imutrace.synth import GeneratorConfig, ZERO_NOISE, generate_dataset, uniform_counts
 
@@ -57,3 +58,47 @@ def mixed_length_windows():
     ten, _ = generate_dataset(GeneratorConfig(seed=5), uniform_counts(6), noise)
     twelve, _ = generate_dataset(GeneratorConfig(seed=5, duration=12.0), uniform_counts(6), noise)
     return [b if i % 2 else a for i, (a, b) in enumerate(zip(ten, twelve))]
+
+
+def gradient_errors(kind, cfg, params, x, y, seeds, h=1e-5, samples_per_tensor=5):
+    """Max relative error |a - n| / max(|a| + |n|, 1e-12) between the
+    network's backward and central differences of its loss, one value per
+    seed: at params, then after one SGD step (from zero velocity) from the
+    point last checked. Each check draws samples_per_tensor entries per
+    tensor, in sorted name order, from default_rng(seed); a tensor with no
+    more entries than that is checked whole. Steps params in place."""
+    net = nn._NETS[kind]
+
+    def loss_at(work):
+        logits, _ = net.forward(cfg, params, x, work)
+        return nn.cross_entropy(logits, y)[0]
+
+    errors = []
+    for seed in seeds:
+        if errors:
+            velocity = {name: np.zeros_like(arr) for name, arr in params.items()}
+            nn.sgd_step(params, velocity, grads, cfg.lr, cfg.momentum)
+        work = {}
+        logits, cache = net.forward(cfg, params, x, work)
+        grads = net.backward(cfg, params, cache, nn.cross_entropy(logits, y)[1], work)
+        rng = np.random.default_rng(seed)
+        worst = 0.0
+        for name in sorted(params):
+            flat = params[name].reshape(-1)
+            if samples_per_tensor >= flat.size:
+                indices = np.arange(flat.size)
+            else:
+                indices = rng.choice(flat.size, size=samples_per_tensor, replace=False)
+            analytic = grads[name].reshape(-1)
+            for idx in indices:
+                original = flat[idx]
+                flat[idx] = original + h
+                loss_plus = loss_at(work)
+                flat[idx] = original - h
+                loss_minus = loss_at(work)
+                flat[idx] = original
+                numeric = (loss_plus - loss_minus) / (2.0 * h)
+                denom = max(abs(analytic[idx]) + abs(numeric), 1e-12)
+                worst = max(worst, abs(analytic[idx] - numeric) / denom)
+        errors.append(worst)
+    return errors

@@ -15,11 +15,8 @@ import pytest
 from imutrace.baselines.nn import (
     CnnConfig,
     LstmConfig,
-    gradient_check,
     init_cnn_params,
     init_lstm_params,
-    nn_loss_and_grads,
-    sgd_step,
 )
 from imutrace.baselines.svm import SvmConfig, train_svm
 from imutrace.cli import main as cli_main
@@ -48,7 +45,7 @@ from imutrace.synth import (
     uniform_counts,
 )
 
-from conftest import tiny_windows
+from conftest import gradient_errors, tiny_windows
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -115,16 +112,8 @@ def test_criterion_3_gradient_correctness():
         x = data_rng.standard_normal((3, 9, 30))
         y = data_rng.integers(0, 4, size=3)
         params = init_cnn_params(cfg, 30) if kind == "cnn" else init_lstm_params(cfg)
-        err_init = gradient_check(
-            kind, cfg, params, x, y, h=1e-5,
-            samples_per_tensor=5, rng=np.random.default_rng(7),
-        )
-        velocity = {name: np.zeros_like(arr) for name, arr in params.items()}
-        _, grads = nn_loss_and_grads(kind, cfg, params, x, y)
-        sgd_step(params, velocity, grads, cfg.lr, cfg.momentum)
-        err_step = gradient_check(
-            kind, cfg, params, x, y, h=1e-5,
-            samples_per_tensor=5, rng=np.random.default_rng(8),
+        err_init, err_step = gradient_errors(
+            kind, cfg, params, x, y, seeds=(7, 8), h=1e-5, samples_per_tensor=5
         )
         worst[kind] = max(err_init, err_step)
     ok = all(v < 1e-4 for v in worst.values())

@@ -607,6 +607,17 @@ def test_a_refused_rerun_leaves_the_earlier_run_as_it_was(tmp_path, capsys):
     assert _contents(out) == before
 
 
+def test_a_directory_in_an_outputs_place_exits_2_before_any_move(tmp_path, capsys):
+    out = tmp_path / "r"
+    (out / "report.txt").mkdir(parents=True)
+    argv = ["run", "--per-class", "6", "--noise", "zero", "--baselines", "rf", "--modes", "do"]
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "cannot write run outputs" in err and "Is a directory" in err
+    assert [p.name for p in out.iterdir()] == ["report.txt"]
+    assert not any((out / "report.txt").iterdir())
+
+
 @pytest.mark.parametrize("existing", [True, False], ids=["existing-out", "new-out"])
 def test_a_run_that_cannot_write_its_reports_exits_2_and_leaves_out_as_it_was(
     tmp_path, capsys, monkeypatch, existing

@@ -73,7 +73,7 @@ def test_window_accessors():
     data = np.arange(45, dtype=np.float64).reshape(5, 9)
     w = window_from_array(data, rate=10.0, label=TrajectoryLabel.STRAIGHT)
     assert len(w) == 5
-    assert w.duration == pytest.approx(0.5)
+    assert len(w) / w.rate == pytest.approx(0.5)
     assert w.data.dtype == np.float64
     assert np.array_equal(w.data, data)
     # the window holds its own read-only copy
@@ -240,13 +240,15 @@ def test_ingest_rejects_malformed():
     rows = [header] + [
         f"g/w,indoor,straight,{0.5 + i / 10},0,0,0,0,0,0,0,0,0" for i in range(5)
     ]
-    with pytest.raises(DataError, match="not at 0"):
+    with pytest.raises(DataError, match=r"^recording 'g/w' starts at t=0\.5, not at 0$"):
         ingest_csv(io.StringIO("\n".join(rows) + "\n"))
     # one timestamp off the uniform grid
     times = [i / 10 for i in range(6)]
     times[2] += 0.003
     rows = [header] + [f"g/w,indoor,straight,{t},0,0,0,0,0,0,0,0,0" for t in times]
-    with pytest.raises(DataError, match="off the 10 Hz grid"):
+    with pytest.raises(
+        DataError, match=r"^recording 'g/w': timestamp t=0\.203 is off the 10 Hz grid by "
+    ):
         ingest_csv(io.StringIO("\n".join(rows) + "\n"))
     # an unknown scenario or label (values are case-sensitive), by line
     for scenario, label, message in [

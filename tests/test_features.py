@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from imutrace.baselines.features import (
-    FEATURE_DIM,
     FEATURE_NAMES,
     extract_features,
     feature_matrix,
@@ -18,7 +17,6 @@ from conftest import window_from_array
 
 
 def test_feature_names_shape():
-    assert FEATURE_DIM == 48
     assert len(FEATURE_NAMES) == 48
     assert len(set(FEATURE_NAMES)) == 48
     # five stats per axis, then the three gyro integrals

@@ -16,14 +16,11 @@ from imutrace.baselines.nn import (
     cnn_backward,
     cnn_forward,
     cross_entropy,
-    gradient_check,
     init_cnn_params,
     init_lstm_params,
     lstm_backward,
     lstm_forward,
-    nn_loss_and_grads,
     predict_nn_batch,
-    sgd_step,
     softmax,
     train_cnn,
     train_lstm,
@@ -32,7 +29,7 @@ from imutrace.core import Scenario, TrajectoryLabel, downsample
 from imutrace.errors import DataError, TrainingDivergedError
 from imutrace.synth import GeneratorConfig, ZERO_NOISE, generate_dataset, uniform_counts
 
-from conftest import window_from_array
+from conftest import gradient_errors, window_from_array
 
 SMALL_CNN = CnnConfig(filters1=4, filters2=6, epochs=10, batch_size=8, seed=0)
 SMALL_LSTM = LstmConfig(hidden=8, epochs=10, batch_size=8, seed=0)
@@ -60,19 +57,11 @@ def test_gradients_match_central_differences(kind):
         params = init_cnn_params(cfg, x.shape[2])
     else:
         params = init_lstm_params(cfg)
-    err = gradient_check(
-        kind, cfg, params, x, y, h=1e-5,
-        samples_per_tensor=5, rng=np.random.default_rng(1),
+    # at init, then after one SGD step off it; gradients must match at both
+    err, err_after = gradient_errors(
+        kind, cfg, params, x, y, seeds=(1, 2), h=1e-5, samples_per_tensor=5
     )
     assert err < 1e-4
-    # one SGD step moves off the init point; gradients must still match
-    velocity = {name: np.zeros_like(arr) for name, arr in params.items()}
-    _, grads = nn_loss_and_grads(kind, cfg, params, x, y)
-    sgd_step(params, velocity, grads, cfg.lr, cfg.momentum)
-    err_after = gradient_check(
-        kind, cfg, params, x, y, h=1e-5,
-        samples_per_tensor=5, rng=np.random.default_rng(2),
-    )
     assert err_after < 1e-4
 
 
@@ -377,9 +366,9 @@ def _standardized_train_set(model, windows):
     return xs, label_vector(windows)
 
 
-def _accuracy(kind, cfg, params, xs, y):
+def _loss_and_accuracy(kind, cfg, params, xs, y):
     logits, _ = nn._NETS[kind].forward(cfg, params, xs)
-    return float(np.mean(np.argmax(logits, axis=1) == y))
+    return cross_entropy(logits, y)[0], float(np.mean(np.argmax(logits, axis=1) == y))
 
 
 @pytest.mark.parametrize(
@@ -401,8 +390,9 @@ def test_one_batch_epoch_row_is_the_initial_params_on_the_train_set(
     initial = nn._NETS[kind].init(cfg, xs.shape[2])
     ((epoch, loss, accuracy),) = model.history
     assert epoch == 1
-    assert loss == pytest.approx(nn.nn_loss(kind, cfg, initial, xs, y), rel=1e-12)
-    assert accuracy == _accuracy(kind, cfg, initial, xs, y)
+    initial_loss, initial_accuracy = _loss_and_accuracy(kind, cfg, initial, xs, y)
+    assert loss == pytest.approx(initial_loss, rel=1e-12)
+    assert accuracy == initial_accuracy
 
 
 @pytest.mark.parametrize(
@@ -414,8 +404,9 @@ def test_manifest_scores_the_trained_params_on_the_train_set(kind, train, cfg, c
     model = train(windows, cfg)
     xs, y = _standardized_train_set(model, windows)
     assert [row[0] for row in model.history] == list(range(1, cfg.epochs + 1))
-    assert model.manifest["final_loss"] == nn.nn_loss(kind, cfg, model.params, xs, y)
-    assert model.manifest["train_accuracy"] == _accuracy(kind, cfg, model.params, xs, y)
+    final_loss, final_accuracy = _loss_and_accuracy(kind, cfg, model.params, xs, y)
+    assert model.manifest["final_loss"] == final_loss
+    assert model.manifest["train_accuracy"] == final_accuracy
 
 
 def test_final_pass_catches_a_last_step_that_diverges(clean_windows):
