@@ -18,8 +18,15 @@ is written as ``<recording_group>/<window_id>``; on ingestion the part
 before the first slash is taken as the group (the whole id when there
 is no slash). The ``t`` column is ``i / rate``; ingestion refuses a
 recording that does not start at 0 or strays from that grid. Floats are
-rendered with :func:`repr`, the shortest string that parses back to the
-identical value, so a serialize/ingest round trip is exact.
+written as :func:`repr` writes them, the shortest string that parses back
+to the identical value, so a serialize/ingest round trip is exact. Those
+with 1e-4 <= |x| < 1e15, nearly all of a dataset, are made by numpy a
+block of rows at a time: an exact (Dekker) product scales each to a
+17-digit integer, and its shortest digits are the coarsest rounding of
+that integer that stays inside the float's rounding interval, which is
+how repr chooses them. The few that this cannot settle exactly (ties and
+points within rounding error of an interval's edge), and every other
+float, go through repr() itself.
 """
 
 from __future__ import annotations
@@ -186,34 +193,231 @@ def _csv_prefix(*fields: str) -> str:
     return line.getvalue()[:-1]
 
 
-def _csv_chunks(windows: Iterable[TrajectoryWindow]) -> Iterator[str]:
-    """The canonical CSV text as the header line, then one chunk per window."""
-    yield ",".join(CSV_COLUMNS) + "\n"
-    # the "t" strings of one rate, as long as its longest window so far;
-    # windows of one rate share them instead of each repr-ing its own
-    times: dict[float, list[str]] = {}
+# A float x with 1e-4 <= |x| < 1e15 has a fixed-point repr, and numpy makes
+# it here, many at a time, from x's shortest round-trip digits. Every other
+# float, and any whose digits need more than this exact arithmetic settles,
+# is left to repr().
+_FAST_LOW, _FAST_HIGH = 1e-4, 1e15
+_POW10 = 10.0 ** np.arange(21)  # exact: 10**22 is the last power float64 holds
+_SPLITTER = 2.0 ** 27 + 1  # Veltkamp's split of a double into two 26-bit halves
+_DIGITS = 17  # a float64 never needs more significant digits than this
+# _shortest_digits's float distances are exact to 1e-13; one within this of
+# a bound is left undecided
+_GUARD = 1e-9
+
+# One float's field in a block's byte matrix. Every character a fixed-point
+# repr can hold has its own column, so a float's text is a choice of columns
+# (its mask) over the same template, and the block is compressed once:
+#   0       "-"
+#   1, 2    "0."       the integer part and point of a float below 1
+#   3-5     "000"      leading zeros of its fraction
+#   6 + 2j  digit j    (j = 0..16)
+#   7 + 2j  "."        the point after digit j (j = 0..15)
+# A float left to repr() writes its text over the first columns instead;
+# the longest, "-2.2250738585072014e-308", takes 24 of them.
+_FIELD_WIDTH = 6 + 2 * _DIGITS - 1
+_FIELD_TEXT = np.frombuffer(b"-0.000" + b"0." * (_DIGITS - 1) + b"0", np.uint8)
+_POINTS = range(-3, 16)  # decimal point positions: 1e-4 is 0.1e-3, 1e15 - 1 is 0.9...e15
+
+
+def _field_mask(negative: bool, point: int, digits: int) -> list[bool]:
+    """The columns that spell a float with this sign, decimal point position
+    (its value is 0.d0d1... * 10**point) and number of shortest digits."""
+    keep = [False] * _FIELD_WIDTH
+    keep[0] = negative
+    if point <= 0:
+        keep[1] = keep[2] = True
+        keep[3 : 3 - point] = [True] * -point
+    else:
+        keep[5 + 2 * point] = True
+    # the zeros past the shortest digits run to the point's first place, as
+    # repr writes 12.0 (no float of the fast kind needs them, being integral)
+    for j in range(max(digits, point + 1)):
+        keep[6 + 2 * j] = True
+    return keep
+
+
+# the masks by (negative, point, digits), in the order _format_fields keys them
+_FIELD_MASKS = np.array(
+    [
+        _field_mask(negative, point, digits)
+        for negative in (False, True)
+        for point in _POINTS
+        for digits in range(1, _DIGITS + 1)
+    ]
+)
+
+
+def _two_product(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``a * b`` exactly, as the rounded product and its rounding error
+    (Dekker 1971); no intermediate overflows or underflows in the fast range."""
+    product = a * b
+    t = a * _SPLITTER
+    a_high = t - (t - a)
+    a_low = a - a_high
+    t = b * _SPLITTER
+    b_high = t - (t - b)
+    b_low = b - b_high
+    error = ((a_high * b_high - product) + a_high * b_low + a_low * b_high) + a_low * b_low
+    return product, error
+
+
+def _shortest_digits(
+    a: np.ndarray, binary_exponent: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The shortest round-trip digits of each positive float of ``a``, all
+    in [1e-4, 1e15), neither a power of two nor integral; ``a`` is
+    ``m * 2**binary_exponent`` with ``0.5 < m < 1``.
+
+    Returns the digits as a 17-digit integer (the digits, then zeros), the
+    decimal point's position, the number of digits, and a mask of the
+    elements whose digits are not settled here; those must come from
+    repr().
+
+    ``a * 10**(16 - e)``, for the decimal exponent ``e``, is a 17-digit
+    number y, which the exact product splits into an integer and a
+    fraction. ``a`` is not a power of two, so every real within half an
+    ulp of it reads back as ``a``; scaled, that half-ulp is the limit,
+    between 0.55 and 12. For ``j`` = 0, 1, ..., 16 the candidate is y
+    rounded to a multiple of 10**j. Each is no nearer to y than the one
+    before, so the shortest digits are the last candidate of the leading
+    run within the limit; being the nearest string of its length, it is
+    also the one repr chooses. From ``j`` = 2 on, at most one multiple of
+    10**j lies within the limit, so the run past 2 is the number of
+    further zeros the candidate at 2 ends in.
+
+    The float distances are exact to 1e-13, so a distance within
+    :data:`_GUARD` of the limit, or a near tie between two candidates, is
+    left undecided, as is an ``e`` that ``log10`` misses.
+    """
+    exponent = np.clip(np.floor(np.log10(a)), -4, 14).astype(np.int64)
+    scale = _POW10[16 - exponent]
+    product, error = _two_product(a, scale)
+    whole = np.floor(error)
+    # product >= 1e16 is an even integer; error is exact and below 8
+    y = product.astype(np.int64) + whole.astype(np.int64)
+    fraction = error - whole
+    limit = np.ldexp(scale, binary_exponent - 54)
+    # j = 0, 1, 2 from y's last two digits and its fraction. At j = 0 the
+    # nearest integer is within 0.5, inside every limit
+    last = y % 100
+    tail = last + fraction
+    nearest = [np.rint(tail), np.rint(tail / 10) * 10, np.rint(tail / 100) * 100]
+    distance = [np.abs(tail - n) for n in nearest]
+    fits_1 = distance[1] <= limit + _GUARD
+    fits_2 = fits_1 & (distance[2] <= limit + _GUARD)
+    nearest = np.where(fits_2, nearest[2], np.where(fits_1, nearest[1], nearest[0]))
+    distance = np.where(fits_2, distance[2], np.where(fits_1, distance[1], distance[0]))
+    half_step = np.where(fits_2, 50.0, np.where(fits_1, 5.0, 0.5))
+    digits = y - last + nearest.astype(np.int64)
+    undecided = (np.abs(distance - limit) < _GUARD) | (np.abs(distance - half_step) < _GUARD)
+    level = fits_1 + fits_2.astype(np.int64)
+    # j = 3 ... 16: the zeros that end the candidate at 2, which has 15
+    # digits before them. A multiple of 10**j divided by 10**j is an
+    # integer, and no other 15-digit integer's quotient rounds to one
+    live = np.flatnonzero(fits_2)
+    hundreds = (digits[live] // 100).astype(np.float64) / _POW10[1:15, None]
+    level[live] += (hundreds == np.floor(hundreds)).sum(axis=0)
+    # so would a log10 off by one; rounding up to 10**17 would move the point
+    undecided |= (y < 10 ** (_DIGITS - 1)) | (digits >= 10**_DIGITS)
+    return digits, exponent + 1, _DIGITS - level, undecided
+
+
+def _format_fields(values: np.ndarray, chars: np.ndarray, mask: np.ndarray) -> None:
+    """Write each float of the (n, m) ``values`` as :func:`repr` writes it
+    into its field of ``chars`` and ``mask`` (both (n, m, _FIELD_WIDTH)):
+    the field's text is its ``chars`` where its ``mask`` is set."""
+    x = values.ravel()
+    a = np.abs(x)
+    mantissa, binary_exponent = np.frexp(a)
+    fast = (a >= _FAST_LOW) & (a < _FAST_HIGH) & (mantissa != 0.5) & (a != np.floor(a))
+    # the rest take 1.5, a float of the fast kind, and are overwritten below
+    digits, point, count, undecided = _shortest_digits(
+        np.where(fast, a, 1.5), np.where(fast, binary_exponent, 1)
+    )
+    chars[...] = _FIELD_TEXT
+    for j in range(_DIGITS - 1, -1, -1):
+        higher = digits // 10
+        chars[..., 6 + 2 * j] = (digits - 10 * higher + ord("0")).reshape(values.shape)
+        digits = higher
+    keys = (((x < 0) * len(_POINTS) + point - _POINTS[0]) * _DIGITS + count - 1)
+    np.take(_FIELD_MASKS, keys.reshape(values.shape), axis=0, out=mask, mode="clip")
+    rest = np.flatnonzero(~fast | undecided)
+    if len(rest):
+        # NUL-padded to the longest repr, 24 characters
+        texts = np.array([repr(v) for v in x[rest].tolist()], dtype="S24")
+        codes = texts.view(np.uint8).reshape(len(rest), 24)
+        field = np.unravel_index(rest, values.shape)
+        chars[field + (slice(0, 24),)] = codes
+        mask[field] = False
+        mask[field + (slice(0, 24),)] = codes != 0
+
+
+# rows rendered per block, so that a long window's block stays bounded
+_CSV_BLOCK_ROWS = 1024
+# bytes a block's row buffer gives the prefix, in steps, so that prefixes of
+# about the same length share one buffer
+_PREFIX_STEP = 64
+
+
+def _csv_block(prefix: bytes, values: np.ndarray, work: dict) -> memoryview:
+    """The CSV rows that start with ``prefix`` and go on with the (n, m)
+    ``values``, n <= :data:`_CSV_BLOCK_ROWS`, as UTF-8 bytes.
+
+    The rows are built in one byte matrix, a field per float after the
+    prefix, and compressed to the kept bytes once. The matrix, its mask and
+    the text live in ``work``, made on first use for the prefix's width, so
+    the returned view is overwritten by the next block of that width.
+    """
+    n, m = values.shape
+    width = -(-len(prefix) // _PREFIX_STEP) * _PREFIX_STEP
+    if width not in work:
+        rows = np.empty((_CSV_BLOCK_ROWS, width + m * (_FIELD_WIDTH + 1)), np.uint8)
+        keep = np.ones(rows.shape, bool)
+        # splitting the last axis of a slice of rows is always a view
+        fields = rows[:, width:].reshape(_CSV_BLOCK_ROWS, m, _FIELD_WIDTH + 1)
+        fields[:, :, -1] = ord(",")
+        fields[:, -1, -1] = ord("\n")
+        masks = keep[:, width:].reshape(_CSV_BLOCK_ROWS, m, _FIELD_WIDTH + 1)
+        work[width] = (rows, keep, fields[:, :, :-1], masks[:, :, :-1]), np.empty(rows.size, np.uint8)
+    matrices, text = work[width]
+    rows, keep, chars, mask = (a[:n] for a in matrices)
+    rows[:, : len(prefix)] = np.frombuffer(prefix, np.uint8)
+    keep[:, :width] = np.arange(width) < len(prefix)
+    _format_fields(values, chars, mask)
+    size = np.count_nonzero(keep)
+    return memoryview(np.compress(keep.ravel(), rows.ravel(), out=text[:size]))
+
+
+def _csv_chunks(windows: Iterable[TrajectoryWindow]) -> Iterator[memoryview]:
+    """The canonical CSV as UTF-8 bytes: the header line, then each
+    window's rows in blocks of at most :data:`_CSV_BLOCK_ROWS`.
+
+    A block is a view of a buffer that a later block of the same shape
+    overwrites, so use each one before drawing the next.
+    """
+    yield memoryview((",".join(CSV_COLUMNS) + "\n").encode("utf-8"))
+    work: dict = {}
     for w in windows:
         label = w.label.value if w.label is not None else ""
         prefix = _csv_prefix(f"{w.recording_group}/{w.id}", w.scenario.value, label)
-        rate = float(w.rate)
-        t = times.setdefault(rate, [])
-        t.extend(repr(i / rate) for i in range(len(t), len(w.data)))
-        # tolist() yields Python floats, whose repr is the shortest string
-        # that parses back to the same float; no float repr holds a
-        # character the csv dialect would quote
-        yield "".join(
-            f"{prefix},{ti},{','.join(map(repr, row))}\n"
-            for ti, row in zip(t, w.data.tolist())
-        )
+        # the floats follow unquoted: no float repr holds a character the
+        # csv dialect would quote
+        prefix_bytes = (prefix + ",").encode("utf-8")
+        times = np.arange(len(w)) / w.rate
+        for start in range(0, len(w), _CSV_BLOCK_ROWS):
+            block = slice(start, start + _CSV_BLOCK_ROWS)
+            yield _csv_block(prefix_bytes, np.column_stack((times[block], w.data[block])), work)
 
 
 def serialize_csv(windows: Iterable[TrajectoryWindow]) -> str:
     """Render windows in the canonical CSV layout (see module docstring).
 
     The whole text is built in memory; :func:`dataset_hash` streams the
-    same text, one window at a time, to a hash and a file instead.
+    same text, one block of rows at a time, to a hash and a file instead.
     """
-    return "".join(_csv_chunks(windows))
+    # each block is decoded as it is drawn, before the next overwrites it
+    return "".join(str(chunk, "utf-8") for chunk in _csv_chunks(windows))
 
 
 def dataset_hash(
@@ -223,17 +427,16 @@ def dataset_hash(
     CSV bytes are also written to that file, so one serialization serves
     both.
 
-    The text is hashed and written one window's chunk at a time, so at
-    most one window's CSV is held in memory, never the whole file; the
-    bytes and the digest are those of ``serialize_csv(windows)``.
+    The text is hashed and written one block of rows at a time, so at most
+    one block's CSV is held in memory, never the whole file; the bytes and
+    the digest are those of ``serialize_csv(windows)``.
     """
     digest = hashlib.sha256()
     with open(write_to, "wb") if write_to is not None else nullcontext() as fh:
         for chunk in _csv_chunks(windows):
-            data = chunk.encode("utf-8")
-            digest.update(data)
+            digest.update(chunk)
             if fh is not None:
-                fh.write(data)
+                fh.write(chunk)
     return digest.hexdigest()
 
 

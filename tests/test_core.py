@@ -1,8 +1,10 @@
 import hashlib
 import io
 import math
+import sys
 import tempfile
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -189,6 +191,90 @@ def test_streamed_csv_is_the_serialized_text(windows):
     assert digest == hashlib.sha256(text.encode("utf-8")).hexdigest()
     assert dataset_hash(windows) == digest
     assert serialize_csv(ingest_csv(io.StringIO(text))) == text
+
+
+def _rendered(values):
+    """Each float of ``values`` as the CSV writer renders it, in order."""
+    values = np.asarray(values, dtype=np.float64).ravel()
+    rows = max(2, -(-len(values) // len(AXIS_NAMES)))
+    data = np.zeros(rows * len(AXIS_NAMES))
+    data[: len(values)] = values
+    text = serialize_csv([window_from_array(data.reshape(rows, len(AXIS_NAMES)))])
+    fields = [f for line in text.splitlines()[1:] for f in line.split(",")[4:]]
+    return fields[: len(values)]
+
+
+def _beside_an_edge(binade, places):
+    """The two floats of [2**binade, 2**(binade + 1)) either side of a
+    16-digit decimal ``m / 10**places`` that lies 1 / (2 * 5**places) of an
+    ulp past their midpoint: just inside the upper float's rounding
+    interval, and just outside the lower one's."""
+    ulp = Fraction(2) ** (binade - 52)
+    five = 5**places
+    # decimal / ulp = m * lift / five, whose fraction must be 1/2 + 1/(2 five)
+    lift = 2 ** (52 - binade - places)
+    residue = (five + 1) // 2 * pow(lift, -1, five) % five
+    first = math.ceil(Fraction(2) ** binade * 10**places)
+    m = first + (residue - first) % five
+    decimal = Fraction(m, 10**places)
+    assert len(str(m)) == 16 and decimal < 2 ** (binade + 1)
+    below = math.floor(decimal / ulp) * ulp
+    assert decimal - below - ulp / 2 == ulp / (2 * five)
+    return [float(below), float(below + ulp)]
+
+
+# the CSV writer makes the text of 1e-4 <= |x| < 1e15 itself and leaves the
+# rest to repr(); these sit on that range's edges and on its hard cases
+_FLOAT_CASES = [
+    1e-4, 0.00099999999999999999, 9.999999999999999e14, 1e15, 1e16,
+    math.nextafter(1e-4, 0), math.nextafter(1e-4, 1), math.nextafter(1e15, 0),
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, sys.float_info.max,
+    -sys.float_info.max,
+    # powers of two, whose rounding interval is lopsided
+    *(2.0 ** b for b in range(-20, 60, 3)), 2.0 ** -1074, 2.0 ** 1023,
+    # integral floats
+    1.0, -3.0, 12.0, 100.0, 123456789012345.0, 2.0 ** 53 + 2, 1e22, 1e23,
+    # shortest forms of 1 to 17 digits, and ones whose digits carry to 10**k
+    *(float("1." + "234567890123456789"[:k]) for k in range(17)),
+    *(float("0.0" + "987654321098765432"[:k]) for k in range(1, 18)),
+    0.1, 0.2, 0.3, 0.1 + 0.2, 1 / 3, 2 / 3, 0.9999999999999999, 99.99999999999999,
+    9.999999999999998, 0.009999999999999998, 999999999999999.9,
+    # exact decimal midpoints: 17 digits then a 5, tied between two strings
+    1 + 2**-17, 1 + 3 * 2**-17, 7 + 2**-17, 3.5 + 5 * 2**-17,
+    # a 16-digit decimal a hair past the edge of a rounding interval
+    *_beside_an_edge(0, 15), *_beside_an_edge(-5, 17), *_beside_an_edge(8, 13),
+    *_beside_an_edge(3, 15),
+]
+
+
+def test_csv_floats_are_repr_at_the_edges():
+    values = [sign * v for v in _FLOAT_CASES for sign in (1.0, -1.0)]
+    assert _rendered(values) == [repr(v) for v in values]
+
+
+def test_csv_floats_are_repr_over_a_seeded_sweep():
+    rng = np.random.default_rng(2024)
+    bits = rng.integers(0, 2**64, 200_000, dtype=np.uint64, endpoint=False)
+    anywhere = bits.view(np.float64)
+    anywhere = anywhere[np.isfinite(anywhere)]
+    fast = 10.0 ** rng.uniform(-4, 15, 200_000) * rng.choice([-1.0, 1.0], 200_000)
+    for values in (anywhere, fast):
+        assert _rendered(values) == [repr(v) for v in values.tolist()]
+
+
+# a float up to 40 ulps from a power of ten or of two
+_BESIDE_AN_EDGE = st.builds(
+    lambda edge, ulps, sign: sign * (np.float64(edge).view(np.int64) + ulps).view(np.float64),
+    st.sampled_from([float(f"1e{e}") for e in range(-5, 18)] + [2.0**b for b in range(-16, 56)]),
+    st.integers(-40, 40),
+    st.sampled_from([1.0, -1.0]),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_BESIDE_AN_EDGE, min_size=1, max_size=40))
+def test_csv_floats_beside_decades_and_powers_of_two_are_repr(values):
+    assert _rendered(values) == [repr(float(v)) for v in values]
 
 
 def test_csv_unlabeled_and_slashless_ids():
