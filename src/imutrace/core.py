@@ -302,12 +302,12 @@ def _shortest_digits(
     # nearest integer is within 0.5, inside every limit
     last = y % 100
     tail = last + fraction
-    nearest = [np.rint(tail), np.rint(tail / 10) * 10, np.rint(tail / 100) * 100]
-    distance = [np.abs(tail - n) for n in nearest]
-    fits_1 = distance[1] <= limit + _GUARD
-    fits_2 = fits_1 & (distance[2] <= limit + _GUARD)
-    nearest = np.where(fits_2, nearest[2], np.where(fits_1, nearest[1], nearest[0]))
-    distance = np.where(fits_2, distance[2], np.where(fits_1, distance[1], distance[0]))
+    near = [np.rint(tail), np.rint(tail / 10) * 10, np.rint(tail / 100) * 100]
+    gap = [np.abs(tail - n) for n in near]
+    fits_1 = gap[1] <= limit + _GUARD
+    fits_2 = fits_1 & (gap[2] <= limit + _GUARD)
+    nearest = np.where(fits_2, near[2], np.where(fits_1, near[1], near[0]))
+    distance = np.where(fits_2, gap[2], np.where(fits_1, gap[1], gap[0]))
     half_step = np.where(fits_2, 50.0, np.where(fits_1, 5.0, 0.5))
     digits = y - last + nearest.astype(np.int64)
     undecided = (np.abs(distance - limit) < _GUARD) | (np.abs(distance - half_step) < _GUARD)
@@ -379,7 +379,8 @@ def _csv_block(prefix: bytes, values: np.ndarray, work: dict) -> memoryview:
         fields[:, :, -1] = ord(",")
         fields[:, -1, -1] = ord("\n")
         masks = keep[:, width:].reshape(_CSV_BLOCK_ROWS, m, _FIELD_WIDTH + 1)
-        work[width] = (rows, keep, fields[:, :, :-1], masks[:, :, :-1]), np.empty(rows.size, np.uint8)
+        matrices = (rows, keep, fields[:, :, :-1], masks[:, :, :-1])
+        work[width] = matrices, np.empty(rows.size, np.uint8)
     matrices, text = work[width]
     rows, keep, chars, mask = (a[:n] for a in matrices)
     rows[:, : len(prefix)] = np.frombuffer(prefix, np.uint8)
@@ -393,8 +394,8 @@ def _csv_chunks(windows: Iterable[TrajectoryWindow]) -> Iterator[memoryview]:
     """The canonical CSV as UTF-8 bytes: the header line, then each
     window's rows in blocks of at most :data:`_CSV_BLOCK_ROWS`.
 
-    A block is a view of a buffer that a later block of the same shape
-    overwrites, so use each one before drawing the next.
+    A block is a view of a buffer that a later block of the same prefix
+    width overwrites, so use each one before drawing the next.
     """
     yield memoryview((",".join(CSV_COLUMNS) + "\n").encode("utf-8"))
     work: dict = {}
