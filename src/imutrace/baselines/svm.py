@@ -6,6 +6,11 @@ and for each KKT violator optimize one analytically solvable pair,
 second index chosen by the largest error gap with an in-order
 fallback. Sweeps repeat until one passes with no update or the pass
 budget runs out, which makes training deterministic without any RNG.
+SMO is a scalar algorithm, so the pair step runs on Python floats read
+from lists (the duals, the labels, the kernel rows and the errors); only
+the O(n) work per step, the pick of the second index and the update of
+every decision value, is numpy's. It gives the bits of the numpy-scalar
+solver that the tests keep as its reference.
 
 Features are standardized by training-set statistics by default; with
 mixed physical units (m/s^2, rad/s, uT) the raw kernel distances would
@@ -151,63 +156,65 @@ def _smo_binary(
     The machine has converged when the largest violation is ``<= tol``.
     """
     n = y.size
-    alpha = np.zeros(n)
+    rows, y_list = k.tolist(), y.tolist()
+    alpha = [0.0] * n
     bias = 0.0
-    # f tracks the current decision value for every training point
+    # f tracks the current decision value for every training point, and
+    # errs its error f - y as the list the pair step reads
     f = np.zeros(n)
+    errs = (f - y).tolist()
 
-    def take_step(i: int, j: int) -> bool:
-        nonlocal bias, f
-        if i == j:
-            return False
+    def take_step(i: int, j: int, e_i: float) -> Optional[tuple[float, float, float]]:
+        """Optimize duals i and j on Python floats; when they move, store
+        them and return (d_i, d_j, bias_new) for the caller to update f."""
         a_i, a_j = alpha[i], alpha[j]
-        y_i, y_j = y[i], y[j]
-        e_i = f[i] - y_i
-        e_j = f[j] - y_j
+        y_i, y_j = y_list[i], y_list[j]
         if y_i == y_j:
             low, high = max(0.0, a_i + a_j - c), min(c, a_i + a_j)
         else:
             low, high = max(0.0, a_j - a_i), min(c, c + a_j - a_i)
         if high - low < ALPHA_EPS:
-            return False
-        eta = 2.0 * k[i, j] - k[i, i] - k[j, j]
+            return None
+        k_i, k_j = rows[i], rows[j]
+        eta = 2.0 * k_i[j] - k_i[i] - k_j[j]
+        # eta is exactly 0 when i == j, so a point never pairs with itself
         if eta >= 0:
-            return False
-        a_j_new = np.clip(a_j - y_j * (e_i - e_j) / eta, low, high)
+            return None
+        e_j = errs[j]
+        a_j_new = a_j - y_j * (e_i - e_j) / eta
+        # np.clip's comparisons in its order (low < high here): min(max(...))
+        # would differ on signed zeros
+        a_j_new = (a_j_new if a_j_new < high else high) if a_j_new > low else low
         if abs(a_j_new - a_j) < ALPHA_EPS:
-            return False
+            return None
         a_i_new = a_i + y_i * y_j * (a_j - a_j_new)
         d_i = y_i * (a_i_new - a_i)
         d_j = y_j * (a_j_new - a_j)
-        b1 = bias - e_i - d_i * k[i, i] - d_j * k[i, j]
-        b2 = bias - e_j - d_i * k[i, j] - d_j * k[j, j]
-        if ALPHA_EPS < a_i_new < c - ALPHA_EPS:
-            bias_new = b1
-        elif ALPHA_EPS < a_j_new < c - ALPHA_EPS:
-            bias_new = b2
-        else:
-            bias_new = 0.5 * (b1 + b2)
-        f += d_i * k[:, i] + d_j * k[:, j] + (bias_new - bias)
+        b1 = bias - e_i - d_i * k_i[i] - d_j * k_i[j]
+        b2 = bias - e_j - d_i * k_i[j] - d_j * k_j[j]
         alpha[i], alpha[j] = a_i_new, a_j_new
-        bias = bias_new
-        return True
+        return d_i, d_j, (
+            b1 if ALPHA_EPS < a_i_new < c - ALPHA_EPS
+            else b2 if ALPHA_EPS < a_j_new < c - ALPHA_EPS
+            else 0.5 * (b1 + b2)
+        )
 
-    sweeps = 0
-    for _ in range(max_passes):
-        sweeps += 1
+    for sweeps in range(1, max_passes + 1):
         changed = 0
         for i in range(n):
-            e_i = f[i] - y[i]
-            r = e_i * y[i]
+            e_i = errs[i]
+            r = e_i * y_list[i]
             if not ((r < -tol and alpha[i] < c) or (r > tol and alpha[i] > 0)):
                 continue
             gaps = np.abs((f - y) - e_i)
             gaps[i] = -1.0
-            if take_step(i, int(np.argmax(gaps))):
-                changed += 1
-                continue
-            for j in range(n):
-                if take_step(i, j):
+            # the largest error gap first, then every j in order
+            for j in (int(np.argmax(gaps)), *range(n)):
+                if step := take_step(i, j, e_i):
+                    d_i, d_j, bias_new = step
+                    f += d_i * k[:, i] + d_j * k[:, j] + (bias_new - bias)
+                    bias = bias_new
+                    errs = (f - y).tolist()
                     changed += 1
                     break
         if changed == 0:
@@ -215,6 +222,7 @@ def _smo_binary(
 
     # recompute decisions from scratch so the check is free of the tiny
     # drift the incremental f updates accumulate
+    alpha = np.array(alpha)
     fresh = k @ (alpha * y) + bias
     return alpha, bias, sweeps, float(np.max(kkt_violations(alpha, y, fresh, c)))
 

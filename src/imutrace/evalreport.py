@@ -61,11 +61,13 @@ _TEST_NAMES = {Part.SEEN_TEST: "Seen", Part.UNSEEN_TEST: "Unseen"}
 
 # run_experiment submits its pool tasks longest first, so the short ones
 # fill in behind the long ones. The order is by single task, not by kind's
-# total: in the timings.json of six grid-mock runs (--per-class 12, 2-core
-# x86 VM, pooled and inline) writing the 22 MB dataset CSV took 1.15-1.31 s,
-# each LSTM 0.69-1.03 s (once 1.5 s in a worker beside the CSV task), each
-# CNN 0.10-0.24 s, each SVM 0.04-0.14 s and each forest 0.06-0.11 s.
-_TASK_ORDER = ("dataset", "lstm", "cnn", "svm", "rf")
+# total: in the timings.json of 24 pooled grid-mock runs (--per-class 12,
+# gen seed 7, 2-core x86 VM) each LSTM took 0.26-0.57 s CPU, writing the
+# 22 MB dataset CSV 0.26-0.40 s, each CNN 0.04-0.11 s, each SVM
+# 0.01-0.08 s and each forest 0.04-0.09 s. With the LSTMs first, pool_s had
+# a median of 0.68 s against 0.72 s with the CSV first (12 alternating runs
+# each; lower in 24 of 38 such pairs in all).
+_TASK_ORDER = ("lstm", "dataset", "cnn", "svm", "rf")
 
 
 @dataclass(frozen=True, eq=False)

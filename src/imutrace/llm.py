@@ -17,6 +17,7 @@ words of the ``LABEL_PHRASES`` phrases.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import json
 import math
@@ -590,8 +591,21 @@ LABEL_PHRASES: dict[TrajectoryLabel, tuple[str, ...]] = {
 
 
 # A word of a response (group 1), or a run of other characters that are
-# not separators, which no phrase spans (group 1 is None).
+# not separators, which no phrase spans (group 1 is empty).
 _TOKEN = re.compile(r"(\w+)|[^\w\s\-\u2010-\u2015\u2212]+")
+
+
+@functools.lru_cache(maxsize=8)
+def _phrase_index(
+    phrases: tuple[tuple[TrajectoryLabel, tuple[str, ...]], ...],
+) -> dict[str, list[tuple[list[str], TrajectoryLabel]]]:
+    """Each phrase's words after its first, with its label, keyed by that first word."""
+    by_first: dict[str, list[tuple[list[str], TrajectoryLabel]]] = {}
+    for label, group in phrases:
+        for phrase in group:
+            first, *rest = phrase.split()
+            by_first.setdefault(first, []).append((rest, label))
+    return by_first
 
 
 def parse_label(
@@ -612,12 +626,8 @@ def parse_label(
     labels ending at the same position raise AmbiguousLabelError; no
     match raises UnparseableLabelError.
     """
-    by_first: dict[str, list[tuple[list[str], TrajectoryLabel]]] = {}
-    for label, group in phrases.items():
-        for phrase in group:
-            first, *rest = phrase.split()
-            by_first.setdefault(first, []).append((rest, label))
-    words = [m[1] and m[1].casefold() for m in _TOKEN.finditer(text)]
+    by_first = _phrase_index(tuple(phrases.items()))
+    words = [word.casefold() for word in _TOKEN.findall(text)]
 
     # the index of the last word a best match ends on: a later word ends later in the text
     best_last = -1

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from imutrace.baselines import nn
+from imutrace.baselines.svm import ALPHA_EPS, kkt_violations
 from imutrace.core import Scenario, TrajectoryLabel, TrajectoryWindow
 from imutrace.synth import GeneratorConfig, ZERO_NOISE, generate_dataset, uniform_counts
 
@@ -102,3 +103,73 @@ def gradient_errors(kind, cfg, params, x, y, seeds, h=1e-5, samples_per_tensor=5
                 worst = max(worst, abs(analytic[idx] - numeric) / denom)
         errors.append(worst)
     return errors
+
+
+def smo_binary_reference(k, y, c, tol, max_passes):
+    """svm._smo_binary as once written, stepping on numpy scalars with
+    np.clip: the reference whose alpha, bias, sweeps and max KKT
+    violation the Python-float step must give bit for bit."""
+    n = y.size
+    alpha = np.zeros(n)
+    bias = 0.0
+    f = np.zeros(n)
+
+    def take_step(i, j):
+        nonlocal bias, f
+        if i == j:
+            return False
+        a_i, a_j = alpha[i], alpha[j]
+        y_i, y_j = y[i], y[j]
+        e_i = f[i] - y_i
+        e_j = f[j] - y_j
+        if y_i == y_j:
+            low, high = max(0.0, a_i + a_j - c), min(c, a_i + a_j)
+        else:
+            low, high = max(0.0, a_j - a_i), min(c, c + a_j - a_i)
+        if high - low < ALPHA_EPS:
+            return False
+        eta = 2.0 * k[i, j] - k[i, i] - k[j, j]
+        if eta >= 0:
+            return False
+        a_j_new = np.clip(a_j - y_j * (e_i - e_j) / eta, low, high)
+        if abs(a_j_new - a_j) < ALPHA_EPS:
+            return False
+        a_i_new = a_i + y_i * y_j * (a_j - a_j_new)
+        d_i = y_i * (a_i_new - a_i)
+        d_j = y_j * (a_j_new - a_j)
+        b1 = bias - e_i - d_i * k[i, i] - d_j * k[i, j]
+        b2 = bias - e_j - d_i * k[i, j] - d_j * k[j, j]
+        if ALPHA_EPS < a_i_new < c - ALPHA_EPS:
+            bias_new = b1
+        elif ALPHA_EPS < a_j_new < c - ALPHA_EPS:
+            bias_new = b2
+        else:
+            bias_new = 0.5 * (b1 + b2)
+        f += d_i * k[:, i] + d_j * k[:, j] + (bias_new - bias)
+        alpha[i], alpha[j] = a_i_new, a_j_new
+        bias = bias_new
+        return True
+
+    sweeps = 0
+    for _ in range(max_passes):
+        sweeps += 1
+        changed = 0
+        for i in range(n):
+            e_i = f[i] - y[i]
+            r = e_i * y[i]
+            if not ((r < -tol and alpha[i] < c) or (r > tol and alpha[i] > 0)):
+                continue
+            gaps = np.abs((f - y) - e_i)
+            gaps[i] = -1.0
+            if take_step(i, int(np.argmax(gaps))):
+                changed += 1
+                continue
+            for j in range(n):
+                if take_step(i, j):
+                    changed += 1
+                    break
+        if changed == 0:
+            break
+
+    fresh = k @ (alpha * y) + bias
+    return alpha, bias, sweeps, float(np.max(kkt_violations(alpha, y, fresh, c)))

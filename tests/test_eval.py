@@ -721,7 +721,7 @@ def test_pooled_and_inline_runs_agree(monkeypatch):
     assert pooled.manifest_sha256 == inline.manifest_sha256
     # both ran the same tasks, longest first
     assert list(pooled.timings["tasks"]) == list(inline.timings["tasks"]) == [
-        "dataset", "lstm/indoor", "lstm/outdoor", "cnn/indoor", "cnn/outdoor",
+        "lstm/indoor", "lstm/outdoor", "dataset", "cnn/indoor", "cnn/outdoor",
         "svm/indoor", "svm/outdoor", "rf/indoor", "rf/outdoor",
     ]
 

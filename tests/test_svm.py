@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from imutrace.baselines import svm
+from imutrace.baselines.features import feature_matrix, label_vector
 from imutrace.baselines.model_io import load_model, save_model
 from imutrace.baselines.svm import (
     ALPHA_EPS,
@@ -12,8 +16,11 @@ from imutrace.baselines.svm import (
     rbf_kernel,
     train_svm,
 )
-from imutrace.core import LABEL_ORDER
+from imutrace.core import LABEL_ORDER, Part, Scenario, split_dataset
 from imutrace.errors import DataError
+from imutrace.synth import GeneratorConfig, generate_dataset, uniform_counts
+
+from conftest import smo_binary_reference
 
 
 def _blobs(seed, n_per_class=12, spread=0.5):
@@ -178,3 +185,52 @@ def test_validation_errors():
 def test_config_refuses_non_finite(field, value):
     with pytest.raises(DataError, match="positive and finite"):
         SvmConfig(**{field: value})
+
+
+def _solution_bits(solution):
+    alpha, bias, sweeps, max_violation = solution
+    return alpha.dtype, alpha.tobytes(), float(bias).hex(), sweeps, max_violation.hex()
+
+
+@pytest.mark.parametrize("per_class", [6, 12, 24])
+@pytest.mark.parametrize("gen_seed", [7, 23])
+def test_smo_gives_the_reference_bits_on_generated_train_sets(monkeypatch, gen_seed, per_class):
+    # the Train sets of `imutrace run --gen-seed G --per-class N`, split seed 0
+    windows, _ = generate_dataset(GeneratorConfig(seed=gen_seed), uniform_counts(per_class))
+    split = split_dataset(windows, 0)
+    solved = []
+    smo = svm._smo_binary
+
+    def both(*args):
+        solved.append((smo(*args), smo_binary_reference(*args)))
+        return solved[-1][0]
+
+    monkeypatch.setattr(svm, "_smo_binary", both)
+    for scenario in Scenario:
+        train = [
+            w for w in windows
+            if w.scenario is scenario and split.assignment[w.id] is Part.TRAIN
+        ]
+        train_svm(feature_matrix(train), label_vector(train), SvmConfig())
+    assert len(solved) == 8
+    for got, want in solved:
+        assert _solution_bits(got) == _solution_bits(want)
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    points=st.lists(
+        st.tuples(st.integers(-2, 2), st.integers(-2, 2), st.booleans()), min_size=2, max_size=12
+    ),
+    # at gamma 1e3 distinct grid points are orthogonal (k = 0 exactly), so
+    # at C = 1 a first step's unclipped dual is exactly C, its upper bound;
+    # repeated points give eta = 0
+    gamma=st.sampled_from([0.1, 0.5, 2.0, 1e3]),
+    c=st.sampled_from([0.25, 0.5, 1.0, 2.0, 1e3]),
+    tol=st.sampled_from([1e-3, 0.1]),
+)
+def test_smo_gives_the_reference_bits_on_small_rbf_problems(points, gamma, c, tol):
+    x = np.array([p[:2] for p in points], dtype=np.float64)
+    y = np.array([1.0 if p[2] else -1.0 for p in points])
+    args = (rbf_kernel(x, x, gamma), y, c, tol, 50)
+    assert _solution_bits(svm._smo_binary(*args)) == _solution_bits(smo_binary_reference(*args))
