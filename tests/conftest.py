@@ -106,9 +106,10 @@ def gradient_errors(kind, cfg, params, x, y, seeds, h=1e-5, samples_per_tensor=5
 
 
 def smo_binary_reference(k, y, c, tol, max_passes):
-    """svm._smo_binary as once written, stepping on numpy scalars with
-    np.clip: the reference whose alpha, bias, sweeps and max KKT
-    violation the Python-float step must give bit for bit."""
+    """svm._smo_binary as once written: Platt's first-order SMO, sweeping
+    every point per pass and stepping on numpy scalars with np.clip. It
+    is the oracle whose dual objective and predictions the second-order
+    solver is checked against."""
     n = y.size
     alpha = np.zeros(n)
     bias = 0.0
