@@ -212,9 +212,10 @@ def cross_entropy(logits: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]
     """Mean cross-entropy and its gradient w.r.t. the logits."""
     n = logits.shape[0]
     z = logits - logits.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(z).sum(axis=1))
-    loss = float(np.mean(lse - z[np.arange(n), y]))
-    dlogits = softmax(logits)
+    e = np.exp(z)
+    total = e.sum(axis=1)
+    loss = float(np.mean(np.log(total) - z[np.arange(n), y]))
+    dlogits = e / total[:, None]  # the softmax, from the loss's exponentials
     dlogits[np.arange(n), y] -= 1.0
     return loss, dlogits / n
 

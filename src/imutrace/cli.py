@@ -59,10 +59,11 @@ EXIT_INTERNAL = 5
 
 @contextmanager
 def _reading(path: str, what: str, error: type[ImutraceError]):
-    """``path`` open as UTF-8 text; a file that cannot be read or is not
-    UTF-8 raises ``error`` naming ``what``."""
+    """``path`` open as UTF-8 text, less a leading byte-order mark (which
+    Excel writes); a file that cannot be read or is not UTF-8 raises
+    ``error`` naming ``what``."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             yield fh
     except (OSError, UnicodeDecodeError) as exc:
         raise error(f"cannot read {what} {path}: {exc}") from None

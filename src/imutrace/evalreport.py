@@ -424,11 +424,12 @@ def run_experiment(
             plan.append((scenario, model, part, reason))
     live = [(scenario, model, part) for scenario, model, part, reason in plan if reason is None]
 
-    # an unseen-test prompt over the budget is refused before any baseline trains
-    for scenario, model, part in live:
-        if model not in BASELINES:
-            for w in by_part_scenario[(part, scenario)]:
-                build_prompt(down[w.id], model, templates=templates)
+    # the prompts sent, rendered now: one over the budget is refused before any baseline trains
+    bundles = {
+        (s, m): [build_prompt(down[w.id], m, templates=templates) for w in by_part_scenario[(p, s)]]
+        for s, m, p in live
+        if m not in BASELINES
+    }
     for scenario, model, part in live:
         for p in (part, Part.TRAIN) if model in BASELINES else (part,):
             for w in by_part_scenario[(p, scenario)]:
@@ -482,9 +483,7 @@ def run_experiment(
                 )
                 preds, n_failed = [Prediction(w.id, lb) for w, lb in zip(eval_full, labels)], 0
             else:
-                batch = classify_windows(
-                    [down[w.id] for w in eval_full], model, cfg=provider_cfg, templates=templates
-                )
+                batch = classify_windows(bundles[(scenario, model)], model, cfg=provider_cfg)
                 preds, n_failed = batch.predictions, len(batch.failures)
                 transcript += batch.transcript
             n_total = len(eval_full)

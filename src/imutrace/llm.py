@@ -656,7 +656,7 @@ def parse_label(
 
 
 def classify_windows(
-    windows: Sequence[TrajectoryWindow],
+    windows: Sequence[TrajectoryWindow | PromptBundle],
     mode: PromptMode,
     *,
     cfg: Optional[ProviderConfig] = None,
@@ -665,7 +665,7 @@ def classify_windows(
 ) -> BatchResult:
     """Classify every window through one provider, at most
     ``cfg.concurrency`` requests in flight (one at a time without
-    ``cfg``).
+    ``cfg``). A window given as its ``PromptBundle`` is sent as it is.
 
     Predictions come back sorted by window_id regardless of completion
     order. A response whose text yields no label becomes a prediction
@@ -678,9 +678,8 @@ def classify_windows(
     window_id, bundle hash, text and latency for a success; window_id,
     bundle hash, error and attempts for a failure. No file is written.
     """
-    if templates is None:
-        templates = TemplateSet.load_default()
-    bundles = [build_prompt(w, mode, templates=templates) for w in windows]
+    bundles = [w if isinstance(w, PromptBundle) else build_prompt(w, mode, templates=templates)
+               for w in windows]
     workers = min(cfg.concurrency if cfg is not None else 1, len(bundles))
     if completer is None and cfg is not None:
         calls = _complete_batch(cfg, bundles, workers)

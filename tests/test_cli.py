@@ -331,6 +331,43 @@ def test_an_input_file_that_is_not_utf8_exits_cleanly_before_writing(tmp_path, c
     assert not out.exists()
 
 
+def test_an_input_file_that_starts_with_a_bom_reads_as_without_it(tmp_path, capsys):
+    # Excel writes its CSVs after a UTF-8 byte-order mark
+    def bom(path):
+        copy = tmp_path / f"bom-{path.name}"
+        copy.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        return copy
+
+    csv = _generate(tmp_path, per_class=3) / "dataset.csv"
+    splits = [tmp_path / "split.json", tmp_path / "split-of-bom.json"]
+    for data, split in zip((csv, bom(csv)), splits):
+        assert main(["split", "--data", str(data), "--out", str(split)]) == 0
+    assert splits[1].read_bytes() == splits[0].read_bytes()
+    split = splits[0]
+
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"baselines": "rf", "modes": "do"}))
+    manifests = []
+    for data, split_file, cfg in ((csv, split, config), (bom(csv), bom(split), bom(config))):
+        out = tmp_path / f"run-{len(manifests)}"
+        argv = ["run", "--data", str(data), "--split", str(split_file), "--config", str(cfg)]
+        assert main([*argv, "--out", str(out)]) == 0
+        manifests.append(json.loads((out / "run_manifest.json").read_text()))
+    for key in ("dataset_sha256", "split_sha256", "baselines", "modes"):
+        assert manifests[1][key] == manifests[0][key]
+
+    jsonl = tmp_path / "run-0" / "report.jsonl"
+    capsys.readouterr()
+    assert main(["report", "--input", str(bom(jsonl)), "--format", "jsonl"]) == 0
+    assert capsys.readouterr().out == jsonl.read_text()
+
+    # a mark does not make the bytes after it UTF-8
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"\xef\xbb\xbf\xff\n")
+    assert main(["split", "--data", str(bad), "--out", str(tmp_path / "bad.json")]) == 3
+    assert not (tmp_path / "bad.json").exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -672,7 +709,7 @@ def test_a_sample_count_that_overflows_exits_3(tmp_path, capsys, argv):
 def test_run_exits_4_when_provider_failures_skip_a_cell(tmp_path, capsys, monkeypatch):
     def all_fail(windows, mode, **kwargs):
         return BatchResult(
-            predictions=(), failures=tuple((w.id, "connection lost") for w in windows)
+            predictions=(), failures=tuple((w.window_id, "connection lost") for w in windows)
         )
 
     monkeypatch.setattr(evalreport, "classify_windows", all_fail)

@@ -4,6 +4,7 @@ import json
 import math
 import multiprocessing
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import imutrace.evalreport as evalreport
+import imutrace.prompting as prompting
 from imutrace.baselines.forest import RfConfig
 from imutrace.baselines.nn import CnnConfig, LstmConfig
 from imutrace.baselines.svm import SvmConfig
@@ -593,6 +595,31 @@ def test_a_run_moves_every_output_into_out(tiny_run_inputs, tmp_path, write_data
         assert digest == r.manifest["dataset_sha256"]
 
 
+def test_a_run_renders_each_prompt_it_sends_once(monkeypatch, tmp_path):
+    cfg = GeneratorConfig(seed=4, windows_per_group=2)
+    windows, _ = generate_dataset(cfg, uniform_counts(3), {s: ZERO_NOISE for s in Scenario})
+    split = split_dataset(windows, seed=1)
+    real = prompting.build_prompt
+    rendered = []
+
+    def counting(*args, **kwargs):
+        bundle = real(*args, **kwargs)
+        rendered.append(bundle.digest())
+        return bundle
+
+    # every module that holds build_prompt under some name calls the counter
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "imutrace":
+            for key, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, key, counting)
+    run_experiment(windows, split, baselines=(), out=tmp_path / "r")
+    transcript = (tmp_path / "r" / "transcript.jsonl").read_text()
+    rows = [json.loads(line) for line in transcript.splitlines()]
+    assert len(rendered) == len(rows) > 0
+    assert sorted(rendered) == sorted(row["bundle_sha256"] for row in rows)
+
+
 def test_provider_failure_skips_cell(monkeypatch):
     cfg = GeneratorConfig(seed=4, windows_per_group=2)
     noise = {s: ZERO_NOISE for s in Scenario}
@@ -602,7 +629,7 @@ def test_provider_failure_skips_cell(monkeypatch):
     def all_fail(windows, mode, **kwargs):
         return BatchResult(
             predictions=(),
-            failures=tuple((w.id, "connection lost") for w in windows),
+            failures=tuple((w.window_id, "connection lost") for w in windows),
         )
 
     monkeypatch.setattr(evalreport, "classify_windows", all_fail)

@@ -368,6 +368,27 @@ def test_classify_windows_mock_end_to_end():
         assert row["latency_s"] > 0
 
 
+@pytest.mark.parametrize("mode", list(PromptMode))
+def test_classify_windows_sends_a_bundle_as_the_window_it_came_from(mode):
+    windows = _clean_windows()
+    doomed = sorted(w.id for w in windows)[2]
+
+    def completer(bundle):
+        if bundle.window_id == doomed:
+            raise TransportError("socket exploded", status=500, attempts=3)
+        return mock_complete(bundle)
+
+    def outcome(batch):
+        rows = [{k: v for k, v in row.items() if k != "latency_s"} for row in batch.transcript]
+        return batch.predictions, batch.failures, rows
+
+    from_windows = classify_windows(windows, mode, completer=completer)
+    bundles = [build_prompt(w, mode) for w in windows]
+    from_bundles = classify_windows(bundles, mode, completer=completer)
+    assert outcome(from_bundles) == outcome(from_windows)
+    assert len(from_windows.failures) == 1 and len(from_windows.predictions) == len(windows) - 1
+
+
 def test_classify_windows_collects_failures():
     windows = _clean_windows()
     doomed = sorted(w.id for w in windows)[0]
