@@ -123,7 +123,7 @@ class TemplateSet:
             if not file.is_file():
                 raise ConfigError(f"template directory is missing {name}: {base}")
             try:
-                texts.append(file.read_text(encoding="utf-8"))
+                texts.append(file.read_text(encoding="utf-8-sig"))
             except (OSError, UnicodeDecodeError) as exc:
                 raise ConfigError(f"cannot read template {file}: {exc}") from None
         return cls(*texts)

@@ -314,20 +314,17 @@ def generate_dataset(
             raise DataError("window counts must be >= 0")
 
     windows: list[TrajectoryWindow] = []
-    global_index = 0
-    for scenario in sorted(Scenario, key=lambda s: s.value):
-        remaining = {
-            label: counts.get((label, scenario), 0)
+    for scenario in Scenario:
+        wanted = {label: counts.get((label, scenario), 0) for label in TrajectoryLabel}
+        # round k takes each label that has more than k windows
+        sequence = [
+            label
+            for k in range(max(wanted.values()))
             for label in TrajectoryLabel
-        }
-        sequence: list[TrajectoryLabel] = []
-        while any(v > 0 for v in remaining.values()):
-            for label in TrajectoryLabel:
-                if remaining[label] > 0:
-                    sequence.append(label)
-                    remaining[label] -= 1
+            if wanted[label] > k
+        ]
         for j, label in enumerate(sequence):
-            rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, global_index)))
+            rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, len(windows))))
             profile = profile_for(label, rng, cfg.duration)
             windows.append(
                 TrajectoryWindow(
@@ -339,19 +336,17 @@ def generate_dataset(
                     label=label,
                 )
             )
-            global_index += 1
 
     manifest = {
         **asdict(cfg),
         "version": MANIFEST_VERSION,
         "rng": GENERATOR_ALGORITHM,
         "noise": {
-            scenario.value: asdict(profile)
-            for scenario, profile in sorted(noise.items(), key=lambda kv: kv[0].value)
+            scenario.value: asdict(noise[scenario]) for scenario in Scenario if scenario in noise
         },
         "counts": {
             f"{label.value}|{scenario.value}": counts.get((label, scenario), 0)
-            for scenario in sorted(Scenario, key=lambda s: s.value)
+            for scenario in Scenario
             for label in TrajectoryLabel
         },
         "total_windows": len(windows),

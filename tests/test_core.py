@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from imutrace import core
 from imutrace.core import (
     AXIS_NAMES,
     CSV_COLUMNS,
@@ -191,6 +192,40 @@ def test_streamed_csv_is_the_serialized_text(windows):
     assert digest == hashlib.sha256(text.encode("utf-8")).hexdigest()
     assert dataset_hash(windows) == digest
     assert serialize_csv(ingest_csv(io.StringIO(text))) == text
+
+
+@st.composite
+def _long_windows(draw):
+    """Windows of rows around and past one block (``_CSV_BLOCK_ROWS``, 1024)
+    whose row prefixes run short, past 64 and past 128 bytes, some of one
+    width; their floats, from a drawn seed, span the writer's fast range
+    and the repr() fallback on both sides of it."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    windows = []
+    for i in range(draw(st.integers(1, 3))):
+        n = draw(st.sampled_from([1023, 1024, 1025, 2049]))
+        data = rng.standard_normal((n, 9)) * 10.0 ** rng.integers(-8, 20, (n, 9))
+        data[rng.random((n, 9)) < 0.05] = 0.0
+        windows.append(window_from_array(
+            data,
+            rate=draw(_RATES),
+            window_id=f"w{i}" + "é" * draw(st.sampled_from([0, 40, 70])),
+            group=draw(st.sampled_from(["g0", "g" * 60])),
+            scenario=draw(st.sampled_from(list(Scenario))),
+            label=draw(st.sampled_from([None, *TrajectoryLabel])),
+        ))
+    return windows
+
+
+@settings(max_examples=15, deadline=None)
+@given(_long_windows())
+def test_csv_blocks_past_a_block_and_a_prefix_width(windows):
+    text = serialize_csv(windows)
+    assert text == _reference_csv(windows)
+    data = text.encode("utf-8")
+    # every block is its own bytes: drawing the next leaves the last intact
+    assert b"".join(core._csv_chunks(windows)) == data
+    assert dataset_hash(windows) == hashlib.sha256(data).hexdigest()
 
 
 def _rendered(values):

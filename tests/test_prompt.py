@@ -168,6 +168,17 @@ def test_template_set_from_dir(tmp_path, make_window):
         TemplateSet.from_dir(tmp_path)
 
 
+def test_a_template_that_starts_with_a_bom_reads_as_without_it(tmp_path, make_window):
+    # an editor may save a UTF-8 file with a byte-order mark; it is not text
+    for name in ("instruction.txt", "question_cot.txt", "question_do.txt"):
+        (tmp_path / name).write_bytes(b"\xef\xbb\xbf" + (TEMPLATE_DIR / name).read_bytes())
+    templates = TemplateSet.from_dir(tmp_path)
+    assert templates.digest() == TemplateSet.load_default().digest()
+    w = make_window(np.zeros((30, 9)), rate=3.0)
+    for mode in PromptMode:
+        assert build_prompt(w, mode, templates=templates) == build_prompt(w, mode)
+
+
 def test_unknown_placeholder_rejected(tmp_path, make_window):
     for name in ("instruction.txt", "question_cot.txt", "question_do.txt"):
         shutil.copy(TEMPLATE_DIR / name, tmp_path / name)
