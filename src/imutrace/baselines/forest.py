@@ -159,7 +159,7 @@ def train_rf(x: np.ndarray, y: np.ndarray, cfg: RfConfig) -> RandomForestModel:
         oob_accuracy = 0.0
 
     grown = tuple(trees)
-    train_pred = np.array([int(np.argmax(_forest_votes(grown, row))) for row in x])
+    train_pred = np.argmax(_votes(grown, x), axis=1)
     manifest = {
         "config": asdict(cfg),
         "seed": cfg.seed,
@@ -175,10 +175,12 @@ def train_rf(x: np.ndarray, y: np.ndarray, cfg: RfConfig) -> RandomForestModel:
     )
 
 
-def _forest_votes(trees: Sequence[dict], x: np.ndarray) -> np.ndarray:
-    votes = np.zeros(N_CLASSES)
-    for tree in trees:
-        votes[_tree_predict(tree, x)] += 1.0
+def _votes(trees: Sequence[dict], x: np.ndarray) -> np.ndarray:
+    """(n, 4) counts of the trees' votes for each row of ``x``."""
+    votes = np.zeros((x.shape[0], N_CLASSES))
+    for i, row in enumerate(x):
+        for tree in trees:
+            votes[i, _tree_predict(tree, row)] += 1.0
     return votes
 
 
@@ -187,8 +189,5 @@ def predict_rf_batch(
 ) -> tuple[list[TrajectoryLabel], np.ndarray]:
     """Majority vote per row with fixed-label-order tie-break; returns the
     labels and the (n, 4) vote shares."""
-    x = feature_rows(x, model.n_features)
-    votes = np.zeros((x.shape[0], N_CLASSES))
-    for i, row in enumerate(x):
-        votes[i] = _forest_votes(model.trees_data, row)
+    votes = _votes(model.trees_data, feature_rows(x, model.n_features))
     return argmax_labels(votes), votes / votes.sum(axis=1, keepdims=True)

@@ -558,6 +558,8 @@ def predict_nn_batch(
     model: NnModel, windows: Sequence[TrajectoryWindow]
 ) -> tuple[list[TrajectoryLabel], np.ndarray]:
     """Class probabilities and argmax labels (first maximum on ties)."""
+    if not windows:
+        return [], np.zeros((0, N_CLASSES))
     for w in windows:
         if len(w) != model.input_length:
             raise DataError(

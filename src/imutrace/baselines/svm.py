@@ -8,10 +8,12 @@ violating partner that promises the largest objective decrease, and
 moves the pair along y^T alpha = 0, clipped to the box [0, C]. Training
 stops when the maximal violating pair's gap falls below ``tol`` or after
 ``max_passes * n`` iterations, whichever comes first; there is no RNG,
-so training is deterministic. A machine's ``sweeps`` counts its
-iterations (the field kept the name of the per-pass sweeps of the
-first-order solver WSS2 replaced). Each iteration is a few O(n) numpy
+so training is deterministic. Each iteration is a few O(n) numpy
 operations on the gradient vector, with no per-point Python loop.
+
+As in LIBSVM (Chang and Lin, ACM TIST 2011), the trained machines share
+one support set: the Train rows with a nonzero dual in some machine,
+with one coefficient column per machine, so a prediction is one kernel.
 
 Features are standardized by training-set statistics by default; with
 mixed physical units (m/s^2, rad/s, uT) the raw kernel distances would
@@ -22,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -58,35 +60,12 @@ class SvmConfig:
 
 
 @dataclass(frozen=True)
-class BinarySvm:
-    """One class-vs-rest machine: support vectors, duals times labels, bias."""
-
-    sv: np.ndarray  # (m, d) standardized support vectors
-    coef: np.ndarray  # (m,) alpha_i * y_i
-    bias: float
-    converged: bool  # max KKT violation, recomputed from scratch, <= tol
-    sweeps: int  # WSS2 iterations (0 for a one-sided machine)
-
-    def __post_init__(self):
-        object.__setattr__(self, "sv", np.asarray(self.sv, dtype=np.float64))
-        object.__setattr__(self, "coef", np.asarray(self.coef, dtype=np.float64))
-        object.__setattr__(self, "bias", float(self.bias))
-        object.__setattr__(self, "converged", bool(self.converged))
-        object.__setattr__(self, "sweeps", int(self.sweeps))
-        if self.coef.shape != self.sv.shape[:1]:
-            raise DataError(
-                f"a machine needs one coefficient per support vector, got "
-                f"{self.coef.shape} for support vectors of shape {self.sv.shape}"
-            )
-
-
-@dataclass(frozen=True)
 class SvmModel:
     """A trained SVM; its fields are the keys of its model file.
 
-    ``machines`` may be given as dicts of ``BinarySvm`` fields, as a
-    model file holds them; their support vectors take the shape
-    (m, n_features), so a machine with none keeps its width.
+    Machine c's decision is ``K(x, sv) @ coef[:, c] + bias[c]``; its
+    column of ``coef`` is zero on the rows that are no support vectors
+    of its own.
     """
 
     kind: str
@@ -95,31 +74,31 @@ class SvmModel:
     gamma_used: float
     mean: np.ndarray
     scale: np.ndarray
-    machines: tuple[BinarySvm, ...]
+    sv: np.ndarray  # (m, n_features) standardized support vectors
+    coef: np.ndarray  # (m, 4) alpha_i * y_i, one column per class
+    bias: np.ndarray  # (4,)
     manifest: dict
 
     def __post_init__(self):
         n_features = int(self.n_features)
-        machines = tuple(
-            m if isinstance(m, BinarySvm)
-            else BinarySvm(**{**m, "sv": np.reshape(m["sv"], (-1, n_features))})
-            for m in self.machines
-        )
         object.__setattr__(self, "n_features", n_features)
         object.__setattr__(self, "gamma_used", float(self.gamma_used))
-        object.__setattr__(self, "mean", np.asarray(self.mean, dtype=np.float64))
-        object.__setattr__(self, "scale", np.asarray(self.scale, dtype=np.float64))
-        object.__setattr__(self, "machines", machines)
+        for name in ("mean", "scale", "sv", "coef", "bias"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.float64))
         object.__setattr__(self, "manifest", dict(self.manifest))
-        if len(machines) != N_CLASSES:
-            raise DataError(
-                f"one-vs-rest takes one machine per class ({N_CLASSES}), got {len(machines)}"
-            )
-        for name in ("mean", "scale"):
-            if getattr(self, name).shape != (n_features,):
+        m = self.sv.shape[:1]
+        shapes = {
+            "mean": (n_features,),
+            "scale": (n_features,),
+            "sv": m + (n_features,),
+            "coef": m + (N_CLASSES,),
+            "bias": (N_CLASSES,),
+        }
+        for name, shape in shapes.items():
+            if getattr(self, name).shape != shape:
                 raise DataError(
-                    f"{name} must hold n_features = {n_features} values, "
-                    f"got shape {getattr(self, name).shape}"
+                    f"{name} must have shape {shape} for n_features = {n_features} "
+                    f"and {N_CLASSES} classes, got {getattr(self, name).shape}"
                 )
 
 
@@ -210,40 +189,33 @@ def train_svm(x: np.ndarray, y: np.ndarray, cfg: SvmConfig) -> SvmModel:
         gamma = 1.0 / (d * var)
 
     k = rbf_kernel(xs, xs, gamma)
-    machines: list[BinarySvm] = []
+    coef, bias = np.zeros((n, N_CLASSES)), np.zeros(N_CLASSES)
     per_class: list[dict] = []
     for class_index in range(N_CLASSES):
         yk = np.where(y == class_index, 1.0, -1.0)
         if np.all(yk == yk[0]):
             # degenerate one-sided problem: constant decision at the
             # common sign, no support vectors
-            alpha, bias, sweeps, max_violation = np.zeros(n), float(yk[0]), 0, 0.0
+            alpha, bias[class_index], sweeps, max_violation = np.zeros(n), yk[0], 0, 0.0
         else:
-            alpha, bias, sweeps, max_violation = _smo_binary(
+            alpha, bias[class_index], sweeps, max_violation = _smo_binary(
                 k, yk, cfg.c, cfg.tol, cfg.max_passes
             )
-        converged = max_violation <= cfg.tol
         mask = alpha > ALPHA_EPS
-        machines.append(
-            BinarySvm(
-                sv=xs[mask],
-                coef=(alpha * yk)[mask],
-                bias=float(bias),
-                converged=converged,
-                sweeps=sweeps,
-            )
-        )
+        coef[mask, class_index] = (alpha * yk)[mask]
         per_class.append(
             {
                 "n_support": int(mask.sum()),
-                "converged": converged,
+                "converged": max_violation <= cfg.tol,
                 "sweeps": sweeps,
                 "max_kkt_violation": max_violation,
                 "duals": alpha.tolist(),
             }
         )
 
-    decisions = _decisions(xs, machines, gamma)
+    support = coef.any(axis=1)
+    coef = coef[support]
+    decisions = k[:, support] @ coef + bias
     manifest = {
         "config": asdict(cfg),
         "gamma_used": gamma,
@@ -260,25 +232,17 @@ def train_svm(x: np.ndarray, y: np.ndarray, cfg: SvmConfig) -> SvmModel:
         gamma_used=gamma,
         mean=mean,
         scale=scale,
-        machines=tuple(machines),
+        sv=xs[support],
+        coef=coef,
+        bias=bias,
         manifest=manifest,
     )
 
 
-def _decisions(xs: np.ndarray, machines: Sequence[BinarySvm], gamma: float) -> np.ndarray:
-    out = np.zeros((xs.shape[0], N_CLASSES))
-    for column, machine in enumerate(machines):
-        if machine.sv.shape[0] == 0:
-            out[:, column] = machine.bias
-        else:
-            out[:, column] = rbf_kernel(xs, machine.sv, gamma) @ machine.coef + machine.bias
-    return out
-
-
 def decision_matrix(model: SvmModel, x: np.ndarray) -> np.ndarray:
     """(n, 4) one-vs-rest decision values for raw (unstandardized) rows."""
-    x = feature_rows(x, model.n_features)
-    return _decisions((x - model.mean) / model.scale, model.machines, model.gamma_used)
+    xs = (feature_rows(x, model.n_features) - model.mean) / model.scale
+    return rbf_kernel(xs, model.sv, model.gamma_used) @ model.coef + model.bias
 
 
 def predict_svm_batch(

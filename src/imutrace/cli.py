@@ -61,9 +61,10 @@ EXIT_INTERNAL = 5
 def _reading(path: str, what: str, error: type[ImutraceError]):
     """``path`` open as UTF-8 text, less a leading byte-order mark (which
     Excel writes); a file that cannot be read or is not UTF-8 raises
-    ``error`` naming ``what``."""
+    ``error`` naming ``what``. Line ends are left as they are, as the csv
+    module asks, so a CR quoted in a CSV field reads back as CR."""
     try:
-        with open(path, "r", encoding="utf-8-sig") as fh:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             yield fh
     except (OSError, UnicodeDecodeError) as exc:
         raise error(f"cannot read {what} {path}: {exc}") from None

@@ -189,8 +189,10 @@ class SplitAssignment:
 def _csv_prefix(*fields: str) -> str:
     """``fields`` as the csv-quoted start of a row, without a trailing comma."""
     line = io.StringIO()
-    csv.writer(line, lineterminator="\n").writerow(fields)
-    return line.getvalue()[:-1]
+    # csv quotes a field that holds a character of the line terminator, so
+    # "\r\n" quotes a CR as it quotes an LF
+    csv.writer(line, lineterminator="\r\n").writerow(fields)
+    return line.getvalue()[:-2]
 
 
 # A float x with 1e-4 <= |x| < 1e15 has a fixed-point repr, and numpy makes
@@ -446,6 +448,16 @@ def _infer_rate(times: np.ndarray, raw: float) -> float:
     return candidates[0]
 
 
+def _csv_rows(stream: Iterable[str]) -> Iterator[list[str]]:
+    """The csv rows of ``stream``; a row the csv module cannot parse raises
+    ``DataError`` naming its line."""
+    reader = csv.reader(stream)
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise DataError(f"line {reader.line_num}: {exc}") from None
+
+
 def ingest_csv(stream: Iterable[str]) -> list[TrajectoryWindow]:
     """Parse the canonical CSV layout into windows.
 
@@ -456,7 +468,7 @@ def ingest_csv(stream: Iterable[str]) -> list[TrajectoryWindow]:
     which recovers the exact grid of any file this package writes, so
     ingest then serialize is byte-exact.
     """
-    reader = csv.reader(stream)
+    reader = _csv_rows(stream)
     try:
         header = next(reader)
     except StopIteration:

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import io
 import json
@@ -170,9 +171,9 @@ def test_model_file_refuses_an_added_or_a_missing_key(tmp_path, kind):
     [
         ("cnn", lambda obj: obj["params"].pop("w1")),
         ("lstm", lambda obj: obj.update(channel_mean=obj["channel_mean"][:8])),
-        ("svm", lambda obj: obj.update(machines=obj["machines"][:2])),
+        ("svm", lambda obj: obj.update(bias=obj["bias"][:2])),
         ("svm", lambda obj: obj.update(mean=obj["mean"][:3])),
-        ("svm", lambda obj: obj["machines"][0].update(coef=obj["machines"][0]["coef"][1:])),
+        ("svm", lambda obj: obj.update(coef=obj["coef"][1:])),
     ],
     ids=["cnn-without-w1", "lstm-mean-of-8", "svm-2-machines", "svm-mean-of-3", "svm-coef-short"],
 )
@@ -188,7 +189,8 @@ def test_model_file_refuses_wrong_tensor_names_or_shapes(tmp_path, kind, edit):
     assert rc == 0
     obj = json.loads(path.read_text())
     if kind == "svm":
-        assert obj["n_features"] == 48 and len(obj["machines"]) == 4
+        assert obj["n_features"] == 48 and len(obj["bias"]) == 4
+        assert len(obj["coef"]) == len(obj["sv"]) > 0
     edit(obj)
     bad.write_text(json.dumps(obj))
     with pytest.raises(DataError):
@@ -366,6 +368,44 @@ def test_an_input_file_that_starts_with_a_bom_reads_as_without_it(tmp_path, caps
     bad.write_bytes(b"\xef\xbb\xbf\xff\n")
     assert main(["split", "--data", str(bad), "--out", str(tmp_path / "bad.json")]) == 3
     assert not (tmp_path / "bad.json").exists()
+
+
+def test_a_cr_quoted_in_an_id_reads_back_as_written(tmp_path):
+    # the csv dialect quotes a CR in an id; read with its line ends left
+    # as they are, the file is the dataset the run hashes
+    windows, _ = generate_dataset(
+        GeneratorConfig(seed=0, windows_per_group=2), uniform_counts(3),
+        {s: ZERO_NOISE for s in Scenario},
+    )
+    windows = [
+        dataclasses.replace(w, id=f"{w.id}\r1", recording_group=f"{w.recording_group}\r")
+        for w in windows
+    ]
+    data = tmp_path / "cr.csv"
+    data.write_bytes(serialize_csv(windows).encode("utf-8"))
+    out = tmp_path / "r"
+    assert main(["run", "--data", str(data), "--baselines", "none", "--modes", "none",
+                 "--out", str(out)]) == 0
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert manifest["dataset_sha256"] == hashlib.sha256(data.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "lines, line_no",
+    [
+        ([",".join(core.CSV_COLUMNS) + "1" * 200_000], 1),
+        ([",".join(core.CSV_COLUMNS), "w0/w0," + "1" * 200_000], 2),
+    ],
+    ids=["in-the-header", "in-a-row"],
+)
+def test_a_field_over_the_csv_modules_limit_exits_3(tmp_path, capsys, lines, line_no):
+    data = tmp_path / "big.csv"
+    data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert main(["split", "--data", str(data), "--out", str(tmp_path / "split.json")]) == 3
+    err = capsys.readouterr().err
+    assert f"imutrace: data error: line {line_no}: field larger than field limit" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "split.json").exists()
 
 
 @pytest.mark.parametrize(

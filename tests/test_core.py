@@ -141,6 +141,14 @@ def test_ingest_recovers_a_rate_the_quotient_misses_by_an_ulp(n):
     assert serialize_csv(back) == text
 
 
+def _rfc4180(field):
+    """``field`` quoted by RFC 4180 when it holds a comma, a quote, CR or
+    LF: in quotes, with every quote doubled."""
+    if any(c in field for c in ',"\r\n'):
+        return '"' + field.replace('"', '""') + '"'
+    return field
+
+
 def _reference_csv(windows):
     """The canonical CSV built row by row, each timestamp repr-ed anew: an
     oracle that shares nothing with the per-window chunks of serialize_csv."""
@@ -148,16 +156,31 @@ def _reference_csv(windows):
     for w in windows:
         label = w.label.value if w.label is not None else ""
         for i, row in enumerate(w.data.tolist()):
-            fields = [f"{w.recording_group}/{w.id}", w.scenario.value, label,
+            fields = [_rfc4180(f"{w.recording_group}/{w.id}"), w.scenario.value, label,
                       repr(i / w.rate), *map(repr, row)]
             lines.append(",".join(fields) + "\n")
     return "".join(lines)
+
+
+def _assert_same_text(text, expected):
+    """``text == expected``, checked first line by line: a failing example
+    names its first differing line and index, without pytest diffing two
+    texts of megabytes at every shrink step."""
+    lines, want = text.splitlines(keepends=True), expected.splitlines(keepends=True)
+    for i, (line, wanted) in enumerate(zip(lines, want)):
+        assert (i, line) == (i, wanted)
+    assert len(lines) == len(want)
+    assert text == expected
 
 
 # rates that repeat across windows, including ones whose i / rate needs
 # 16-17 significant digits
 _RATES = st.sampled_from([100.0, 50.0, 100 / 3, 200 / 3, 1000 / 7, 123.456])
 _VALUES = st.floats(allow_nan=False, allow_infinity=False, width=64)
+# id text with the characters the csv dialect must quote; a group's goes
+# without "/", which ends the group in a recording id
+_QUOTED = st.text(alphabet=',"\r\n/ é', max_size=3)
+_QUOTED_GROUP = st.text(alphabet=',"\r\n é', max_size=3)
 
 
 @st.composite
@@ -172,8 +195,8 @@ def _mixed_windows(draw):
             windows.append(window_from_array(
                 draw(arrays(np.float64, (n, 9), elements=_VALUES)),
                 rate=rate,
-                window_id=f"w{i}",
-                group=draw(st.sampled_from([f"w{i}", "g0", "g1"])),
+                window_id=f"w{i}" + draw(_QUOTED),
+                group=draw(st.sampled_from([f"w{i}", "g0", "g1"])) + draw(_QUOTED_GROUP),
                 scenario=draw(st.sampled_from(list(Scenario))),
                 label=draw(st.sampled_from([None, *TrajectoryLabel])),
             ))
@@ -184,14 +207,14 @@ def _mixed_windows(draw):
 @given(_mixed_windows())
 def test_streamed_csv_is_the_serialized_text(windows):
     text = serialize_csv(windows)
-    assert text == _reference_csv(windows)
+    _assert_same_text(text, _reference_csv(windows))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "dataset.csv"
         digest = dataset_hash(windows, write_to=path)
-        assert path.read_bytes() == text.encode("utf-8")
+        _assert_same_text(path.read_bytes().decode("utf-8"), text)
     assert digest == hashlib.sha256(text.encode("utf-8")).hexdigest()
     assert dataset_hash(windows) == digest
-    assert serialize_csv(ingest_csv(io.StringIO(text))) == text
+    _assert_same_text(serialize_csv(ingest_csv(io.StringIO(text))), text)
 
 
 @st.composite
@@ -221,10 +244,10 @@ def _long_windows(draw):
 @given(_long_windows())
 def test_csv_blocks_past_a_block_and_a_prefix_width(windows):
     text = serialize_csv(windows)
-    assert text == _reference_csv(windows)
+    _assert_same_text(text, _reference_csv(windows))
     data = text.encode("utf-8")
     # every block is its own bytes: drawing the next leaves the last intact
-    assert b"".join(core._csv_chunks(windows)) == data
+    _assert_same_text(b"".join(core._csv_chunks(windows)).decode("utf-8"), text)
     assert dataset_hash(windows) == hashlib.sha256(data).hexdigest()
 
 
@@ -324,6 +347,12 @@ def test_csv_unlabeled_and_slashless_ids():
     back = ingest_csv(io.StringIO(flat))
     assert back[0].id == "bare"
     assert back[0].recording_group == "bare"
+
+
+def test_ingest_names_the_line_the_csv_module_cannot_parse():
+    text = ",".join(CSV_COLUMNS) + "\ng\r1/w0,indoor,,0.0,0,0,0,0,0,0,0,0,0\n"
+    with pytest.raises(DataError, match="line 2: new-line character seen in unquoted field"):
+        ingest_csv(io.StringIO(text))
 
 
 def test_ingest_rejects_malformed():

@@ -16,14 +16,24 @@ import imutrace.prompting as prompting
 from imutrace.baselines.forest import RfConfig
 from imutrace.baselines.nn import CnnConfig, LstmConfig
 from imutrace.baselines.svm import SvmConfig
-from imutrace.core import Part, Scenario, SplitAssignment, TrajectoryLabel, split_dataset
+from imutrace.core import (
+    N_CLASSES,
+    Part,
+    Scenario,
+    SplitAssignment,
+    TrajectoryLabel,
+    downsample,
+    split_dataset,
+)
 from imutrace.errors import ConfigError, DataError
 from imutrace.evalreport import (
     CellResult,
     ConfusionMatrix,
+    DEFAULT_TARGET_RATE_HZ,
     EvalReport,
     Metrics,
     _percent,
+    baseline_inputs,
     canonical_digest,
     confusion,
     metrics,
@@ -31,6 +41,7 @@ from imutrace.evalreport import (
     per_class_metrics,
     render_report,
     run_experiment,
+    train_baseline,
 )
 from imutrace.llm import BatchResult, Prediction
 from imutrace.prompting import PromptMode
@@ -686,6 +697,17 @@ def _small_grid():
         "lstm": LstmConfig(hidden=4, epochs=2),
     }
     return windows, split_dataset(windows, seed=1), configs
+
+
+def test_every_baseline_predicts_an_empty_batch_as_no_rows():
+    # the forest and the SVM take a (0, n_features) matrix, the networks an
+    # empty list of windows: each gives no labels and a (0, 4) score matrix
+    windows, _, configs = _small_grid()
+    for kind, spec in evalreport.BASELINES.items():
+        inputs = baseline_inputs(kind, windows, lambda w: downsample(w, DEFAULT_TARGET_RATE_HZ))
+        model = train_baseline(kind, inputs, configs.get(kind, spec.config()))
+        labels, scores = getattr(spec.module, spec.predict_batch)(model, inputs[0][:0])
+        assert labels == [] and scores.shape == (0, N_CLASSES), kind
 
 
 def test_each_baseline_trains_once_per_scenario(monkeypatch, tmp_path):

@@ -125,14 +125,12 @@ def test_degenerate_one_sided_machine():
     x = np.array([[0.0, 0.0], [0.1, 0.0], [3.0, 3.0], [3.1, 3.0]])
     y = np.array([0, 0, 1, 1])
     model = train_svm(x, y, SvmConfig(c=10.0))
+    assert model.sv.shape[1] == 2 and model.coef.shape == (model.sv.shape[0], 4)
     for idx in (2, 3):
-        machine = model.machines[idx]
-        assert machine.sv.shape == (0, 2)
-        assert machine.bias == -1.0
-        assert machine.converged is True
-        assert machine.coef.shape == (0,)
-        assert machine.sweeps == 0
+        assert np.all(model.coef[:, idx] == 0.0)
+        assert model.bias[idx] == -1.0
         entry = model.manifest["classes"][idx]
+        assert entry["converged"] is True
         assert entry["n_support"] == 0
         assert entry["sweeps"] == 0
         assert entry["max_kkt_violation"] == 0.0
