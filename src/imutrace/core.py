@@ -448,12 +448,14 @@ def _infer_rate(times: np.ndarray, raw: float) -> float:
     return candidates[0]
 
 
-def _csv_rows(stream: Iterable[str]) -> Iterator[list[str]]:
-    """The csv rows of ``stream``; a row the csv module cannot parse raises
-    ``DataError`` naming its line."""
+def _csv_rows(stream: Iterable[str]) -> Iterator[tuple[int, list[str]]]:
+    """The csv rows of ``stream``, each with the number of the physical
+    line it ends on (a quoted line break in a field spans lines); a row
+    the csv module cannot parse raises ``DataError`` naming its line."""
     reader = csv.reader(stream)
     try:
-        yield from reader
+        for row in reader:
+            yield reader.line_num, row
     except csv.Error as exc:
         raise DataError(f"line {reader.line_num}: {exc}") from None
 
@@ -470,7 +472,7 @@ def ingest_csv(stream: Iterable[str]) -> list[TrajectoryWindow]:
     """
     reader = _csv_rows(stream)
     try:
-        header = next(reader)
+        _, header = next(reader)
     except StopIteration:
         raise DataError("CSV stream is empty (missing header)")
     if tuple(header) != CSV_COLUMNS:
@@ -478,7 +480,7 @@ def ingest_csv(stream: Iterable[str]) -> list[TrajectoryWindow]:
 
     rows: dict[str, list[list[float]]] = {}
     meta: dict[str, tuple[Scenario, Optional[TrajectoryLabel]]] = {}
-    for line_no, row in enumerate(reader, start=2):
+    for line_no, row in reader:
         if not row:
             continue
         if len(row) != len(CSV_COLUMNS):

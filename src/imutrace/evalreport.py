@@ -59,6 +59,17 @@ REFERENCE_TARGETS = {"indoor": 0.836, "outdoor": 0.767}
 
 _TEST_NAMES = {Part.SEEN_TEST: "Seen", Part.UNSEEN_TEST: "Unseen"}
 
+# The one file of a run that a rerun may change: times, and how each
+# provider call went. Every other file a run writes is the same bytes on a
+# rerun of the same configuration with the mock provider.
+TIMINGS_FILE = "timings.json"
+
+# The keys of a transcript row that say how its call went rather than what
+# it asked and what came back: run_experiment writes them to the timings'
+# "calls", beside the row's window_id and bundle_sha256, and the rest of the
+# row to the transcript.
+_CALL_KEYS = ("latency_s", "attempts", "prompt_tokens", "completion_tokens")
+
 # run_experiment submits its pool tasks longest first, so the short ones
 # fill in behind the long ones. The order is by single task, not by kind's
 # total: in the timings.json of 24 pooled grid-mock runs (--per-class 12,
@@ -136,9 +147,12 @@ class EvalReport:
     ``manifest_sha256`` is the ``canonical_digest`` of the run manifest,
     which the rendered reports cite. ``manifest`` is the manifest itself,
     or None on a report parsed back from JSONL, which carries only its
-    digest. ``timings`` holds the wall-clock record of
-    ``run_experiment``'s pool (see ``_run_tasks``); it is never rendered
-    and never enters the manifest, so reruns stay byte-identical.
+    digest. ``timings`` is what ``run_experiment`` writes to
+    ``TIMINGS_FILE``: its pool's ``workers``, ``pool_s`` and ``tasks``
+    (see ``_run_tasks``), and ``calls``, one entry per provider call in
+    grid order with its window_id, bundle_sha256 and ``_CALL_KEYS``. It is
+    never rendered and never enters the manifest, so reruns stay
+    byte-identical.
     """
 
     cells: Mapping[tuple[str, Scenario, Part], CellResult]
@@ -385,9 +399,11 @@ def run_experiment(
     either way; only the report's ``timings`` differ.
 
     Once the report is built, ``split.json``, ``run_manifest.json``, the
-    two reports, ``timings.json`` (tasks in pool order) and
-    ``transcript.jsonl`` (every provider call, in grid order) are staged
-    too, and every staged file is moved into ``out``, after a check that
+    two reports, ``transcript.jsonl`` (every provider call in grid order:
+    what it asked, by bundle digest, and what came back) and
+    ``TIMINGS_FILE`` (the report's ``timings``) are staged too. Every
+    file but ``TIMINGS_FILE`` is the same bytes on a rerun with the mock
+    provider. Every staged file is moved into ``out``, after a check that
     no directory stands in any file's place. Any exception before the
     first move removes the staging directory and every directory the run
     made: a refused or interrupted run leaves an existing ``out`` as it
@@ -511,6 +527,10 @@ def run_experiment(
         }
         if manifest_extra:
             manifest.update(manifest_extra)
+        timings["calls"] = [
+            {k: row[k] for k in ("window_id", "bundle_sha256", *_CALL_KEYS) if k in row}
+            for row in transcript
+        ]
         report = EvalReport(cells, canonical_digest(manifest), manifest, timings)
         if staging is not None:
             # like the manifest, the split record names a seed only if it has one
@@ -520,8 +540,11 @@ def run_experiment(
                 "run_manifest.json": json_line(manifest),
                 "report.txt": render_report(report, "text"),
                 "report.jsonl": render_report(report, "jsonl"),
-                "timings.json": json_line(timings, sort_keys=False),
-                "transcript.jsonl": "".join(json.dumps(row) + "\n" for row in transcript),
+                "transcript.jsonl": "".join(
+                    json.dumps({k: v for k, v in row.items() if k not in _CALL_KEYS}) + "\n"
+                    for row in transcript
+                ),
+                TIMINGS_FILE: json_line(timings, sort_keys=False),
             }
             for name, text in staged.items():
                 (staging / name).write_text(text, encoding="utf-8")

@@ -159,6 +159,8 @@ class BatchResult:
     ``failures`` records (window_id, error message) for calls that
     raised transport or provider errors; ``transcript`` has one row per
     call, in window_id order (see ``classify_windows``).
+    ``run_experiment`` writes each row's latency, attempts and token
+    counts to its timings file and the rest of the row to its transcript.
     """
 
     predictions: tuple[Prediction, ...]
@@ -675,8 +677,10 @@ def classify_windows(
     abort: they would fail every window the same way. An injected
     ``completer`` makes one attempt per window and is never retried.
     Each call is a row of the batch's ``transcript``, in window_id order:
-    window_id, bundle hash, text and latency for a success; window_id,
-    bundle hash, error and attempts for a failure. No file is written.
+    window_id, bundle hash, then text, latency and the provider's prompt
+    and completion token counts (None when it gave none, as the mock
+    does) for a success or the error for a failure, then the attempts
+    made. No file is written.
     """
     bundles = [w if isinstance(w, PromptBundle) else build_prompt(w, mode, templates=templates)
                for w in windows]
@@ -694,14 +698,20 @@ def classify_windows(
     for bundle, (result, attempts) in paired:
         if isinstance(result, Exception):
             failures.append((bundle.window_id, str(result)))
-            row = {"error": str(result), "attempts": attempts}
+            row = {"error": str(result)}
         else:
             try:
                 label: Optional[TrajectoryLabel] = parse_label(result.text, mode)
             except LabelParseError:
                 label = None
             predictions.append(Prediction(bundle.window_id, label))
-            row = {"text": result.text, "latency_s": result.latency_s}
-        row = {"window_id": bundle.window_id, "bundle_sha256": bundle.digest(), **row}
+            row = {
+                "text": result.text,
+                "latency_s": result.latency_s,
+                "prompt_tokens": result.prompt_tokens,
+                "completion_tokens": result.completion_tokens,
+            }
+        row = {"window_id": bundle.window_id, "bundle_sha256": bundle.digest(), **row,
+               "attempts": attempts}
         transcript.append(row)
     return BatchResult(tuple(predictions), tuple(failures), tuple(transcript))

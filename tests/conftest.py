@@ -1,9 +1,12 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from imutrace.baselines import nn
 from imutrace.baselines.svm import ALPHA_EPS, kkt_violations
 from imutrace.core import Scenario, TrajectoryLabel, TrajectoryWindow
+from imutrace.evalreport import TIMINGS_FILE
 from imutrace.synth import GeneratorConfig, ZERO_NOISE, generate_dataset, uniform_counts
 
 
@@ -20,6 +23,16 @@ def window_from_array(
         id=window_id, scenario=scenario, recording_group=group, rate=rate,
         data=data, label=label,
     )
+
+
+def run_outputs(directory):
+    """The sha256 of every file in a run directory but its timings, by
+    name: what a rerun of the same configuration must reproduce."""
+    return {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in directory.iterdir()
+        if p.name != TIMINGS_FILE
+    }
 
 
 def tiny_windows(n, groups=4, scenario=Scenario.INDOOR, prefix="w", rng=None):

@@ -45,7 +45,7 @@ from imutrace.synth import (
     uniform_counts,
 )
 
-from conftest import gradient_errors, tiny_windows
+from conftest import gradient_errors, run_outputs, tiny_windows
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -226,18 +226,14 @@ def test_criterion_7_run_determinism(tmp_path):
     args = ["run", "--per-class", "6", "--out"]
     assert cli_main([*args, str(tmp_path / "a")]) == 0
     assert cli_main([*args, str(tmp_path / "b")]) == 0
-    files = ("dataset.csv", "split.json", "report.txt", "report.jsonl", "run_manifest.json")
-    same = {
-        name: (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
-        for name in files
-    }
-    ok = all(same.values())
-    differing = [name for name, equal in same.items() if not equal]
+    # every file a run writes but its timings
+    a, b = run_outputs(tmp_path / "a"), run_outputs(tmp_path / "b")
+    differing = sorted(name for name in a.keys() | b.keys() if a.get(name) != b.get(name))
     assert _verdict(
         7,
-        ok,
+        bool(a) and not differing,
         "two identical mock runs produced byte-identical "
-        + ", ".join(files)
+        + ", ".join(sorted(a))
         + (f" (differs: {differing})" if differing else ""),
     )
 

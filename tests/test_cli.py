@@ -19,13 +19,11 @@ from imutrace.baselines.model_io import load_model, save_model
 from imutrace.cli import main
 from imutrace.core import Scenario, dataset_hash, downsample, ingest_csv, serialize_csv
 from imutrace.errors import DataError
-from imutrace.evalreport import DEFAULT_TARGET_RATE_HZ, baseline_inputs
+from imutrace.evalreport import DEFAULT_TARGET_RATE_HZ, TIMINGS_FILE, baseline_inputs
 from imutrace.llm import BatchResult
 from imutrace.synth import GeneratorConfig, ZERO_NOISE, generate_dataset, uniform_counts
 
-from conftest import mixed_length_windows
-
-RUN_FILES = ("dataset.csv", "split.json", "report.txt", "report.jsonl", "run_manifest.json")
+from conftest import mixed_length_windows, run_outputs
 
 
 def _generate(tmp_path, name="data", per_class=2, extra=()):
@@ -211,9 +209,7 @@ def test_run_outputs_and_rerun_identical(tmp_path, capsys):
     b = tmp_path / "b"
     assert _run(a) == 0
     assert _run(b) == 0
-    for name in RUN_FILES:
-        assert (a / name).exists(), name
-        assert (a / name).read_bytes() == (b / name).read_bytes(), name
+    assert run_outputs(a) == run_outputs(b)
     stdout = capsys.readouterr().out
     assert "Models" in stdout and "Reference targets" in stdout
     manifest = json.loads((a / "run_manifest.json").read_text())
@@ -613,11 +609,9 @@ def test_every_run_keeps_one_transcript_of_its_own_calls(tmp_path, capsys):
     runs = []
     for _ in range(2):
         assert main(argv) == 0
-        lines = (out / "transcript.jsonl").read_text().splitlines()
-        # all but the latency is the same on every run
-        runs.append([{**json.loads(line), "latency_s": None} for line in lines])
-    rows = runs[1]
-    assert rows == runs[0]
+        runs.append((out / "transcript.jsonl").read_text())
+    assert runs[1] == runs[0]
+    rows = [json.loads(line) for line in runs[1].splitlines()]
     unseen = sorted(
         wid
         for wid, part in json.loads((out / "split.json").read_text())["assignment"].items()
@@ -677,7 +671,6 @@ def test_a_refused_rerun_leaves_the_earlier_run_as_it_was(tmp_path, capsys):
     argv = ["run", "--per-class", "6", "--noise", "zero", "--out", str(out)]
     assert main(argv) == 0
     before = _contents(out)
-    assert sorted(before) == sorted([*RUN_FILES, "timings.json", "transcript.jsonl"])
     # at 0.5 Hz the CNN refuses its windows inside the pool
     assert main([*argv, "--target-rate", "0.5"]) == 3
     assert "too short for kernel" in capsys.readouterr().err
@@ -707,7 +700,7 @@ def test_a_run_that_cannot_write_its_reports_exits_2_and_leaves_out_as_it_was(
     write_text = Path.write_text
 
     def disk_full(path, *args, **kwargs):
-        if path.name == "timings.json":
+        if path.name == TIMINGS_FILE:
             raise OSError(28, "No space left on device")
         return write_text(path, *args, **kwargs)
 
@@ -725,7 +718,7 @@ def test_timings_list_tasks_in_pool_order(tmp_path, capsys):
     # longest first, which is not their alphabetical order
     out = tmp_path / "r"
     assert _run(out, ["--baselines", "rf,cnn"]) == 0
-    tasks = list(json.loads((out / "timings.json").read_text())["tasks"])
+    tasks = list(json.loads((out / TIMINGS_FILE).read_text())["tasks"])
     assert tasks == ["dataset", "cnn/indoor", "cnn/outdoor", "rf/indoor", "rf/outdoor"]
 
 
@@ -747,6 +740,9 @@ def test_a_sample_count_that_overflows_exits_3(tmp_path, capsys, argv):
 
 
 def test_run_exits_4_when_provider_failures_skip_a_cell(tmp_path, capsys, monkeypatch):
+    scored = tmp_path / "scored"
+    assert _run(scored) == 0
+
     def all_fail(windows, mode, **kwargs):
         return BatchResult(
             predictions=(), failures=tuple((w.window_id, "connection lost") for w in windows)
@@ -756,8 +752,8 @@ def test_run_exits_4_when_provider_failures_skip_a_cell(tmp_path, capsys, monkey
     run_dir = tmp_path / "r"
     assert _run(run_dir) == 4
     assert "skipped on provider failures" in capsys.readouterr().err
-    for name in (*RUN_FILES, "timings.json"):
-        assert (run_dir / name).exists(), name
+    # it writes the outputs of a run that scores every cell
+    assert sorted(os.listdir(run_dir)) == sorted(os.listdir(scored))
 
     # the skipped cells keep their window and failure counts through a re-render
     jsonl = run_dir / "report.jsonl"
@@ -898,7 +894,7 @@ def test_offline_run_never_imports_the_http_client(tmp_path, how):
     assert probe["rc"] == 0 and probe["after_run"] == []
     # the live call loads the standard library's client, never requests
     assert "http.client" in probe["after_call"] and "requests" not in probe["after_call"]
-    workers = json.loads((out / "timings.json").read_text())["workers"]
+    workers = json.loads((out / TIMINGS_FILE).read_text())["workers"]
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     assert (workers > 1) == (how == "pooled" and cores > 1)
 
@@ -939,14 +935,27 @@ def test_run_writes_timings_beside_the_same_outputs_pooled_or_inline(tmp_path, m
     assert _run(pooled, extra=("--baselines", kinds)) == 0
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     assert _run(inline, extra=("--baselines", kinds)) == 0
-    for name in RUN_FILES:
-        assert (pooled / name).read_bytes() == (inline / name).read_bytes(), name
+    assert run_outputs(pooled) == run_outputs(inline)
     tasks = {f"{kind}/{s.value}" for kind in BASELINES for s in Scenario} | {"dataset"}
     for out in (pooled, inline):
-        timings = json.loads((out / "timings.json").read_text())
-        assert set(timings) == {"workers", "pool_s", "tasks"}
+        timings = json.loads((out / TIMINGS_FILE).read_text())
+        assert set(timings) == {"workers", "pool_s", "tasks", "calls"}
         assert set(timings["tasks"]) == tasks
         assert all(t["wall_s"] >= 0 and t["cpu_s"] >= 0 for t in timings["tasks"].values())
         assert all(0 <= t["sys_s"] for t in timings["tasks"].values())
-    assert json.loads((inline / "timings.json").read_text())["workers"] == 1
+        # the transcript keeps what each call asked and answered, the
+        # timings how it went, under the same keys in the same grid order
+        rows = [json.loads(line) for line in (out / "transcript.jsonl").read_text().splitlines()]
+        assert rows and all(set(row) == {"window_id", "bundle_sha256", "text"} for row in rows)
+        calls = timings["calls"]
+        keys = ("window_id", "bundle_sha256")
+        assert [[c[k] for k in keys] for c in calls] == [[r[k] for k in keys] for r in rows]
+        for call in calls:
+            assert set(call) - set(keys) == {
+                "latency_s", "attempts", "prompt_tokens", "completion_tokens"
+            }
+            # the mock answers at the first attempt and counts no tokens
+            assert call["latency_s"] > 0 and call["attempts"] == 1
+            assert call["prompt_tokens"] is None and call["completion_tokens"] is None
+    assert json.loads((inline / TIMINGS_FILE).read_text())["workers"] == 1
     assert "wall_s" not in (pooled / "report.jsonl").read_text()

@@ -413,6 +413,13 @@ def test_ingest_rejects_malformed():
         ]
         with pytest.raises(DataError, match=f"^line 3: {message}$"):
             ingest_csv(io.StringIO("\n".join(rows) + "\n"))
+    # an error names the physical line: each row of a window whose id
+    # holds a quoted LF spans two, so the header and that window's two
+    # rows end on line 5, and the short row after them is line 6, not the
+    # fourth record
+    quoted = window_from_array(np.zeros((2, 9)), window_id="w\n1", label=TrajectoryLabel.STRAIGHT)
+    with pytest.raises(DataError, match=r"^line 6: expected 13 columns, got 2$"):
+        ingest_csv(io.StringIO(serialize_csv([quoted]) + "x,y\n"))
 
 
 @pytest.mark.parametrize(

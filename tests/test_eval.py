@@ -584,9 +584,10 @@ def test_a_run_moves_every_output_into_out(tiny_run_inputs, tmp_path, write_data
         windows, split, baselines=("rf",), modes=(PromptMode.DO,),
         manifest_extra={"split_seed": 1}, out=out, write_dataset=write_dataset,
     )
+    # the one list of the files a run writes; no staging directory is
+    # left beside them
     names = ["report.jsonl", "report.txt", "run_manifest.json", "split.json", "timings.json",
              "transcript.jsonl"]
-    # no staging directory is left beside the outputs
     assert sorted(p.name for p in out.iterdir()) == sorted(
         ["dataset.csv", *names] if write_dataset else names
     )
@@ -596,9 +597,11 @@ def test_a_run_moves_every_output_into_out(tiny_run_inputs, tmp_path, write_data
     assert json.loads((out / "split.json").read_text()) == {
         "assignment": split.to_json_dict(), "seed": 1
     }
+    timings = json.loads((out / "timings.json").read_text())
+    assert timings == r.timings
     # tasks in the order the pool ran them, the dataset first
-    tasks = list(json.loads((out / "timings.json").read_text())["tasks"])
-    assert tasks == list(r.timings["tasks"]) == ["dataset", "rf/indoor", "rf/outdoor"]
+    tasks = ["dataset", "rf/indoor", "rf/outdoor"]
+    assert list(timings["tasks"]) == list(r.timings["tasks"]) == tasks
     rows = [json.loads(line) for line in (out / "transcript.jsonl").read_text().splitlines()]
     assert len(rows) == len(split.part_ids(Part.UNSEEN_TEST))
     if write_dataset:

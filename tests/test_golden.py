@@ -1,5 +1,5 @@
 """Cross-version byte stability of the dataset CSV, the prompt text and
-the default run's report.
+the default run's report and transcript.
 
 The CSV and prompt digests were recorded from the implementation that
 stored each window as per-sample objects; the array-backed windows must
@@ -7,7 +7,9 @@ render the same bytes. The report digests were recorded before the
 baselines' training kernels became GEMMs, which move trained weights at
 rounding level; a kernel change that flips a predicted label fails here.
 A change here changes every dataset hash, prompt or score a report
-stands on, so update the digests only on purpose.
+stands on, so update the digests only on purpose. The transcript's
+digest fixes the default run's 32 prompt digests and mock response texts,
+which no BLAS product enters.
 """
 
 import hashlib
@@ -53,6 +55,7 @@ def test_golden_bytes(seed, rate):
 REPORT_GOLDEN = {
     "report.jsonl": "5a2adb1eef91c6b37cf135195fe511f8bab46efc32bf6ebfc2c36bfe2923ed34",
     "run_manifest.json": "98fe74897008da36805581538380c894d710b91989e85bd23079f27ca17fc770",
+    "transcript.jsonl": "306b574ce5541ce97fc56e2f34a804df8fb5d80d855dcb855f84b9a6294371ba",
 }
 
 

@@ -409,6 +409,21 @@ def test_transcript_records_failed_calls(stub):
         assert "retries exhausted after 2 attempts (last failure: HTTP 500)" in message
 
 
+def test_transcript_records_each_calls_attempts_and_token_counts(stub):
+    # w0's first attempt gets a 503, and its retry, due at once, goes
+    # ahead of w1
+    _, url = stub([(503, b"busy"), (200, OK_PAYLOAD)])
+    windows = _windows(2)
+    batch = classify_windows(windows, PromptMode.DO, cfg=_cfg(url, concurrency=1, retries=1))
+    assert batch.failures == ()
+    counts = [
+        (row["window_id"], row["attempts"], row["prompt_tokens"], row["completion_tokens"])
+        for row in batch.transcript
+    ]
+    assert counts == [("w0", 2, 12, 3), ("w1", 1, 12, 3)]
+    assert all(row["latency_s"] > 0 for row in batch.transcript)
+
+
 @pytest.mark.parametrize("status", [301, 302, 307, 308])
 def test_a_redirect_fails_fast_naming_its_location(stub, status):
     server, url = stub([(status, b"", {"Location": "https://elsewhere.example/v2"})])

@@ -364,8 +364,13 @@ def test_classify_windows_mock_end_to_end():
     rows = batch.transcript
     assert [r["window_id"] for r in rows] == [p.window_id for p in batch.predictions]
     for row in rows:
-        assert set(row) == {"window_id", "bundle_sha256", "text", "latency_s"}
-        assert row["latency_s"] > 0
+        assert set(row) == {
+            "window_id", "bundle_sha256", "text", "latency_s", "attempts", "prompt_tokens",
+            "completion_tokens",
+        }
+        assert row["latency_s"] > 0 and row["attempts"] == 1
+        # the mock counts no tokens
+        assert row["prompt_tokens"] is None and row["completion_tokens"] is None
 
 
 @pytest.mark.parametrize("mode", list(PromptMode))
