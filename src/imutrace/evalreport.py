@@ -64,12 +64,6 @@ _TEST_NAMES = {Part.SEEN_TEST: "Seen", Part.UNSEEN_TEST: "Unseen"}
 # rerun of the same configuration with the mock provider.
 TIMINGS_FILE = "timings.json"
 
-# The keys of a transcript row that say how its call went rather than what
-# it asked and what came back: run_experiment writes them to the timings'
-# "calls", beside the row's window_id and bundle_sha256, and the rest of the
-# row to the transcript.
-_CALL_KEYS = ("latency_s", "attempts", "prompt_tokens", "completion_tokens")
-
 # run_experiment submits its pool tasks longest first, so the short ones
 # fill in behind the long ones. The order is by single task, not by kind's
 # total: in the timings.json of 24 pooled grid-mock runs (--per-class 12,
@@ -149,9 +143,9 @@ class EvalReport:
     or None on a report parsed back from JSONL, which carries only its
     digest. ``timings`` is what ``run_experiment`` writes to
     ``TIMINGS_FILE``: its pool's ``workers``, ``pool_s`` and ``tasks``
-    (see ``_run_tasks``), and ``calls``, one entry per provider call in
-    grid order with its window_id, bundle_sha256 and ``_CALL_KEYS``. It is
-    never rendered and never enters the manifest, so reruns stay
+    (see ``_run_tasks``), and ``calls``, the ``BatchResult.calls`` rows
+    of every provider call in grid order: how each call went. It is never
+    rendered and never enters the manifest, so reruns stay
     byte-identical.
     """
 
@@ -399,15 +393,16 @@ def run_experiment(
     either way; only the report's ``timings`` differ.
 
     Once the report is built, ``split.json``, ``run_manifest.json``, the
-    two reports, ``transcript.jsonl`` (every provider call in grid order:
-    what it asked, by bundle digest, and what came back) and
-    ``TIMINGS_FILE`` (the report's ``timings``) are staged too. Every
-    file but ``TIMINGS_FILE`` is the same bytes on a rerun with the mock
-    provider. Every staged file is moved into ``out``, after a check that
-    no directory stands in any file's place. Any exception before the
-    first move removes the staging directory and every directory the run
-    made: a refused or interrupted run leaves an existing ``out`` as it
-    was and makes no new one.
+    two reports, ``transcript.jsonl`` (the ``BatchResult.transcript``
+    rows of every provider call in grid order: what it asked, by bundle
+    digest, and what came back) and ``TIMINGS_FILE`` (the report's
+    ``timings``, whose ``calls`` are the ``BatchResult.calls`` rows) are
+    staged too. Every file but ``TIMINGS_FILE`` is the same bytes on a
+    rerun with the mock provider. Every staged file is moved into
+    ``out``, after a check that no directory stands in any file's place.
+    Any exception before the first move removes the staging directory
+    and every directory the run made: a refused or interrupted run
+    leaves an existing ``out`` as it was and makes no new one.
     """
     configs = dict(configs or {})
     validate_run(baselines, modes, configs)
@@ -486,6 +481,7 @@ def run_experiment(
 
         cells: dict[tuple[str, Scenario, Part], CellResult] = {}
         transcript: list[dict] = []
+        calls: list[dict] = []
         for scenario, model, part, reason in plan:
             model_id = model if model in BASELINES else f"{provider}-{model.value}"
             if reason is not None:
@@ -502,6 +498,7 @@ def run_experiment(
                 batch = classify_windows(bundles[(scenario, model)], model, cfg=provider_cfg)
                 preds, n_failed = batch.predictions, len(batch.failures)
                 transcript += batch.transcript
+                calls += batch.calls
             n_total = len(eval_full)
             if n_failed > MAX_FAILED_SHARE * n_total:
                 reason = f"{n_failed}/{n_total} provider calls failed"
@@ -527,10 +524,7 @@ def run_experiment(
         }
         if manifest_extra:
             manifest.update(manifest_extra)
-        timings["calls"] = [
-            {k: row[k] for k in ("window_id", "bundle_sha256", *_CALL_KEYS) if k in row}
-            for row in transcript
-        ]
+        timings["calls"] = calls
         report = EvalReport(cells, canonical_digest(manifest), manifest, timings)
         if staging is not None:
             # like the manifest, the split record names a seed only if it has one
@@ -540,10 +534,7 @@ def run_experiment(
                 "run_manifest.json": json_line(manifest),
                 "report.txt": render_report(report, "text"),
                 "report.jsonl": render_report(report, "jsonl"),
-                "transcript.jsonl": "".join(
-                    json.dumps({k: v for k, v in row.items() if k not in _CALL_KEYS}) + "\n"
-                    for row in transcript
-                ),
+                "transcript.jsonl": "".join(json.dumps(row) + "\n" for row in transcript),
                 TIMINGS_FILE: json_line(timings, sort_keys=False),
             }
             for name, text in staged.items():

@@ -124,9 +124,10 @@ class ProviderConfig:
 
 @dataclass(frozen=True)
 class CompletionResult:
+    """What the provider returned: the text and its token counts (None
+    when it gave none). How the call went is ``_run_calls``'s record."""
+
     text: str
-    provider: str
-    latency_s: float
     prompt_tokens: Optional[int] = None
     completion_tokens: Optional[int] = None
 
@@ -157,15 +158,16 @@ class BatchResult:
     ``predictions`` covers every window whose completion succeeded
     (label may still be None when the text was unparseable);
     ``failures`` records (window_id, error message) for calls that
-    raised transport or provider errors; ``transcript`` has one row per
-    call, in window_id order (see ``classify_windows``).
-    ``run_experiment`` writes each row's latency, attempts and token
-    counts to its timings file and the rest of the row to its transcript.
+    raised transport or provider errors. ``transcript`` (what was said)
+    and ``calls`` (how each call went) each have one row per call, in
+    window_id order (see ``classify_windows``); ``run_experiment`` writes
+    the first to its transcript and the second to its timings file.
     """
 
     predictions: tuple[Prediction, ...]
     failures: tuple[tuple[str, str], ...]
     transcript: tuple[dict, ...] = ()
+    calls: tuple[dict, ...] = ()
 
 
 def complete(cfg: ProviderConfig, bundle: PromptBundle) -> CompletionResult:
@@ -176,9 +178,10 @@ def complete(cfg: ProviderConfig, bundle: PromptBundle) -> CompletionResult:
     between attempts, for at most ``retries`` extra attempts. A 429 or
     503 whose ``Retry-After`` header gives a number of seconds waits at
     least that long. A redirect, another 4xx or a server certificate
-    that fails verification fails at once.
+    that fails verification fails at once. A TransportError carries the
+    attempts made.
     """
-    ((result, _attempts),) = _complete_batch(cfg, [bundle], workers=1)
+    ((result, _attempts, _latency_s),) = _complete_batch(cfg, [bundle], workers=1)
     if isinstance(result, Exception):
         raise result
     return result
@@ -282,7 +285,7 @@ class _Connection:
 
 def _complete_batch(
     cfg: ProviderConfig, bundles: Sequence[PromptBundle], workers: int
-) -> list[tuple[object, int]]:
+) -> list[tuple[object, int, Optional[float]]]:
     """Send every bundle to the provider through ``_run_calls``, each
     worker posting over its own persistent ``_Connection``.
 
@@ -312,7 +315,7 @@ def _complete_batch(
         "User-Agent": f"imutrace/{__version__}",
     }
 
-    def attempt(bundle: PromptBundle, conn: _Connection, number: int) -> CompletionResult:
+    def attempt(bundle: PromptBundle, conn: _Connection) -> CompletionResult:
         body = {
             "model": cfg.model,
             "temperature": cfg.temperature,
@@ -322,14 +325,12 @@ def _complete_batch(
                 {"role": "user", "content": bundle.question},
             ],
         }
-        started = time.perf_counter()
         try:
             resp, payload = conn.post(json.dumps(body).encode())
         except untrusted as exc:
             conn.close()
             raise TransportError(
-                f"provider's TLS certificate failed verification: {exc.verify_message}",
-                attempts=number,
+                f"provider's TLS certificate failed verification: {exc.verify_message}"
             ) from None
         except (OSError, http.client.HTTPException) as exc:  # timeouts are OSErrors
             conn.close()  # a half-done exchange leaves the connection unusable
@@ -344,15 +345,10 @@ def _complete_batch(
                 f"provider redirected the request with HTTP {status} to "
                 f"{resp.getheader('Location')!r}; the endpoint must be the final URL",
                 status=status,
-                attempts=number,
             )
         if status >= 400:
-            raise TransportError(
-                f"provider rejected the request with HTTP {status}",
-                status=status,
-                attempts=number,
-            )
-        return _read_completion(cfg, payload, time.perf_counter() - started)
+            raise TransportError(f"provider rejected the request with HTTP {status}", status=status)
+        return _read_completion(payload)
 
     return _run_calls(
         bundles,
@@ -366,29 +362,33 @@ def _complete_batch(
 
 def _run_calls(
     bundles: Sequence[PromptBundle],
-    attempt: Callable[[PromptBundle, object, int], CompletionResult],
+    attempt: Callable[[PromptBundle, object], CompletionResult],
     *,
     workers: int,
     retries: int = 0,
     backoff_base_s: float = 0.0,
     open_session: Optional[Callable[[], object]] = None,
-) -> list[tuple[object, int]]:
-    """Make one call per bundle, at most ``workers`` attempts at a time.
+) -> list[tuple[object, int, Optional[float]]]:
+    """Make one call per bundle, at most ``workers`` attempts at a time,
+    counting, timing and recording each.
 
-    ``attempt(bundle, session, number)`` makes one attempt; ``session``
-    is the worker's own ``open_session()`` (closed when the batch ends)
-    or None. An attempt that raises ``_Retry`` frees its worker at once:
-    the call is queued again, due after ``backoff_base_s * 2**k`` (k
-    counts the call's earlier attempts) or the provider's Retry-After,
-    whichever is longer, and a due retry goes ahead of calls not yet
-    started. After ``retries`` retries the call fails with
-    TransportError. Returns, in bundle order, each call's
-    CompletionResult or the TransportError or ProviderError that ended
-    it, with the attempts made. Any other exception stops the batch: no
-    attempt starts after it, every worker is joined, and it is raised.
-    With one worker everything runs in the caller's thread.
+    ``attempt(bundle, session)`` makes one attempt; ``session`` is the
+    worker's own ``open_session()`` (closed when the batch ends) or None.
+    An attempt that raises ``_Retry`` frees its worker at once: the call
+    is queued again, due after ``backoff_base_s * 2**k`` (k counts the
+    call's earlier attempts) or the provider's Retry-After, whichever is
+    longer, and a due retry goes ahead of calls not yet started. After
+    ``retries`` retries the call fails with TransportError.
+
+    Returns, in bundle order, ``(outcome, attempts, latency_s)`` for each
+    call: its CompletionResult, or the TransportError (whose ``attempts``
+    is set here) or ProviderError that ended it; the attempts made; and
+    the seconds the attempt that returned a result took, or None. Any
+    other exception stops the batch: no attempt starts after it, every
+    worker is joined, and it is raised. With one worker everything runs
+    in the caller's thread.
     """
-    outcomes: list[object] = [None] * len(bundles)
+    results: list[tuple[object, int, Optional[float]]] = [None] * len(bundles)
     attempts = [0] * len(bundles)
     fresh = deque(range(len(bundles)))
     due: list[tuple[float, int]] = []  # heap of (due time, index) of calls backing off
@@ -421,8 +421,10 @@ def _run_calls(
                         return
                     attempts[i] += 1
                     number = attempts[i]
+                started, latency_s = time.perf_counter(), None
                 try:
-                    outcome = attempt(bundles[i], session, number)
+                    outcome = attempt(bundles[i], session)
+                    latency_s = time.perf_counter() - started
                 except _Retry as exc:
                     if number <= retries:
                         delay = max(backoff_base_s * 2 ** (number - 1), exc.retry_after_s)
@@ -433,12 +435,13 @@ def _run_calls(
                     outcome = TransportError(
                         f"retries exhausted after {number} attempts (last failure: {exc.detail})",
                         status=exc.status,
-                        attempts=number,
                     )
                 except (TransportError, ProviderError) as exc:
                     outcome = exc
+                if isinstance(outcome, TransportError):
+                    outcome.attempts = number
                 with cond:
-                    outcomes[i] = outcome
+                    results[i] = (outcome, number, latency_s)
                     open_calls -= 1
                     if not open_calls:
                         cond.notify_all()
@@ -458,10 +461,10 @@ def _run_calls(
         thread.join()
     if aborts:
         raise aborts[0]
-    return list(zip(outcomes, attempts))
+    return results
 
 
-def _read_completion(cfg: ProviderConfig, body: bytes, latency_s: float) -> CompletionResult:
+def _read_completion(body: bytes) -> CompletionResult:
     try:
         payload = json.loads(body)
     except ValueError:
@@ -475,13 +478,9 @@ def _read_completion(cfg: ProviderConfig, body: bytes, latency_s: float) -> Comp
     usage = payload.get("usage")
     if not isinstance(usage, dict):
         usage = {}  # absent or malformed: the token counts are unknown
-    return CompletionResult(
-        text=text,
-        provider=cfg.model,
-        latency_s=latency_s,
-        prompt_tokens=usage.get("prompt_tokens"),
-        completion_tokens=usage.get("completion_tokens"),
-    )
+    # a count that is not an int >= 0 is unknown too, and a bool is not an int here
+    counts = (usage.get("prompt_tokens"), usage.get("completion_tokens"))
+    return CompletionResult(text, *(n if type(n) is int and n >= 0 else None for n in counts))
 
 
 def _classify_heading(dtheta: float) -> TrajectoryLabel:
@@ -504,7 +503,6 @@ def mock_complete(bundle: PromptBundle) -> CompletionResult:
     reasoning text ending in the conclusion phrasing; direct-output
     bundles get the bare label.
     """
-    started = time.perf_counter()
     try:
         rows, rate = read_window(bundle.question)
     except ValueError as exc:
@@ -533,9 +531,7 @@ def mock_complete(bundle: PromptBundle) -> CompletionResult:
             f"Phase 4, conclusion: combining the measured heading change with the "
             f"knowledge above, the data is most likely a '{hyphenated}' trajectory."
         )
-    return CompletionResult(
-        text=text, provider=MOCK_PROVIDER_ID, latency_s=time.perf_counter() - started
-    )
+    return CompletionResult(text=text)
 
 
 # The phrases a response may name each label by, each in lower-case words
@@ -676,42 +672,44 @@ def classify_windows(
     abort a batch. Config errors (bad templates, missing auth) do
     abort: they would fail every window the same way. An injected
     ``completer`` makes one attempt per window and is never retried.
-    Each call is a row of the batch's ``transcript``, in window_id order:
-    window_id, bundle hash, then text, latency and the provider's prompt
-    and completion token counts (None when it gave none, as the mock
-    does) for a success or the error for a failure, then the attempts
-    made. No file is written.
+
+    Each call is a row of the batch's ``transcript`` and of its
+    ``calls``, in window_id order, each row starting with window_id and
+    bundle hash. The transcript row has what was said: the text, or the
+    error of a failure. The calls row has how the call went, as
+    ``_run_calls`` recorded it: ``latency_s`` (successes only),
+    ``attempts``, then the provider's ``prompt_tokens`` and
+    ``completion_tokens`` (successes only; None when it gave none, as the
+    mock does). No file is written.
     """
     bundles = [w if isinstance(w, PromptBundle) else build_prompt(w, mode, templates=templates)
                for w in windows]
     workers = min(cfg.concurrency if cfg is not None else 1, len(bundles))
     if completer is None and cfg is not None:
-        calls = _complete_batch(cfg, bundles, workers)
+        outcomes = _complete_batch(cfg, bundles, workers)
     else:
         single = completer if completer is not None else mock_complete
-        calls = _run_calls(bundles, lambda bundle, _session, _number: single(bundle), workers=workers)
+        outcomes = _run_calls(bundles, lambda bundle, _session: single(bundle), workers=workers)
 
-    paired = sorted(zip(bundles, calls), key=lambda pair: pair[0].window_id)
+    paired = sorted(zip(bundles, outcomes), key=lambda pair: pair[0].window_id)
     predictions: list[Prediction] = []
     failures: list[tuple[str, str]] = []
     transcript: list[dict] = []
-    for bundle, (result, attempts) in paired:
+    calls: list[dict] = []
+    for bundle, (result, attempts, latency_s) in paired:
+        head = {"window_id": bundle.window_id, "bundle_sha256": bundle.digest()}
         if isinstance(result, Exception):
             failures.append((bundle.window_id, str(result)))
-            row = {"error": str(result)}
-        else:
-            try:
-                label: Optional[TrajectoryLabel] = parse_label(result.text, mode)
-            except LabelParseError:
-                label = None
-            predictions.append(Prediction(bundle.window_id, label))
-            row = {
-                "text": result.text,
-                "latency_s": result.latency_s,
-                "prompt_tokens": result.prompt_tokens,
-                "completion_tokens": result.completion_tokens,
-            }
-        row = {"window_id": bundle.window_id, "bundle_sha256": bundle.digest(), **row,
-               "attempts": attempts}
-        transcript.append(row)
-    return BatchResult(tuple(predictions), tuple(failures), tuple(transcript))
+            transcript.append({**head, "error": str(result)})
+            calls.append({**head, "attempts": attempts})
+            continue
+        try:
+            label: Optional[TrajectoryLabel] = parse_label(result.text, mode)
+        except LabelParseError:
+            label = None
+        predictions.append(Prediction(bundle.window_id, label))
+        transcript.append({**head, "text": result.text})
+        calls.append({**head, "latency_s": latency_s, "attempts": attempts,
+                      "prompt_tokens": result.prompt_tokens,
+                      "completion_tokens": result.completion_tokens})
+    return BatchResult(tuple(predictions), tuple(failures), tuple(transcript), tuple(calls))

@@ -126,8 +126,6 @@ def test_success_request_shape(stub):
     server, url = stub([(200, OK_PAYLOAD)])
     result = complete(_cfg(url, temperature=0.5, max_tokens=77), BUNDLE)
     assert result.text == "turn left"
-    assert result.provider == "test-model"
-    assert result.latency_s > 0
     assert result.prompt_tokens == 12
     assert result.completion_tokens == 3
 
@@ -400,11 +398,12 @@ def test_transcript_records_failed_calls(stub):
     windows = _windows(2)
     batch = classify_windows(windows, PromptMode.DO, cfg=_cfg(url, concurrency=1, retries=1))
     assert [f[0] for f in batch.failures] == [w.id for w in windows]
-    rows = batch.transcript
-    assert [r["window_id"] for r in rows] == [w.id for w in windows]
-    for row, (_, message) in zip(rows, batch.failures):
-        assert set(row) == {"window_id", "bundle_sha256", "error", "attempts"}
-        assert row["attempts"] == 2
+    for rows in (batch.transcript, batch.calls):
+        assert [r["window_id"] for r in rows] == [w.id for w in windows]
+    for row, call, (_, message) in zip(batch.transcript, batch.calls, batch.failures):
+        assert set(row) == {"window_id", "bundle_sha256", "error"}
+        assert set(call) == {"window_id", "bundle_sha256", "attempts"}
+        assert call["attempts"] == 2
         assert row["error"] == message
         assert "retries exhausted after 2 attempts (last failure: HTTP 500)" in message
 
@@ -418,10 +417,28 @@ def test_transcript_records_each_calls_attempts_and_token_counts(stub):
     assert batch.failures == ()
     counts = [
         (row["window_id"], row["attempts"], row["prompt_tokens"], row["completion_tokens"])
-        for row in batch.transcript
+        for row in batch.calls
     ]
     assert counts == [("w0", 2, 12, 3), ("w1", 1, 12, 3)]
-    assert all(row["latency_s"] > 0 for row in batch.transcript)
+    assert all(row["latency_s"] > 0 for row in batch.calls)
+
+
+@pytest.mark.parametrize(
+    "usage, counts",
+    [
+        ({"prompt_tokens": "12", "completion_tokens": True}, (None, None)),
+        ({"prompt_tokens": -1, "completion_tokens": 3.0}, (None, None)),
+        ({"prompt_tokens": 0, "completion_tokens": False}, (0, None)),
+        ({"prompt_tokens": None, "completion_tokens": [3]}, (None, None)),
+    ],
+)
+def test_token_counts_that_are_not_counts_are_recorded_as_unknown(stub, usage, counts):
+    payload = {"choices": [{"message": {"content": "turn left"}}], "usage": usage}
+    _, url = stub([(200, json.dumps(payload).encode())])
+    batch = classify_windows(_windows(1), PromptMode.DO, cfg=_cfg(url))
+    (call,) = batch.calls
+    assert (call["prompt_tokens"], call["completion_tokens"]) == counts
+    assert batch.transcript[0]["text"] == "turn left"
 
 
 @pytest.mark.parametrize("status", [301, 302, 307, 308])
@@ -549,7 +566,7 @@ def test_a_dropped_keep_alive_connection_is_sent_again_without_a_retry(stub):
     started = time.perf_counter()
     calls = _complete_batch(_cfg(url, backoff_base_s=5.0), [BUNDLE, second], workers=1)
     assert time.perf_counter() - started < 2.5  # no backoff between the two
-    assert [(result.text, attempts) for result, attempts in calls] == [("turn left", 1)] * 2
+    assert [(result.text, attempts) for result, attempts, _ in calls] == [("turn left", 1)] * 2
     # the server never read the request sent on the dropped connection
     assert [json.loads(r["body"])["messages"][1]["content"] for r in server.requests] == [
         "user question",

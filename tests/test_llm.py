@@ -22,7 +22,6 @@ from imutrace.llm import (
     BatchResult,
     CompletionResult,
     LABEL_PHRASES,
-    MOCK_PROVIDER_ID,
     ProviderConfig,
     _Retry,
     _run_calls,
@@ -49,8 +48,6 @@ def test_mock_do_returns_bare_label():
     for w in _clean_windows():
         result = mock_complete(build_prompt(w, PromptMode.DO))
         assert result.text == w.label.value
-        assert result.provider == MOCK_PROVIDER_ID
-        assert result.latency_s > 0
 
 
 def test_mock_cot_structure_and_label():
@@ -163,7 +160,7 @@ def test_mock_reads_back_the_two_decimal_window(data, mode, rate):
 
 def test_completion_result_rejects_empty_text():
     with pytest.raises(ValueError):
-        CompletionResult(text="", provider="x", latency_s=0.1)
+        CompletionResult(text="")
 
 
 def test_parse_label_basics():
@@ -361,11 +358,11 @@ def test_classify_windows_mock_end_to_end():
     for p in batch.predictions:
         assert p.label is truth[p.window_id]
 
-    rows = batch.transcript
+    rows = batch.calls
     assert [r["window_id"] for r in rows] == [p.window_id for p in batch.predictions]
     for row in rows:
         assert set(row) == {
-            "window_id", "bundle_sha256", "text", "latency_s", "attempts", "prompt_tokens",
+            "window_id", "bundle_sha256", "latency_s", "attempts", "prompt_tokens",
             "completion_tokens",
         }
         assert row["latency_s"] > 0 and row["attempts"] == 1
@@ -384,8 +381,7 @@ def test_classify_windows_sends_a_bundle_as_the_window_it_came_from(mode):
         return mock_complete(bundle)
 
     def outcome(batch):
-        rows = [{k: v for k, v in row.items() if k != "latency_s"} for row in batch.transcript]
-        return batch.predictions, batch.failures, rows
+        return batch.predictions, batch.failures, batch.transcript
 
     from_windows = classify_windows(windows, mode, completer=completer)
     bundles = [build_prompt(w, mode) for w in windows]
@@ -424,7 +420,7 @@ def test_classify_windows_unparseable_becomes_none():
     windows = _clean_windows()[:3]
 
     def completer(bundle):
-        return CompletionResult(text="hmm, hard to say", provider="stub", latency_s=0.01)
+        return CompletionResult(text="hmm, hard to say")
 
     batch = classify_windows(windows, PromptMode.COT, completer=completer)
     assert all(p.label is None for p in batch.predictions)
@@ -461,19 +457,44 @@ def test_transcript_records_failures_in_window_order():
         return mock_complete(bundle)
 
     batch = classify_windows(windows, PromptMode.DO, completer=completer)
-    rows = batch.transcript
-    assert [r["window_id"] for r in rows] == sorted(w.id for w in windows)
-    failed = [r for r in rows if "error" in r]
+    for rows in (batch.transcript, batch.calls):
+        assert [r["window_id"] for r in rows] == sorted(w.id for w in windows)
+    failed = [r for r in batch.transcript if "error" in r]
+    head = {"window_id": doomed, "bundle_sha256": failed[0]["bundle_sha256"]}
+    assert failed == [{**head, "error": "socket exploded"}]
     # an injected completer makes one attempt, never retried
-    assert failed == [
-        {
-            "window_id": doomed,
-            "bundle_sha256": failed[0]["bundle_sha256"],
-            "error": "socket exploded",
-            "attempts": 1,
-        }
-    ]
+    assert [r for r in batch.calls if r["window_id"] == doomed] == [{**head, "attempts": 1}]
     assert batch.failures == ((doomed, "socket exploded"),)
+
+
+def test_a_batch_says_the_same_on_a_rerun_and_keeps_how_each_call_went_apart():
+    windows = _clean_windows()
+    doomed = sorted(w.id for w in windows)[1]
+
+    def completer(bundle):
+        if bundle.window_id == doomed:
+            raise ProviderError("the provider said nothing")
+        return mock_complete(bundle)
+
+    first, again = (
+        classify_windows(windows, PromptMode.COT, completer=completer) for _ in range(2)
+    )
+    # what was said is the same, field for field: no latency to blank
+    assert first.transcript == again.transcript
+    head = ["window_id", "bundle_sha256"]
+    for row in first.transcript:
+        assert list(row) == head + (["error"] if row["window_id"] == doomed else ["text"])
+    for row in first.calls:
+        if row["window_id"] == doomed:
+            assert list(row) == head + ["attempts"]
+        else:
+            assert list(row) == head + [
+                "latency_s", "attempts", "prompt_tokens", "completion_tokens"
+            ]
+            assert row["latency_s"] > 0
+    assert [r["bundle_sha256"] for r in first.calls] == [
+        r["bundle_sha256"] for r in first.transcript
+    ]
 
 
 def test_unexpected_error_stops_the_batch():
@@ -504,7 +525,7 @@ def test_a_retry_due_past_the_longest_wait_does_not_stop_the_batch():
         for i in range(2)
     ]
 
-    def attempt(bundle, session, number):
+    def attempt(bundle, session):
         if bundle.window_id == "w0":
             raise _Retry(503, retry_after_s=1e10)
         time.sleep(0.05)
@@ -531,19 +552,19 @@ def test_scheduler_retries_and_limits_property(failures, retries, concurrency):
     made = [0] * len(bundles)
     inflight = peak = 0
 
-    def attempt(bundle, session, number):
+    def attempt(bundle, session):
         nonlocal inflight, peak
         index = int(bundle.window_id[1:])
         with lock:
             made[index] += 1
-            assert number == made[index]
+            number = made[index]
             inflight += 1
             peak = max(peak, inflight)
         try:
             time.sleep(0.0005)
             if number <= failures[index]:
                 raise _Retry(503)
-            return CompletionResult(text=bundle.window_id, provider="fake", latency_s=0.0)
+            return CompletionResult(text=bundle.window_id)
         finally:
             with lock:
                 inflight -= 1
@@ -561,7 +582,7 @@ def test_scheduler_retries_and_limits_property(failures, retries, concurrency):
     assert peak <= concurrency
     assert sum(made) == sum(min(f, retries) + 1 for f in failures)
     assert len(calls) == len(bundles)
-    for bundle, f, (outcome, attempts) in zip(bundles, failures, calls):
+    for bundle, f, (outcome, attempts, latency_s) in zip(bundles, failures, calls):
         assert attempts == min(f, retries) + 1
         if f > retries:
             assert isinstance(outcome, TransportError)
@@ -569,5 +590,7 @@ def test_scheduler_retries_and_limits_property(failures, retries, concurrency):
             assert str(outcome) == (
                 f"retries exhausted after {attempts} attempts (last failure: HTTP 503)"
             )
+            assert latency_s is None
         else:
             assert outcome.text == bundle.window_id
+            assert latency_s > 0
