@@ -19,12 +19,8 @@ class DataError(ImutraceError):
 
 
 class TransportError(ImutraceError):
-    """HTTP-level failure after retries were exhausted."""
-
-    def __init__(self, message: str, status: int | None = None, attempts: int = 0):
-        super().__init__(message)
-        self.status = status
-        self.attempts = attempts
+    """HTTP-level failure after retries were exhausted, or one no retry
+    can mend; the message names its status or cause and the attempts."""
 
 
 class ProviderError(ImutraceError):

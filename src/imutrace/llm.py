@@ -59,7 +59,9 @@ class ProviderConfig:
     requests are posted to: a redirect fails the call. An endpoint the
     transport cannot use (another scheme, no host, a port that is not a
     number from 0 to 65535, or a character outside printable ASCII) is
-    refused here, before any data is read.
+    refused here, before any data is read, as is one with credentials
+    before an ``@``, which no request would send as auth: the token
+    comes only from ``token_env``.
 
     ``concurrency`` is the most requests a batch has in flight at once.
     A call waiting out its backoff holds no slot, so the limit holds
@@ -85,6 +87,13 @@ class ProviderConfig:
             )
         try:
             url = urlsplit(self.endpoint)
+            if url.username is not None:  # also for a bare "@" or ":password@"
+                # checked before the port, and the message leaves the
+                # endpoint out, so no password reaches stderr
+                raise ConfigError(
+                    "provider endpoint must not carry credentials before '@'; the auth token "
+                    f"comes from the environment variable named by --token-env ({self.token_env})"
+                )
             url.port  # raises ValueError for a port that is not a number up to 65535
         except ValueError as exc:
             raise ConfigError(f"provider endpoint {self.endpoint!r} is unreadable: {exc}") from None
@@ -156,18 +165,22 @@ class BatchResult:
     """Outcome of classifying one batch of windows.
 
     ``predictions`` covers every window whose completion succeeded
-    (label may still be None when the text was unparseable);
-    ``failures`` records (window_id, error message) for calls that
-    raised transport or provider errors. ``transcript`` (what was said)
-    and ``calls`` (how each call went) each have one row per call, in
-    window_id order (see ``classify_windows``); ``run_experiment`` writes
-    the first to its transcript and the second to its timings file.
+    (label may still be None when the text was unparseable).
+    ``transcript`` (what was said) and ``calls`` (how each call went)
+    each have one row per call, in window_id order (see
+    ``classify_windows``); ``run_experiment`` writes the first to its
+    transcript and the second to its timings file.
     """
 
     predictions: tuple[Prediction, ...]
-    failures: tuple[tuple[str, str], ...]
     transcript: tuple[dict, ...] = ()
     calls: tuple[dict, ...] = ()
+
+    @property
+    def failures(self) -> tuple[tuple[str, str], ...]:
+        """(window_id, error message) of each call that raised a transport
+        or provider error, read from the transcript's error rows."""
+        return tuple((r["window_id"], r["error"]) for r in self.transcript if "error" in r)
 
 
 def complete(cfg: ProviderConfig, bundle: PromptBundle) -> CompletionResult:
@@ -178,8 +191,7 @@ def complete(cfg: ProviderConfig, bundle: PromptBundle) -> CompletionResult:
     between attempts, for at most ``retries`` extra attempts. A 429 or
     503 whose ``Retry-After`` header gives a number of seconds waits at
     least that long. A redirect, another 4xx or a server certificate
-    that fails verification fails at once. A TransportError carries the
-    attempts made.
+    that fails verification fails at once.
     """
     ((result, _attempts, _latency_s),) = _complete_batch(cfg, [bundle], workers=1)
     if isinstance(result, Exception):
@@ -189,15 +201,14 @@ def complete(cfg: ProviderConfig, bundle: PromptBundle) -> CompletionResult:
 
 class _Retry(Exception):
     """One attempt failed in a way a later attempt may not: a timeout, a
-    connection error, HTTP 429 or 5xx. ``status`` is None for the first
-    two, whose ``cause`` names them (``timeout`` or the exception's class);
-    ``retry_after_s`` is the wait the provider asked for, else 0."""
+    connection error, HTTP 429 or 5xx. ``detail`` names it (``timeout``,
+    the exception's class or ``HTTP 503``); ``retry_after_s`` is the wait
+    the provider asked for, else 0."""
 
-    def __init__(self, status: Optional[int], retry_after_s: float = 0.0, cause: str = ""):
-        super().__init__(status)
-        self.status = status
+    def __init__(self, detail: str, retry_after_s: float = 0.0):
+        super().__init__(detail)
+        self.detail = detail
         self.retry_after_s = retry_after_s
-        self.detail = f"HTTP {status}" if status is not None else cause
 
 
 def _retry_after_s(value: Optional[str]) -> float:
@@ -335,19 +346,18 @@ def _complete_batch(
         except (OSError, http.client.HTTPException) as exc:  # timeouts are OSErrors
             conn.close()  # a half-done exchange leaves the connection unusable
             cause = "timeout" if isinstance(exc, TimeoutError) else type(exc).__name__
-            raise _Retry(None, cause=cause) from None
+            raise _Retry(cause) from None
         status = resp.status
         if status == 429 or status >= 500:
             retry_after = resp.getheader("Retry-After") if status in (429, 503) else None
-            raise _Retry(status, _retry_after_s(retry_after))
+            raise _Retry(f"HTTP {status}", _retry_after_s(retry_after))
         if 300 <= status < 400:
             raise TransportError(
                 f"provider redirected the request with HTTP {status} to "
-                f"{resp.getheader('Location')!r}; the endpoint must be the final URL",
-                status=status,
+                f"{resp.getheader('Location')!r}; the endpoint must be the final URL"
             )
         if status >= 400:
-            raise TransportError(f"provider rejected the request with HTTP {status}", status=status)
+            raise TransportError(f"provider rejected the request with HTTP {status}")
         return _read_completion(payload)
 
     return _run_calls(
@@ -381,8 +391,8 @@ def _run_calls(
     ``retries`` retries the call fails with TransportError.
 
     Returns, in bundle order, ``(outcome, attempts, latency_s)`` for each
-    call: its CompletionResult, or the TransportError (whose ``attempts``
-    is set here) or ProviderError that ended it; the attempts made; and
+    call: its CompletionResult, or the TransportError or ProviderError
+    that ended it; the attempts made, which only this tuple counts; and
     the seconds the attempt that returned a result took, or None. Any
     other exception stops the batch: no attempt starts after it, every
     worker is joined, and it is raised. With one worker everything runs
@@ -427,19 +437,17 @@ def _run_calls(
                     latency_s = time.perf_counter() - started
                 except _Retry as exc:
                     if number <= retries:
-                        delay = max(backoff_base_s * 2 ** (number - 1), exc.retry_after_s)
+                        # ldexp, unlike 2 ** k, takes a zero base past 1,024 attempts
+                        delay = max(math.ldexp(backoff_base_s, number - 1), exc.retry_after_s)
                         with cond:
                             heapq.heappush(due, (time.monotonic() + delay, i))
                             cond.notify()
                         continue
                     outcome = TransportError(
-                        f"retries exhausted after {number} attempts (last failure: {exc.detail})",
-                        status=exc.status,
+                        f"retries exhausted after {number} attempts (last failure: {exc.detail})"
                     )
                 except (TransportError, ProviderError) as exc:
                     outcome = exc
-                if isinstance(outcome, TransportError):
-                    outcome.attempts = number
                 with cond:
                     results[i] = (outcome, number, latency_s)
                     open_calls -= 1
@@ -668,10 +676,11 @@ def classify_windows(
     Predictions come back sorted by window_id regardless of completion
     order. A response whose text yields no label becomes a prediction
     with ``label=None``; a call that raises a transport or provider
-    error lands in ``failures`` instead, so one bad window cannot
-    abort a batch. Config errors (bad templates, missing auth) do
-    abort: they would fail every window the same way. An injected
-    ``completer`` makes one attempt per window and is never retried.
+    error becomes an error row of the transcript instead (read back as
+    ``failures``), so one bad window cannot abort a batch. Config
+    errors (bad templates, missing auth) do abort: they would fail
+    every window the same way. An injected ``completer`` makes one
+    attempt per window and is never retried.
 
     Each call is a row of the batch's ``transcript`` and of its
     ``calls``, in window_id order, each row starting with window_id and
@@ -693,13 +702,11 @@ def classify_windows(
 
     paired = sorted(zip(bundles, outcomes), key=lambda pair: pair[0].window_id)
     predictions: list[Prediction] = []
-    failures: list[tuple[str, str]] = []
     transcript: list[dict] = []
     calls: list[dict] = []
     for bundle, (result, attempts, latency_s) in paired:
         head = {"window_id": bundle.window_id, "bundle_sha256": bundle.digest()}
         if isinstance(result, Exception):
-            failures.append((bundle.window_id, str(result)))
             transcript.append({**head, "error": str(result)})
             calls.append({**head, "attempts": attempts})
             continue
@@ -712,4 +719,4 @@ def classify_windows(
         calls.append({**head, "latency_s": latency_s, "attempts": attempts,
                       "prompt_tokens": result.prompt_tokens,
                       "completion_tokens": result.completion_tokens})
-    return BatchResult(tuple(predictions), tuple(failures), tuple(transcript), tuple(calls))
+    return BatchResult(tuple(predictions), tuple(transcript), tuple(calls))

@@ -640,10 +640,13 @@ def test_provider_failure_skips_cell(monkeypatch):
     windows, _ = generate_dataset(cfg, uniform_counts(3), noise=noise)
     split = split_dataset(windows, seed=1)
 
-    def all_fail(windows, mode, **kwargs):
+    def all_fail(bundles, mode, **kwargs):
         return BatchResult(
             predictions=(),
-            failures=tuple((w.window_id, "connection lost") for w in windows),
+            transcript=tuple(
+                {"window_id": b.window_id, "bundle_sha256": b.digest(), "error": "connection lost"}
+                for b in bundles
+            ),
         )
 
     monkeypatch.setattr(evalreport, "classify_windows", all_fail)
@@ -662,11 +665,12 @@ def test_partial_failures_below_threshold_still_score(monkeypatch):
     split = split_dataset(windows, seed=1)
     real = evalreport.classify_windows
 
-    def drop_one(windows, mode, **kwargs):
-        batch = real(windows, mode, **kwargs)
+    def drop_one(bundles, mode, **kwargs):
+        batch = real(bundles, mode, **kwargs)
+        first, *rest = batch.transcript
+        head = {"window_id": first["window_id"], "bundle_sha256": first["bundle_sha256"]}
         return BatchResult(
-            predictions=batch.predictions[1:],
-            failures=((batch.predictions[0].window_id, "timeout"),),
+            predictions=batch.predictions[1:], transcript=({**head, "error": "timeout"}, *rest)
         )
 
     monkeypatch.setattr(evalreport, "classify_windows", drop_one)

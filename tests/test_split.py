@@ -5,6 +5,7 @@ import pytest
 
 from imutrace.core import Part, Scenario, split_dataset
 from imutrace.errors import DataError
+from imutrace.synth import GeneratorConfig, ZERO_NOISE, generate_dataset, uniform_counts
 
 from conftest import tiny_windows
 
@@ -98,3 +99,26 @@ def test_split_duplicate_ids_rejected():
     windows = tiny_windows(12, groups=4)
     with pytest.raises(DataError):
         split_dataset(windows + [windows[0]], seed=0)
+
+
+@pytest.mark.xfail(
+    raises=AssertionError,
+    strict=True,
+    reason="ROADMAP item 1a: split_dataset shuffles the non-unseen remainder across "
+    "both scenarios, so a scenario can get no seen_test or no unseen_test window",
+)
+@pytest.mark.parametrize(
+    "gen_seed, per_class, split_seed",
+    [(4, 3, 1), (0, 2, 0)],
+    ids=["indoor-no-seen-test", "indoor-no-seen-outdoor-no-unseen-test"],
+)
+def test_every_scenario_has_seen_and_unseen_test_windows(gen_seed, per_class, split_seed):
+    windows, _ = generate_dataset(
+        GeneratorConfig(seed=gen_seed, windows_per_group=2),
+        uniform_counts(per_class),
+        {s: ZERO_NOISE for s in Scenario},
+    )
+    split = split_dataset(windows, seed=split_seed)
+    for scenario in Scenario:
+        parts = {split.assignment[w.id] for w in windows if w.scenario is scenario}
+        assert {Part.SEEN_TEST, Part.UNSEEN_TEST} <= parts, scenario
