@@ -61,7 +61,8 @@ class ProviderConfig:
     number from 0 to 65535, or a character outside printable ASCII) is
     refused here, before any data is read, as is one with credentials
     before an ``@``, which no request would send as auth: the token
-    comes only from ``token_env``.
+    comes only from ``token_env``. No refusal shows what comes before
+    the endpoint's last ``@``.
 
     ``concurrency`` is the most requests a batch has in flight at once.
     A call waiting out its backoff holds no slot, so the limit holds
@@ -81,26 +82,27 @@ class ProviderConfig:
     def __post_init__(self):
         if not self.endpoint:
             raise ConfigError("provider endpoint must be non-empty")
+        # no refusal shows what comes before the last "@": a password
+        at = self.endpoint.rfind("@")
+        shown = self.endpoint if at < 0 else "..." + self.endpoint[at:]
         if re.search(r"[^\x21-\x7e]", self.endpoint):
             raise ConfigError(
-                f"provider endpoint must be printable ASCII without spaces, got {self.endpoint!r}"
+                f"provider endpoint must be printable ASCII without spaces, got {shown!r}"
             )
         try:
             url = urlsplit(self.endpoint)
             if url.username is not None:  # also for a bare "@" or ":password@"
-                # checked before the port, and the message leaves the
-                # endpoint out, so no password reaches stderr
                 raise ConfigError(
                     "provider endpoint must not carry credentials before '@'; the auth token "
                     f"comes from the environment variable named by --token-env ({self.token_env})"
                 )
             url.port  # raises ValueError for a port that is not a number up to 65535
         except ValueError as exc:
-            raise ConfigError(f"provider endpoint {self.endpoint!r} is unreadable: {exc}") from None
+            raise ConfigError(f"provider endpoint {shown!r} is unreadable: {exc}") from None
         if url.scheme not in ("http", "https") or not url.hostname:
             raise ConfigError(
                 f"provider endpoint must be an http:// or https:// URL with a host, "
-                f"got {self.endpoint!r}"
+                f"got {shown!r}"
             )
         if not self.model:
             raise ConfigError("provider model id must be non-empty")
@@ -117,6 +119,10 @@ class ProviderConfig:
             raise ConfigError(f"concurrency must be >= 1, got {self.concurrency}")
         if self.timeout_s <= 0:
             raise ConfigError(f"timeout must be positive, got {self.timeout_s}")
+        if self.timeout_s > threading.TIMEOUT_MAX:  # a socket refuses a longer one
+            raise ConfigError(
+                f"timeout must be at most {threading.TIMEOUT_MAX:.0f} s, got {self.timeout_s}"
+            )
         if self.backoff_base_s < 0:
             raise ConfigError(f"backoff base must be >= 0, got {self.backoff_base_s}")
 

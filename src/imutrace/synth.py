@@ -14,11 +14,12 @@ symmetric ramp (:data:`YAW_RAMP_S`). The ramp is odd-symmetric about the
 segment boundary, so the net heading change of the window equals the
 profile's segment sum exactly, while the sampled gyro trace becomes
 smooth enough that a trapezoidal integral recovers the heading change to
-well under a milliradian at 100 Hz. One function, ``_track``, locates
-each sample's ramp piece once and returns the yaw rate, its exact
-integral and the segment speed; :func:`simulate` turns them into the
-window's (n, 9) sensor array, and :func:`generate_dataset` wraps each
-array in a :class:`~imutrace.core.TrajectoryWindow`.
+well under a milliradian at 100 Hz. One function, ``_track``, evaluates
+one ramp formula at every sample (a constant piece is a ramp with zero
+rise) for the yaw rate, its exact integral and the segment speed;
+:func:`simulate` writes them into column views of the window's one
+(n, 9) array, and :func:`generate_dataset` wraps each array in a
+:class:`~imutrace.core.TrajectoryWindow`.
 
 Everything is reproducible: window ``i`` of a dataset draws from a
 ``numpy`` PCG64 generator seeded with ``SeedSequence((seed, i))``, and
@@ -188,7 +189,8 @@ def _track(
     never overlap each other or the window edges; symmetry keeps every
     ramp's integral equal to the step's, so the final heading matches
     the profile's segment sum to float precision. Speed stays
-    piecewise constant.
+    piecewise constant. Every sample takes the ramp formula; a constant
+    piece is a ramp with zero rise.
     """
     boundaries = np.cumsum([seg.duration for seg in profile.segments])
     rates = [seg.yaw_rate for seg in profile.segments]
@@ -208,27 +210,20 @@ def _track(
         cursor = b + half
     pieces.append((cursor, float(boundaries[-1]), rates[-1], rates[-1]))
 
-    starts = np.array([p[0] for p in pieces])
-    idx = np.clip(np.searchsorted(starts, t, side="right") - 1, 0, len(pieces) - 1)
-    omega = np.empty_like(t)
-    theta = np.empty_like(t)
-    heading = 0.0  # heading at the start of the current piece
-    for k, (t0, t1, w0, w1) in enumerate(pieces):
-        span = t1 - t0
-        mask = idx == k
-        if mask.any():
-            dt = t[mask] - t0
-            if w0 == w1:
-                omega[mask] = w0
-                theta[mask] = heading + w0 * dt
-            else:
-                u = np.clip(dt / span, 0.0, 1.0)
-                omega[mask] = w0 + (w1 - w0) * _smoothstep(u)
-                theta[mask] = heading + w0 * dt + (w1 - w0) * span * _smoothstep_integral(u)
-        if w0 == w1:
-            heading += w0 * span
-        else:
-            heading += w0 * span + (w1 - w0) * span * 0.5
+    t0, t1, w0, w1 = np.array(pieces).T
+    span = t1 - t0
+    # -(w0 - w1) is -0.0 on a constant piece, and x + -0.0 is x for
+    # every x, so a constant piece keeps its rate and heading bit for bit
+    rise = -(w0 - w1)
+    step = rise * span
+    # heading at each piece's start, a running sum begun at 0.0 (not -0.0)
+    start = np.cumsum(np.concatenate(([0.0], (w0 * span + step * 0.5)[:-1])))
+    k = np.clip(np.searchsorted(t0, t, side="right") - 1, 0, len(pieces) - 1)
+    dt = t - t0[k]
+    # the last piece's span can round to zero; its samples keep u = 0
+    u = np.clip(np.divide(dt, span[k], out=np.zeros_like(dt), where=span[k] > 0), 0.0, 1.0)
+    omega = w0[k] + rise[k] * _smoothstep(u)
+    theta = start[k] + w0[k] * dt + step[k] * _smoothstep_integral(u)
 
     segment = np.minimum(np.searchsorted(boundaries, t, side="right"), len(rates) - 1)
     speed = np.array([seg.speed for seg in profile.segments])[segment]
@@ -259,12 +254,11 @@ def simulate(
     t = np.arange(n, dtype=np.float64) / cfg.rate
     omega, theta, speed = _track(profile, t)
 
-    gyro = np.zeros((n, 3))
+    data = np.zeros((n, 9))
+    accel, gyro, mag = data[:, 0:3], data[:, 3:6], data[:, 6:9]
     gyro[:, 2] = omega
-    accel = np.zeros((n, 3))
     accel[:, 0] = speed * omega
     accel[:, 2] = cfg.gravity
-    mag = np.empty((n, 3))
     mag[:, 0] = cfg.earth_field_h * np.cos(theta)
     mag[:, 1] = -cfg.earth_field_h * np.sin(theta)
     mag[:, 2] = cfg.earth_field_v
@@ -279,7 +273,7 @@ def simulate(
         accel[:, 2] += counts * signs * noise.bump_amp
     if noise.mag_sigma > 0:
         mag += rng.normal(0.0, noise.mag_sigma, (n, 3))
-    return np.column_stack((accel, gyro, mag))
+    return data
 
 
 def uniform_counts(per_class: int) -> dict[tuple[TrajectoryLabel, Scenario], int]:

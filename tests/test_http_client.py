@@ -285,6 +285,10 @@ def test_provider_config_validation():
         ProviderConfig(endpoint="http://x", model="m", retries=-1)
     with pytest.raises(ConfigError):
         ProviderConfig(endpoint="http://x", model="m", timeout_s=0.0)
+    # a socket refuses a timeout past threading.TIMEOUT_MAX with an OverflowError
+    with pytest.raises(ConfigError, match="timeout must be at most 9223372036 s, got 10000000000.0"):
+        ProviderConfig(endpoint="http://x", model="m", timeout_s=1e10)
+    ProviderConfig(endpoint="http://x", model="m", timeout_s=threading.TIMEOUT_MAX)
     with pytest.raises(ConfigError):
         ProviderConfig(endpoint="http://x", model="m", concurrency=0)
     with pytest.raises(ConfigError):
@@ -303,6 +307,16 @@ def test_provider_config_validation():
         with pytest.raises(ConfigError, match="must not carry credentials") as info:
             ProviderConfig(endpoint=endpoint, model="m")
         assert "s3cret" not in str(info.value) and "--token-env" in str(info.value)
+    # refused for another fault first, they still show nothing before the last "@"
+    for endpoint, fault in (
+        ("http://u:s3cret@h/v1 x", "printable ASCII"),
+        ("http://u:s3cret@h\u00e9/v1", "printable ASCII"),
+        ("http://u:s3cret@[::1/v1", "unreadable"),
+        ("user:s3cret@host/v1", "with a host"),
+    ):
+        with pytest.raises(ConfigError, match=fault) as info:
+            ProviderConfig(endpoint=endpoint, model="m")
+        assert "s3cret" not in str(info.value)
 
 
 @pytest.mark.parametrize(

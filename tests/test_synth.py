@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from imutrace.core import Scenario, TrajectoryLabel, serialize_csv
 from imutrace.errors import DataError
@@ -194,12 +194,13 @@ def test_yaw_track_exact_final_heading():
 
 # Segment durations straddle the ramp width, so some ramps shrink to fit
 # a short segment; a small pool of yaw rates makes equal adjacent rates
-# (no ramp at all) common.
+# (no ramp at all) common, and its -0.0 checks that signed zeros, which
+# the CSV writes as 0.0 or -0.0, come out as the reference's.
 _segments = st.builds(
     MotionSegment,
     duration=st.one_of(st.floats(0.001, YAW_RAMP_S), st.floats(YAW_RAMP_S, 5.0)),
     speed=st.floats(0.1, 2.0),
-    yaw_rate=st.one_of(st.sampled_from([0.0, 0.5, -1.25]), st.floats(-3.0, 3.0)),
+    yaw_rate=st.one_of(st.sampled_from([0.0, -0.0, 0.5, -1.25]), st.floats(-3.0, 3.0)),
 )
 
 
@@ -209,6 +210,14 @@ _segments = st.builds(
     st.sampled_from([7.0, 30.0, 100.0 / 3.0, 100.0]),
     st.integers(0, 20),
 )
+# a -0.0 first piece, then a falling ramp whose start (0.9 s) is a sample:
+# the heading there is +0.0 only if the running heading starts at 0.0
+@example([MotionSegment(1.0, 1.0, -0.0), MotionSegment(1.0, 1.0, -1.25)], 100.0, 0)
+# a last segment one ulp long: the last piece's span rounds to 0.0, and
+# the boundary sample at its start must not divide zero by zero
+@example(
+    [MotionSegment(math.nextafter(1.0, 2.0), 1.0, 0.0), MotionSegment(2.0 ** -52, 1.0, 1.0)], 7.0, 0
+)
 def test_track_matches_two_pass_reference(segments, rate, past_end):
     profile = MotionProfile(tuple(segments))
     n = round(profile.total_duration * rate) + past_end
@@ -217,9 +226,10 @@ def test_track_matches_two_pass_reference(segments, rate, past_end):
     t = np.concatenate([np.arange(n, dtype=np.float64) / rate, boundaries])
     omega, theta, speed = _track(profile, t)
     track = YawTrack(profile)
-    assert np.array_equal(omega, track.omega(t))
-    assert np.array_equal(theta, track.theta(t))
-    assert np.array_equal(speed, _segment_speeds(profile, t))
+    # bytes, not values: -0.0 and 0.0 compare equal but are written apart
+    assert omega.tobytes() == track.omega(t).tobytes()
+    assert theta.tobytes() == track.theta(t).tobytes()
+    assert speed.tobytes() == _segment_speeds(profile, t).tobytes()
 
 
 def test_profile_for_shapes():
