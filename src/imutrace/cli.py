@@ -467,6 +467,12 @@ def main(argv=None) -> int:
     parser, subparsers = build_parser()
     try:
         args = _apply_config_file(parser, subparsers, list(argv))
+        # before any data is read or generated, naming the flag
+        for dest in ("seed", "gen_seed", "split_seed"):
+            value = getattr(args, dest, 0)
+            if value < 0:
+                flag = "--" + dest.replace("_", "-")
+                raise DataError(f"{flag} must be a nonnegative integer, got {value}")
         return args.func(args)
     except ConfigError as exc:
         print(f"imutrace: config error: {exc}", file=sys.stderr)

@@ -1,11 +1,11 @@
-"""Confusion matrices, macro metrics, the experiment runner, and reports.
+"""Count tables, macro metrics, the experiment runner, and reports.
 
-The confusion matrix is 4x4 (rows truth, columns prediction, fixed
-label order) plus a reserved per-truth-row "unparsed" column for
-responses that yielded no label. Unparsed counts never enter precision
-denominators (nothing was predicted) but do enter recall denominators
-(the truth instance existed), so refusals depress recall instead of
-vanishing.
+A scored cell's counts are one 4x5 table: rows are the truth label,
+columns the four predicted labels (fixed label order), then "unparsed"
+for responses that yielded no label. Unparsed counts never enter
+precision denominators (nothing was predicted) but do enter recall
+denominators (the truth instance existed), so refusals depress recall
+instead of vanishing.
 
 Reports render as an aligned text table and as JSON lines, one cell
 per line, both referencing the run manifest by hash. All rendering is
@@ -75,26 +75,6 @@ TIMINGS_FILE = "timings.json"
 _TASK_ORDER = ("lstm", "dataset", "cnn", "svm", "rf")
 
 
-@dataclass(frozen=True, eq=False)
-class ConfusionMatrix:
-    """4x4 counts plus the reserved unparsed column, rows are truth."""
-
-    counts: np.ndarray  # (4, 4) int64
-    unparsed: np.ndarray  # (4,) int64
-
-    def __post_init__(self):
-        if self.counts.shape != (N_CLASSES, N_CLASSES):
-            raise DataError(f"confusion counts must be 4x4, got {self.counts.shape}")
-        if self.unparsed.shape != (N_CLASSES,):
-            raise DataError(f"unparsed column must have 4 rows, got {self.unparsed.shape}")
-        if np.any(self.counts < 0) or np.any(self.unparsed < 0):
-            raise DataError("confusion counts must be nonnegative")
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum() + self.unparsed.sum())
-
-
 @dataclass(frozen=True)
 class Metrics:
     precision: float
@@ -104,16 +84,18 @@ class Metrics:
 
 @dataclass(frozen=True, eq=False)
 class CellResult:
-    """One grid cell: the confusion counts it scored, or why it was skipped.
+    """One grid cell: the counts it scored, or why it was skipped.
 
-    The counts are the cell's only stored result; ``metrics`` derives the
-    macro precision, recall and F1 from them. ``n_windows`` is the number
-    of evaluation windows the cell ran on (0 when it was skipped before
-    any ran), and ``n_failures`` the number of those whose provider call
-    failed; a cell skipped on provider failures keeps both.
+    ``counts``, the (4, 5) int64 table that ``confusion`` returns (None on
+    a skipped cell), is the cell's only stored result; ``metrics`` derives
+    the macro precision, recall and F1 from it. ``n_windows`` is the
+    number of evaluation windows the cell ran on (0 when it was skipped
+    before any ran), and ``n_failures`` the number of those whose provider
+    call failed; a cell skipped on provider failures keeps both. A scored
+    cell's ``n_windows`` is its table's total plus ``n_failures``.
     """
 
-    confusion: Optional[ConfusionMatrix]
+    counts: Optional[np.ndarray]
     skipped_reason: Optional[str] = None
     n_windows: int = 0
     n_failures: int = 0
@@ -124,6 +106,17 @@ class CellResult:
                 f"a cell's failures must be in [0, n_windows], got "
                 f"{self.n_failures} of {self.n_windows} windows"
             )
+        if self.counts is None:
+            return
+        if self.counts.shape != (N_CLASSES, N_CLASSES + 1):
+            raise DataError(f"a cell's counts must be 4x5, got {self.counts.shape}")
+        if np.any(self.counts < 0):
+            raise DataError("a cell's counts must be nonnegative")
+        if self.n_windows != self.counts.sum() + self.n_failures:
+            raise DataError(
+                f"a scored cell's n_windows must be its {self.counts.sum()} counts plus "
+                f"its {self.n_failures} failures, got {self.n_windows}"
+            )
 
     @property
     def skipped(self) -> bool:
@@ -131,7 +124,7 @@ class CellResult:
 
     @property
     def metrics(self) -> Optional[Metrics]:
-        return None if self.confusion is None else metrics(self.confusion)
+        return None if self.counts is None else metrics(self.counts)
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,34 +159,31 @@ def canonical_digest(obj: dict) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-def confusion(
-    preds: Sequence[Prediction], truths: Sequence[TrajectoryWindow]
-) -> ConfusionMatrix:
-    """Count predictions against labeled truth windows by window_id."""
+def confusion(preds: Sequence[Prediction], truths: Sequence[TrajectoryWindow]) -> np.ndarray:
+    """Count predictions against labeled truth windows by window_id, into a
+    (4, 5) table: a row per truth label, a column per predicted label, and
+    a last column for predictions without one."""
     truth_labels: dict[str, int] = {}
     for w in truths:
         if w.label is None:
             raise DataError(f"truth window {w.id!r} is unlabeled")
         truth_labels[w.id] = w.label.index
-    counts = np.zeros((N_CLASSES, N_CLASSES), dtype=np.int64)
-    unparsed = np.zeros(N_CLASSES, dtype=np.int64)
+    counts = np.zeros((N_CLASSES, N_CLASSES + 1), dtype=np.int64)
     for pred in preds:
         if pred.window_id not in truth_labels:
             raise DataError(f"prediction for {pred.window_id!r} has no labeled truth")
-        row = truth_labels[pred.window_id]
-        if pred.label is None:
-            unparsed[row] += 1
-        else:
-            counts[row, pred.label.index] += 1
-    return ConfusionMatrix(counts=counts, unparsed=unparsed)
+        column = N_CLASSES if pred.label is None else pred.label.index
+        counts[truth_labels[pred.window_id], column] += 1
+    return counts
 
 
-def per_class_metrics(m: ConfusionMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-class (precision, recall, f1) arrays with 0 on zero denominators."""
-    tp = np.diag(m.counts).astype(np.float64)
-    fp = m.counts.sum(axis=0) - tp
+def per_class_metrics(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-class (precision, recall, f1) arrays of a (4, 5) count table,
+    with 0 on zero denominators."""
+    tp = np.diag(counts).astype(np.float64)
+    fp = counts[:, :N_CLASSES].sum(axis=0) - tp
     # row totals include the unparsed column: those truths existed
-    fn = (m.counts.sum(axis=1) + m.unparsed) - tp
+    fn = counts.sum(axis=1) - tp
     precision = np.divide(tp, tp + fp, out=np.zeros(N_CLASSES), where=(tp + fp) > 0)
     recall = np.divide(tp, tp + fn, out=np.zeros(N_CLASSES), where=(tp + fn) > 0)
     both = precision + recall
@@ -203,11 +193,11 @@ def per_class_metrics(m: ConfusionMatrix) -> tuple[np.ndarray, np.ndarray, np.nd
     return precision, recall, f1
 
 
-def metrics(m: ConfusionMatrix) -> Metrics:
+def metrics(counts: np.ndarray) -> Metrics:
     """Macro-averaged precision, recall, and F1 over the four classes."""
-    if m.total == 0:
-        raise DataError("cannot compute metrics for an empty confusion matrix")
-    precision, recall, f1 = per_class_metrics(m)
+    if counts.sum() == 0:
+        raise DataError("cannot compute metrics for an empty count table")
+    precision, recall, f1 = per_class_metrics(counts)
     return Metrics(
         precision=float(precision.mean()),
         recall=float(recall.mean()),
@@ -373,7 +363,7 @@ def run_experiment(
     scenario has no windows in its test part, or, for a baseline, no
     Train windows. That plan drives the pre-flight checks, the training
     tasks and the scoring loop. Every cell is scored the same way, into
-    its confusion counts; a prompt cell is skipped after it runs, keeping
+    its count table; a prompt cell is skipped after it runs, keeping
     its window and failure counts, when more than ``MAX_FAILED_SHARE`` of
     its provider calls fail.
 
@@ -604,7 +594,7 @@ def _render_text(r: EvalReport) -> str:
         if cell.skipped:
             rows.append((name, scen, test, f"skipped ({cell.skipped_reason})", "", "", ""))
         else:
-            unparsed = str(int(cell.confusion.unparsed.sum()))
+            unparsed = str(int(cell.counts[:, N_CLASSES].sum()))
             rows.append((name, scen, test, *map(_percent, astuple(cell.metrics)), unparsed))
     widths = [
         max(len(headers[i]), *(len(row[i]) for row in rows)) if rows else len(headers[i])
@@ -636,8 +626,8 @@ def _cell_line(key: tuple[str, Scenario, Part], cell: CellResult) -> dict:
         obj["skipped"] = cell.skipped_reason
     else:
         obj.update(asdict(cell.metrics))
-        obj["confusion"] = cell.confusion.counts.tolist()
-        obj["unparsed"] = cell.confusion.unparsed.tolist()
+        obj["confusion"] = cell.counts[:, :N_CLASSES].tolist()
+        obj["unparsed"] = cell.counts[:, N_CLASSES].tolist()
     return obj
 
 
@@ -651,12 +641,13 @@ def _render_jsonl(r: EvalReport) -> str:
 def parse_report_jsonl(text: str) -> EvalReport:
     """Rebuild an EvalReport from its JSONL rendering.
 
-    A scored cell is rebuilt from its ``confusion``, ``unparsed`` and
-    ``n_failures`` (``n_windows`` is their total), a skipped cell from its
-    ``skipped``, ``n_windows`` and ``n_failures``. ``DataError`` refuses a
-    line that is not exactly ``_cell_line`` of its rebuilt cell, unknown
-    and missing keys included, naming the first field that differs, and
-    a second line for the same cell, and a header line that is not
+    A scored cell is rebuilt from its ``confusion`` and ``unparsed``,
+    stacked into its table, and ``n_failures`` (``n_windows`` is their
+    total), a skipped cell from its ``skipped``, ``n_windows`` and
+    ``n_failures``. ``DataError`` refuses a line that is not exactly
+    ``_cell_line`` of its rebuilt cell, unknown and missing keys included,
+    naming the first field that differs, and a second line for the same
+    cell, and a header line that is not
     ``{"manifest_sha256": <64 lowercase hex digits>}``. The report keeps
     only the manifest's digest (``manifest`` is None); rendering it again
     gives the input bytes.
@@ -688,11 +679,10 @@ def parse_report_jsonl(text: str) -> EvalReport:
             if "skipped" in obj:
                 cell = CellResult(None, str(obj["skipped"]), int(obj["n_windows"]), n_failures)
             else:
-                cm = ConfusionMatrix(
-                    counts=np.asarray(obj["confusion"], dtype=np.int64),
-                    unparsed=np.asarray(obj["unparsed"], dtype=np.int64),
+                counts = np.column_stack(
+                    [np.asarray(obj[k], dtype=np.int64) for k in ("confusion", "unparsed")]
                 )
-                cell = CellResult(cm, None, cm.total + n_failures, n_failures)
+                cell = CellResult(counts, None, int(counts.sum()) + n_failures, n_failures)
             want = _cell_line(key, cell)
         except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DataError(f"malformed JSONL report line: {exc}")

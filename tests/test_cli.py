@@ -431,8 +431,9 @@ def test_a_field_over_the_csv_modules_limit_exits_3(tmp_path, capsys, lines, lin
         ["train", "--model", "rf", "--seed", "-1"],
         ["run", "--per-class", "3", "--windows-per-group", "2", "--seed", "-1"],
         ["run", "--per-class", "3", "--windows-per-group", "2", "--split-seed", "-1"],
+        ["run", "--per-class", "3", "--windows-per-group", "2", "--gen-seed", "-1"],
     ],
-    ids=["split", "train", "run-seed", "run-split-seed"],
+    ids=["split", "train", "run-seed", "run-split-seed", "run-gen-seed"],
 )
 def test_negative_seed_exits_3_before_writing(tmp_path, argv):
     data = _generate(tmp_path, per_class=3)
@@ -452,7 +453,27 @@ def test_negative_seed_exits_3_before_writing(tmp_path, argv):
     assert proc.returncode == 3, proc.stderr
     assert "Traceback" not in proc.stderr
     assert "seed must be a nonnegative integer" in proc.stderr
+    flag = argv[argv.index("-1") - 1]
+    assert f"imutrace: data error: {flag} must be a nonnegative integer" in proc.stderr
     assert not out.exists()
+
+
+@pytest.mark.parametrize("dest", ["seed", "gen_seed", "split_seed"])
+def test_negative_seed_from_a_config_file_is_refused_before_any_data(
+    tmp_path, capsys, monkeypatch, dest
+):
+    def no_data(*args, **kwargs):
+        raise AssertionError("read or generated data")
+
+    monkeypatch.setattr(cli, "_generate", no_data)
+    monkeypatch.setattr(cli, "_load_windows", no_data)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({dest: -2}), encoding="utf-8")
+    argv = ["run", "--config", str(config), "--per-class", "3", "--out", str(tmp_path / "r")]
+    assert main(argv) == 3
+    flag = "--" + dest.replace("_", "-")
+    assert f"{flag} must be a nonnegative integer, got -2" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
 
 
 _LIVE = ("--endpoint", "http://127.0.0.1:9/v1", "--model", "m")

@@ -28,7 +28,6 @@ from imutrace.core import (
 from imutrace.errors import ConfigError, DataError
 from imutrace.evalreport import (
     CellResult,
-    ConfusionMatrix,
     DEFAULT_TARGET_RATE_HZ,
     EvalReport,
     Metrics,
@@ -53,21 +52,21 @@ LABELS = list(TrajectoryLabel)
 
 
 def _cm(counts, unparsed=None):
-    return ConfusionMatrix(
-        counts=np.asarray(counts, dtype=np.int64),
-        unparsed=np.zeros(4, dtype=np.int64)
+    return np.column_stack((
+        np.asarray(counts, dtype=np.int64),
+        np.zeros(4, dtype=np.int64)
         if unparsed is None
         else np.asarray(unparsed, dtype=np.int64),
-    )
+    ))
 
 
-def _brute_force(cm: ConfusionMatrix):
+def _brute_force(cm: np.ndarray):
     """Independent per-class metric computation, plain loops."""
     ps, rs, fs = [], [], []
     for k in range(4):
-        tp = cm.counts[k, k]
-        fp = sum(cm.counts[i, k] for i in range(4)) - tp
-        fn = sum(cm.counts[k, j] for j in range(4)) + cm.unparsed[k] - tp
+        tp = cm[k, k]
+        fp = sum(cm[i, k] for i in range(4)) - tp
+        fn = sum(cm[k, j] for j in range(4)) + cm[k, 4] - tp
         p = tp / (tp + fp) if tp + fp else 0.0
         r = tp / (tp + fn) if tp + fn else 0.0
         f = 2 * p * r / (p + r) if p + r else 0.0
@@ -116,7 +115,7 @@ def test_macro_metrics_match_brute_force():
     rng = np.random.default_rng(17)
     for _ in range(100):
         cm = _cm(rng.integers(0, 12, size=(4, 4)), unparsed=rng.integers(0, 4, size=4))
-        if cm.total == 0:
+        if cm.sum() == 0:
             continue
         ps, rs, fs = _brute_force(cm)
         p, r, f = per_class_metrics(cm)
@@ -145,7 +144,7 @@ def test_unparsed_hits_recall_not_precision():
         Prediction(truths[3].id, None),
     ]
     cm = confusion(preds, truths)
-    assert cm.unparsed.tolist() == [2, 0, 0, 0]
+    assert cm[:, 4].tolist() == [2, 0, 0, 0]
     p, r, _ = per_class_metrics(cm)
     assert p[0] == 1.0  # both actual predictions were right
     assert r[0] == 0.5  # but half the truths got no answer
@@ -160,9 +159,9 @@ def test_confusion_builder_properties():
     cm1 = confusion(preds, truths)
     shuffled = [preds[i] for i in rng.permutation(len(preds))]
     cm2 = confusion(shuffled, truths)
-    assert np.array_equal(cm1.counts, cm2.counts)
-    assert np.array_equal(cm1.unparsed, cm2.unparsed)
-    assert cm1.total == 8
+    assert np.array_equal(cm1[:, :4], cm2[:, :4])
+    assert np.array_equal(cm1[:, 4], cm2[:, 4])
+    assert cm1.sum() == 8
 
     with pytest.raises(DataError):  # prediction without a matching truth
         confusion([Prediction("ghost", LABELS[0])], truths)
@@ -243,7 +242,7 @@ def test_run_experiment_cell_grid(skip_path_report):
     cot = r.cells[("mock-cot", Scenario.INDOOR, Part.UNSEEN_TEST)]
     assert not cot.skipped and cot.n_windows == 1
     # the lone indoor window is a straight run and the mock gets it
-    assert cot.confusion.counts[0, 0] == 1
+    assert cot.counts[0, 0] == 1
     for key in ("dataset_sha256", "split_sha256", "template_sha256", "provider"):
         assert key in r.manifest
     assert r.manifest["provider"] == "mock"
@@ -277,10 +276,10 @@ def test_jsonl_round_trip(skip_path_report):
     # parsed cells carry the same metric values
     key = ("svm", Scenario.OUTDOOR, Part.SEEN_TEST)
     assert back.cells[key].metrics == skip_path_report.cells[key].metrics
-    for field in ("counts", "unparsed"):
+    for field in (np.s_[:, :4], np.s_[:, 4]):
         assert np.array_equal(
-            getattr(back.cells[key].confusion, field),
-            getattr(skip_path_report.cells[key].confusion, field),
+            back.cells[key].counts[field],
+            skip_path_report.cells[key].counts[field],
         )
     with pytest.raises(DataError):
         parse_report_jsonl("")
@@ -307,14 +306,14 @@ def _cells(draw):
     if draw(st.booleans()):
         n_windows = draw(st.integers(0, 10**6))
         return CellResult(None, draw(st.text()), n_windows, draw(st.integers(0, n_windows)))
-    cm = ConfusionMatrix(
-        counts=draw(arrays(np.int64, (4, 4), elements=_COUNTS)),
-        unparsed=draw(arrays(np.int64, (4,), elements=_COUNTS)),
-    )
-    if cm.total == 0:
-        cm.counts[draw(st.integers(0, 3)), draw(st.integers(0, 3))] = 1
+    cm = np.column_stack((
+        draw(arrays(np.int64, (4, 4), elements=_COUNTS)),
+        draw(arrays(np.int64, (4,), elements=_COUNTS)),
+    ))
+    if cm.sum() == 0:
+        cm[draw(st.integers(0, 3)), draw(st.integers(0, 3))] = 1
     n_failures = draw(st.integers(0, 10**6))
-    return CellResult(cm, None, cm.total + n_failures, n_failures)
+    return CellResult(cm, None, int(cm.sum()) + n_failures, n_failures)
 
 
 _KEYS = st.tuples(
@@ -341,7 +340,7 @@ def test_jsonl_report_is_its_counts(cells, digest, data):
             cells[key].skipped_reason, cells[key].n_windows, cells[key].n_failures
         )
         if not cell.skipped:
-            assert cell.metrics == metrics(cell.confusion)
+            assert cell.metrics == metrics(cell.counts)
 
     # a metric one float away from what its counts give is refused
     lines = jsonl.splitlines()
@@ -412,6 +411,25 @@ def test_jsonl_report_refuses_n_windows_off_its_counts(skip_path_report, shift):
     lines[i] = json.dumps(obj, sort_keys=True)
     with pytest.raises(DataError, match="field 'n_windows'"):
         parse_report_jsonl("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("shift", [-1, 1])
+def test_scored_cell_refuses_n_windows_off_its_counts(shift):
+    counts = _cm(np.eye(4, dtype=np.int64) * 2, unparsed=[1, 0, 0, 0])
+    assert CellResult(counts, None, 9 + 2, 2).n_windows == 11
+    with pytest.raises(DataError, match="n_windows must be its 9 counts plus its 2 failures"):
+        CellResult(counts, None, 9 + 2 + shift, 2)
+
+
+@pytest.mark.parametrize(
+    "counts",
+    [np.zeros((4, 4), dtype=np.int64), np.zeros((5, 4), dtype=np.int64),
+     _cm(np.eye(4, dtype=np.int64), unparsed=[0, -1, 0, 0])],
+    ids=["4x4", "5x4", "negative"],
+)
+def test_scored_cell_refuses_counts_other_than_a_4x5_table(counts):
+    with pytest.raises(DataError, match="a cell's counts must be"):
+        CellResult(counts, None, int(counts.sum()), 0)
 
 
 @pytest.mark.parametrize(
@@ -680,7 +698,7 @@ def test_partial_failures_below_threshold_still_score(monkeypatch):
         if cell.n_windows >= 2:
             assert not cell.skipped
             assert cell.n_failures == 1
-            assert cell.confusion.total == cell.n_windows - 1
+            assert cell.counts.sum() == cell.n_windows - 1
 
 
 def test_unknown_baseline_rejected():
