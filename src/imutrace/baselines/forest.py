@@ -125,14 +125,28 @@ def _grow(
     }
 
 
-def _tree_predict(node: dict, x: np.ndarray) -> int:
+def _tree_predict(node: dict, row: list[float]) -> int:
     while "label" not in node:
-        node = node["left"] if x[node["feature"]] < node["threshold"] else node["right"]
+        node = node["left"] if row[node["feature"]] < node["threshold"] else node["right"]
     return node["label"]
 
 
+def _vote_table(trees: Sequence[dict], x: np.ndarray) -> np.ndarray:
+    """(trees, rows) label index each tree votes for each row of ``x``,
+    walked as Python floats (whose ``<`` is float64's)."""
+    rows = x.tolist()
+    return np.array([[_tree_predict(t, row) for row in rows] for t in trees], dtype=np.int64)
+
+
+def _vote_counts(table: np.ndarray, where: np.ndarray | bool = True) -> np.ndarray:
+    """(rows, 4) count of each label in each column of a vote table, over
+    the entries where ``where`` is set."""
+    return np.stack([np.count_nonzero((table == c) & where, axis=0) for c in range(N_CLASSES)], 1)
+
+
 def train_rf(x: np.ndarray, y: np.ndarray, cfg: RfConfig) -> RandomForestModel:
-    """Grow cfg.trees CART trees on bootstrap resamples of (x, y)."""
+    """Grow cfg.trees CART trees on bootstrap resamples of (x, y); one vote
+    table over its rows gives the out-of-bag and the train votes."""
     x, y = training_set(x, y)
     n, d = x.shape
     m_features = cfg.features_per_split
@@ -141,25 +155,18 @@ def train_rf(x: np.ndarray, y: np.ndarray, cfg: RfConfig) -> RandomForestModel:
     m_features = min(m_features, d)
 
     trees: list[dict] = []
-    oob_votes = np.zeros((n, N_CLASSES))
+    in_bag = np.zeros((cfg.trees, n), dtype=bool)
     for tree_index in range(cfg.trees):
         rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, tree_index)))
         sample = rng.integers(0, n, size=n)
-        tree = _grow(x, y, sample, 0, cfg, m_features, rng)
-        trees.append(tree)
-        oob = np.setdiff1d(np.arange(n), sample, assume_unique=False)
-        for i in oob:
-            oob_votes[i, _tree_predict(tree, x[i])] += 1.0
+        trees.append(_grow(x, y, sample, 0, cfg, m_features, rng))
+        in_bag[tree_index, sample] = True
 
-    covered = oob_votes.sum(axis=1) > 0
-    if np.any(covered):
-        oob_pred = np.argmax(oob_votes[covered], axis=1)
-        oob_accuracy = float(np.mean(oob_pred == y[covered]))
-    else:
-        oob_accuracy = 0.0
-
-    grown = tuple(trees)
-    train_pred = np.argmax(_votes(grown, x), axis=1)
+    table = _vote_table(trees, x)
+    covered = ~in_bag.all(axis=0)  # the rows some tree left out of its bootstrap
+    oob_pred = np.argmax(_vote_counts(table, ~in_bag)[covered], axis=1)
+    oob_accuracy = float(np.mean(oob_pred == y[covered])) if covered.any() else 0.0
+    train_pred = np.argmax(_vote_counts(table), axis=1)
     manifest = {
         "config": asdict(cfg),
         "seed": cfg.seed,
@@ -171,17 +178,8 @@ def train_rf(x: np.ndarray, y: np.ndarray, cfg: RfConfig) -> RandomForestModel:
         "train_accuracy": float(np.mean(train_pred == y)),
     }
     return RandomForestModel(
-        kind="rf", config=cfg, n_features=d, trees_data=grown, manifest=manifest
+        kind="rf", config=cfg, n_features=d, trees_data=trees, manifest=manifest
     )
-
-
-def _votes(trees: Sequence[dict], x: np.ndarray) -> np.ndarray:
-    """(n, 4) counts of the trees' votes for each row of ``x``."""
-    votes = np.zeros((x.shape[0], N_CLASSES))
-    for i, row in enumerate(x):
-        for tree in trees:
-            votes[i, _tree_predict(tree, row)] += 1.0
-    return votes
 
 
 def predict_rf_batch(
@@ -189,5 +187,5 @@ def predict_rf_batch(
 ) -> tuple[list[TrajectoryLabel], np.ndarray]:
     """Majority vote per row with fixed-label-order tie-break; returns the
     labels and the (n, 4) vote shares."""
-    votes = _votes(model.trees_data, feature_rows(x, model.n_features))
+    votes = _vote_counts(_vote_table(model.trees_data, feature_rows(x, model.n_features)))
     return argmax_labels(votes), votes / votes.sum(axis=1, keepdims=True)

@@ -350,13 +350,15 @@ def run_experiment(
 ) -> EvalReport:
     """Fill the full (model, scenario, split) grid.
 
-    Each baseline trains once per scenario on that scenario's Train
-    windows, and that one model is evaluated on both SeenTest and
-    UnseenTest; prompt modes are evaluated on UnseenTest only. The mock
-    provider runs when no provider config is given. ``configs`` maps a
-    baseline kind to its config; a kind it leaves out trains with its
-    config class's defaults, and the manifest records the config of
-    every kind. ``validate_run`` vets the kinds, modes and configs first.
+    The windows are taken in id order, so the order they come in changes
+    no model, score or digest. Each baseline trains once per scenario on
+    that scenario's Train windows, and that one model is evaluated on both
+    SeenTest and UnseenTest; prompt modes are evaluated on UnseenTest
+    only. The mock provider runs when no provider config is given.
+    ``configs`` maps a baseline kind to its config; a kind it leaves out
+    trains with its config class's defaults, and the manifest records the
+    config of every kind. ``validate_run`` vets the kinds, modes and
+    configs first.
 
     The grid is planned once: every cell in report order with the reason
     it is skipped before it runs, or None. A cell is skipped when its
@@ -394,6 +396,7 @@ def run_experiment(
     and every directory the run made: a refused or interrupted run
     leaves an existing ``out`` as it was and makes no new one.
     """
+    windows = sorted(windows, key=lambda w: w.id)
     configs = dict(configs or {})
     validate_run(baselines, modes, configs)
     split.validate(windows)

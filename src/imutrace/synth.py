@@ -295,9 +295,11 @@ def generate_dataset(
     Windows are enumerated scenario-major with labels interleaved
     round-robin, so the consecutive windows that share a recording
     group ("scene") cover a mix of trajectory classes, the way one
-    recording session visits all of them. Each window's RNG is derived
-    from ``(cfg.seed, global window index)``, making generation
-    order-independent and reproducible. The manifest records every
+    recording session visits all of them. A scenario's window ids are
+    ``{scenario}-w{j}``, with ``j`` zero-padded to the digits its count
+    needs (at least 4), so id order is generation order. Each window's
+    RNG is derived from ``(cfg.seed, global window index)``, making
+    generation order-independent and reproducible. The manifest records every
     :class:`GeneratorConfig` field and every scenario's
     :class:`NoiseProfile` fields, read off the dataclasses themselves.
     """
@@ -317,12 +319,13 @@ def generate_dataset(
             for label in TrajectoryLabel
             if wanted[label] > k
         ]
+        width = max(4, len(str(len(sequence) - 1)))
         for j, label in enumerate(sequence):
             rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, len(windows))))
             profile = profile_for(label, rng, cfg.duration)
             windows.append(
                 TrajectoryWindow(
-                    id=f"{scenario.value}-w{j:04d}",
+                    id=f"{scenario.value}-w{j:0{width}d}",
                     scenario=scenario,
                     recording_group=f"{scenario.value}-scene{j // cfg.windows_per_group:03d}",
                     rate=cfg.rate,

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import io
+import itertools
 import json
 import os
 import shutil
@@ -236,6 +237,31 @@ def test_a_run_on_the_generated_csv_scores_like_the_generated_run(tmp_path, caps
     assert manifests[0].pop("data_source")["kind"] == "file"
     assert manifests[1].pop("data_source")["kind"] == "generated"
     assert manifests[0] == manifests[1]
+
+
+def test_a_run_on_a_csv_with_its_recordings_reversed_scores_like_the_forward_run(
+    tmp_path, capsys
+):
+    data = tmp_path / "data"
+    assert main(["generate", "--per-class", "6", "--seed", "7", "--out", str(data)]) == 0
+    forward = data / "dataset.csv"
+    header, *rows = forward.read_text(encoding="utf-8").splitlines(keepends=True)
+    # a recording is the run of rows that share a recording_id
+    recordings = [list(g) for _, g in itertools.groupby(rows, key=lambda r: r.split(",", 1)[0])]
+    assert len(recordings) == 48
+    backward = tmp_path / "reversed.csv"
+    backward.write_text(
+        header + "".join(row for rec in reversed(recordings) for row in rec), encoding="utf-8"
+    )
+    outs = tmp_path / "forward", tmp_path / "backward"
+    for csv, out in zip((forward, backward), outs):
+        assert main(["run", "--data", str(csv), "--out", str(out)]) == 0
+    manifests = [json.loads((out / "run_manifest.json").read_text()) for out in outs]
+    assert manifests[0]["data_source"].pop("path") == str(forward)
+    assert manifests[1]["data_source"].pop("path") == str(backward)
+    assert manifests[0] == manifests[1]
+    cells = [(out / "report.jsonl").read_text().splitlines()[1:] for out in outs]
+    assert cells[0] == cells[1] and cells[0]
 
 
 def test_run_records_a_split_seed_only_for_a_split_it_made(tmp_path, capsys):

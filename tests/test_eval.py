@@ -46,7 +46,7 @@ from imutrace.llm import BatchResult, Prediction
 from imutrace.prompting import PromptMode
 from imutrace.synth import GeneratorConfig, ZERO_NOISE, generate_dataset, uniform_counts
 
-from conftest import mixed_length_windows, tiny_windows, window_from_array
+from conftest import mixed_length_windows, run_outputs, tiny_windows, window_from_array
 
 LABELS = list(TrajectoryLabel)
 
@@ -722,6 +722,32 @@ def _small_grid():
         "lstm": LstmConfig(hidden=4, epochs=2),
     }
     return windows, split_dataset(windows, seed=1), configs
+
+
+@pytest.fixture(scope="module")
+def small_grid_outputs(tmp_path_factory):
+    """The small grid's windows, split and configs, and the files of a run
+    over its windows in id order."""
+    windows, split, configs = _small_grid()
+    out = tmp_path_factory.mktemp("id-order") / "out"
+    run_experiment(
+        sorted(windows, key=lambda w: w.id), split, configs=configs, out=out, write_dataset=True
+    )
+    return windows, split, configs, run_outputs(out)
+
+
+@settings(max_examples=5, deadline=None)
+@given(data=st.data())
+def test_a_run_does_not_depend_on_the_order_of_its_windows(
+    small_grid_outputs, tmp_path_factory, data
+):
+    # every baseline trains on its rows in the order it gets them, and the
+    # dataset digest hashes them in that order, so a run takes them by id
+    windows, split, configs, want = small_grid_outputs
+    shuffled = data.draw(st.permutations(windows))
+    out = tmp_path_factory.mktemp("shuffled") / "out"
+    run_experiment(shuffled, split, configs=configs, out=out, write_dataset=True)
+    assert run_outputs(out) == want
 
 
 def test_every_baseline_predicts_an_empty_batch_as_no_rows():

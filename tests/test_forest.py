@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from imutrace.baselines.forest import (
@@ -204,3 +204,54 @@ def test_batched_split_matches_per_feature_sweep(node):
     want_column, want_threshold = _best_split_loop(values, labels)
     assert column == want_column
     assert np.array(threshold).tobytes() == np.array(want_threshold).tobytes()
+
+
+def _walk(tree, row):
+    node = tree
+    while "label" not in node:
+        node = node["left"] if row[node["feature"]] < node["threshold"] else node["right"]
+    return node["label"]
+
+
+@st.composite
+def _forest_case(draw):
+    x, y = draw(_node())
+    assume(np.unique(y).size >= 2)
+    cfg = RfConfig(
+        trees=draw(st.integers(1, 12)),
+        max_depth=draw(st.sampled_from([None, 1, 2])),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+    probe = draw(arrays(np.float64, (3, x.shape[1]), elements=st.sampled_from(TIED_VALUES)))
+    return x, y, cfg, probe
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_forest_case())
+def test_forest_votes_match_a_per_tree_reference(case):
+    # each tree's bootstrap is redrawn from its own generator, and each
+    # tree is walked over numpy rows, one (tree, row) pair at a time
+    x, y, cfg, probe = case
+    model = train_rf(x, y, cfg)
+    n = y.size
+    oob, every = np.zeros((n, 4), dtype=int), np.zeros((n, 4), dtype=int)
+    for t, tree in enumerate(model.trees_data):
+        rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, t)))
+        in_bag = set(rng.integers(0, n, size=n).tolist())
+        for i in range(n):
+            label = _walk(tree, x[i])
+            every[i, label] += 1
+            if i not in in_bag:
+                oob[i, label] += 1
+    covered = oob.sum(axis=1) > 0
+    want_oob = np.mean(np.argmax(oob[covered], axis=1) == y[covered]) if covered.any() else 0.0
+    assert model.manifest["oob_accuracy"] == want_oob
+    assert model.manifest["train_accuracy"] == np.mean(np.argmax(every, axis=1) == y)
+
+    votes = np.zeros((probe.shape[0], 4), dtype=int)
+    for tree in model.trees_data:
+        for i, row in enumerate(probe):
+            votes[i, _walk(tree, row)] += 1
+    labels, shares = predict_rf_batch(model, probe)
+    assert [lab.index for lab in labels] == np.argmax(votes, axis=1).tolist()
+    assert shares.tobytes() == (votes / votes.sum(axis=1, keepdims=True)).tobytes()

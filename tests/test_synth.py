@@ -318,6 +318,20 @@ def test_generate_dataset_layout_and_manifest():
         assert w.rate == 100.0
 
 
+def test_window_ids_sort_in_generation_order_past_10000_windows():
+    # ids are padded to the digits a scenario's count needs, at least 4
+    windows, _ = generate_dataset(
+        GeneratorConfig(seed=0, rate=1.0, duration=2.0),
+        {(TrajectoryLabel.STRAIGHT, Scenario.INDOOR): 10_001},
+        ZERO,
+    )
+    ids = [w.id for w in windows]
+    assert ids[0] == "indoor-w00000" and ids[-1] == "indoor-w10000"
+    assert sorted(ids) == ids
+    small, _ = generate_dataset(GeneratorConfig(seed=0), uniform_counts(1), ZERO)
+    assert small[0].id == "indoor-w0000"
+
+
 def test_generate_dataset_rejects_negative_counts():
     with pytest.raises(DataError):
         generate_dataset(
